@@ -14,8 +14,6 @@ from plotarc.lexicon import (
     DIMENSIONS,
     LexiconError,
     SentimentLexicon,
-    SentimentVector,
-    derive_polarity,
     parse_lexicon,
     write_lexicon,
 )
@@ -29,18 +27,14 @@ from plotarc.corpus import (
     lemmatize,
     load_corpus,
     load_lemma_map,
+    segment_bounds,
     tokenize,
 )
 from plotarc.features import (
-    FeatureVector,
     FeaturizationError,
     SectionPartition,
     SegmentProfile,
-    build_features,
     compute_profile,
-    section_means,
-    segment,
-    segment_sentiment,
 )
 from plotarc.svm import (
     EvalMetrics,
@@ -49,7 +43,6 @@ from plotarc.svm import (
     TrainingError,
     cross_validate,
     f1_score,
-    predict,
     standardize_fit,
     train_linear_svm,
 )

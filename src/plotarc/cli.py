@@ -181,8 +181,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.n_novels % 2 != 0:
-        raise CorpusError("--n-novels must be even (balanced classes)")
     lexicon = demo_lexicon()
     corpus = generate_synthetic_corpus(
         args.seed, args.n_novels, args.tokens_per_novel, args.ending_len, lexicon

@@ -4,7 +4,9 @@ A corpus on disk is a directory of ``<id>.txt`` plain-text files plus a TSV
 metadata table (``id  title  author  year  label``). Labels are the literal
 strings ``happy`` / ``unhappy``. Lemmatization is a dictionary lookup with
 identity fallback, so the pipeline stays deterministic and has no model
-dependencies.
+dependencies. Every reader decodes ``utf-8-sig``: a leading byte-order mark
+is dropped instead of becoming part of the first token, surface form or
+header cell.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 import unicodedata
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from plotarc.lexicon import SentimentLexicon, parse_lexicon
@@ -58,6 +61,17 @@ class Corpus:
         return self.total - self.happy
 
 
+def segment_bounds(n_tokens: int, n_segments: int) -> list[int]:
+    """The ``n_segments + 1`` boundaries of an equal contiguous split.
+
+    With ``n_tokens = q * n_segments + r`` the first ``r`` segments get
+    ``q + 1`` tokens and the rest ``q``; segment ``i`` is
+    ``tokens[bounds[i]:bounds[i + 1]]``.
+    """
+    q, r = divmod(n_tokens, n_segments)
+    return list(accumulate([q + 1] * r + [q] * (n_segments - r), initial=0))
+
+
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
@@ -84,7 +98,7 @@ def lemmatize(token: str, lemma_map: dict[str, str]) -> str:
 def load_lemma_map(path) -> dict[str, str]:
     """Read a ``surface<TAB>lemma`` TSV; duplicate surface forms are an error."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
@@ -110,7 +124,7 @@ def _parse_label(cell: str, where: str) -> bool:
 def load_metadata(metadata_file) -> list[NovelMetadata]:
     rows: list[NovelMetadata] = []
     seen_ids: set[str] = set()
-    with open(metadata_file, encoding="utf-8") as fh:
+    with open(metadata_file, encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r").split("\t")
         if tuple(header) != METADATA_COLUMNS:
             raise CorpusError(
@@ -151,7 +165,7 @@ def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None
         text_path = text_dir / f"{meta.id}.txt"
         if not text_path.is_file():
             raise CorpusError(f"missing text file for novel {meta.id!r}: {text_path}")
-        text = text_path.read_text(encoding="utf-8")
+        text = text_path.read_text(encoding="utf-8-sig")
         lemmas = tuple(lemmatize(tok, lemma_map) for tok in tokenize(text))
         if not lemmas:
             raise CorpusError(f"novel {meta.id!r} has no tokens")
@@ -174,16 +188,6 @@ _ENDING_MATCH_RATE = 0.40
 _ENDING_SIGNAL_SHARE = 0.25
 
 _N_SEGMENTS_PLANTED = 75
-
-
-def _segment_bounds(n_tokens: int, n_segments: int) -> list[int]:
-    # Equal split, remainder to the earliest segments (same rule as the
-    # featurizer's segmenter).
-    q, r = divmod(n_tokens, n_segments)
-    bounds = [0]
-    for i in range(n_segments):
-        bounds.append(bounds[-1] + q + (1 if i < r else 0))
-    return bounds
 
 
 def generate_synthetic_corpus(
@@ -214,7 +218,7 @@ def generate_synthetic_corpus(
         raise CorpusError("lexicon must contain at least one positive and one negative entry")
 
     rng = random.Random(seed)
-    bounds = _segment_bounds(tokens_per_novel, _N_SEGMENTS_PLANTED)
+    bounds = segment_bounds(tokens_per_novel, _N_SEGMENTS_PLANTED)
     ending_start = bounds[_N_SEGMENTS_PLANTED - ending_len_segments]
 
     novels = []

@@ -17,14 +17,16 @@ import numpy as np
 from plotarc._version import __version__ as _pkg_version
 from plotarc.corpus import Corpus
 from plotarc.features import (
-    FEATURE_SET_DIMS,
+    N_DIMS,
+    FeaturizationError,
     SectionPartition,
     SegmentProfile,
-    build_features,
     compute_profiles,
 )
 from plotarc.lexicon import SentimentLexicon, lexicon_to_text
 from plotarc.svm import cross_validate
+
+FEATURE_SET_DIMS = {1: 11, 2: 22, 3: 11, 4: 22, 5: 33, 6: 44}
 
 
 @dataclass(frozen=True)
@@ -40,27 +42,71 @@ class RunInputs:
     """Profiles plus labels, the common starting point of every experiment."""
 
     profiles: tuple[SegmentProfile, ...]
+    vectors: np.ndarray  # (novels, n_segments, 11): the profiles' segment vectors, stacked
     labels: np.ndarray  # +1 happy, -1 unhappy
-    n_segments: int
+
+    @property
+    def n_segments(self) -> int:
+        return self.vectors.shape[1]
 
 
-def prepare_inputs(
-    corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 75, denominator: str = "matched"
-) -> RunInputs:
-    profiles = tuple(compute_profiles(corpus, lexicon, n_segments, denominator))
+def prepare_inputs(corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 75) -> RunInputs:
+    profiles = tuple(compute_profiles(corpus, lexicon, n_segments))
+    vectors = np.array([p.segment_vectors for p in profiles]).reshape(
+        len(profiles), n_segments, N_DIMS
+    )
+    vectors.flags.writeable = False
     labels = np.array([1 if n.metadata.label else -1 for n in corpus.novels])
     labels.flags.writeable = False
-    return RunInputs(profiles, labels, n_segments)
+    return RunInputs(profiles, vectors, labels)
 
 
 def feature_matrix(
     inputs: RunInputs, partition: SectionPartition, feature_set_id: int
 ) -> np.ndarray:
-    rows = []
-    for profile, label in zip(inputs.profiles, inputs.labels):
-        fv = build_features(profile, partition, feature_set_id, label == 1)
-        rows.append(fv.values)
-    return np.array(rows)
+    """One row per novel holding one of the six cumulative feature sets.
+
+    Block order (11 values each, canonical dimension order):
+      1: [final segment]
+      2: [final segment, final segment - main mean]
+      3: [final-section mean]
+      4: [final-section mean, final - main]
+      5: [final-section mean, final - main, final - late-main]
+      6: [final-section mean, final - main, final - late-main, final segment]
+
+    Section means are unweighted means over their segments; all differences
+    are oriented as (final minus other).
+    """
+    if feature_set_id not in FEATURE_SET_DIMS:
+        raise FeaturizationError(f"feature_set_id must be in 1..6, got {feature_set_id}")
+    if partition.n_segments != inputs.n_segments:
+        raise FeaturizationError(
+            f"partition expects {partition.n_segments} segments, "
+            f"profiles have {inputs.n_segments}"
+        )
+    vectors = inputs.vectors
+    main = vectors[:, partition.main_slice].mean(axis=1)
+    final = vectors[:, partition.final_slice].mean(axis=1)
+    final_segment = vectors[:, -1]
+
+    if feature_set_id == 1:
+        blocks = [final_segment]
+    elif feature_set_id == 2:
+        blocks = [final_segment, final_segment - main]
+    elif feature_set_id == 3:
+        blocks = [final]
+    elif feature_set_id == 4:
+        blocks = [final, final - main]
+    else:
+        if partition.late_len < 1:
+            raise FeaturizationError(
+                f"feature set {feature_set_id} needs late_len >= 1 in the partition"
+            )
+        late = vectors[:, partition.late_slice].mean(axis=1)
+        blocks = [final, final - main, final - late]
+        if feature_set_id == 6:
+            blocks.append(final_segment)
+    return np.hstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +167,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepCurve:
     points: tuple[SweepPoint, ...]
-    baseline: float
     config: dict = field(default_factory=dict)
 
     @property
@@ -180,7 +225,6 @@ def run_partition_sweep(
         points = tuple(_sweep_point(t) for t in tasks)
     return SweepCurve(
         points=points,
-        baseline=0.5,
         config={
             "n_segments": inputs.n_segments,
             "feature_set": feature_set_id,
@@ -267,8 +311,8 @@ def run_period_analysis(
             continue
         sub_inputs = RunInputs(
             profiles=tuple(inputs.profiles[i] for i in idx),
+            vectors=inputs.vectors[idx],
             labels=sub_labels,
-            n_segments=inputs.n_segments,
         )
         curve = run_partition_sweep(sub_inputs, fractions, feature_set_id, config, jobs)
         groups.append(PeriodGroup(label, year_range, len(idx), n_happy, curve, False))

@@ -1,10 +1,10 @@
-"""Segmentation, per-segment sentiment averaging, and section feature sets.
+"""Segment profiles: per-segment sentiment averages, plus the section partition.
 
 Each novel is split into ``n_segments`` equal contiguous blocks (remainder
-tokens go to the earliest blocks). Per segment we average the 11 sentiment
-scores of the lexicon-matched tokens; sections (main / late-main / final)
-are unweighted means over their segments. Six cumulative feature sets are
-built from the final segment, the section means, and their differences.
+tokens go to the earliest blocks, see :func:`plotarc.corpus.segment_bounds`).
+Per segment we average the 11 sentiment scores of the lexicon-matched
+tokens. A :class:`SectionPartition` splits the segment axis into the main,
+late-main and final sections that the feature sets are built from.
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from plotarc.corpus import Corpus, Novel
-from plotarc.lexicon import DIMENSIONS, SentimentLexicon, SentimentVector
+from plotarc.corpus import Corpus, Novel, segment_bounds
+from plotarc.lexicon import DIMENSIONS, SentimentLexicon
 
 N_DIMS = len(DIMENSIONS)
-
-FEATURE_SET_DIMS = {1: 11, 2: 22, 3: 11, 4: 22, 5: 33, 6: 44}
 
 
 class FeaturizationError(ValueError):
@@ -77,150 +75,40 @@ class SectionPartition:
         return slice(self.n_segments - self.final_len, self.n_segments)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    novel_id: str
-    feature_set_id: int
-    values: np.ndarray
-    label: bool
+def compute_profile(novel: Novel, lexicon: SentimentLexicon, n_segments: int = 75) -> SegmentProfile:
+    """Segment a novel and average its lexicon-matched scores per segment.
 
-
-def segment(lemmas, n_segments: int = 75) -> list[list[str]]:
-    """Split into n_segments contiguous blocks whose sizes differ by at most 1.
-
-    With ``len(lemmas) = q * n_segments + r`` the first ``r`` blocks get
-    ``q + 1`` tokens and the rest ``q``.
+    A segment without lexicon matches gets the zero vector.
     """
-    lemmas = list(lemmas)
-    n = len(lemmas)
+    n = len(novel.lemmas)
     if n < n_segments:
         raise FeaturizationError(
-            f"cannot split {n} lemmas into {n_segments} non-empty segments"
+            f"novel {novel.metadata.id!r}: cannot split {n} lemmas into "
+            f"{n_segments} non-empty segments"
         )
-    q, r = divmod(n, n_segments)
-    blocks = []
-    start = 0
-    for i in range(n_segments):
-        size = q + 1 if i < r else q
-        blocks.append(lemmas[start : start + size])
-        start += size
-    return blocks
-
-
-def segment_sentiment(
-    block, lexicon: SentimentLexicon, denominator: str = "matched"
-) -> tuple[SentimentVector, int]:
-    """Component-wise mean sentiment of a block, with the matched count.
-
-    ``denominator="matched"`` (default) averages over lexicon-matched tokens
-    only; ``"all"`` divides by the block length instead. A block with no
-    matches yields the zero vector either way.
-    """
-    if denominator not in ("matched", "all"):
-        raise ValueError(f"unknown denominator policy {denominator!r}")
-    total = np.zeros(N_DIMS)
-    matched = 0
-    for lemma in block:
-        vec = lexicon.lookup(lemma)
-        if vec is not None:
-            total += vec.values
-            matched += 1
-    denom = matched if denominator == "matched" else len(block)
-    if denom == 0:
-        return SentimentVector(np.zeros(N_DIMS)), matched
-    return SentimentVector(total / denom), matched
-
-
-def compute_profile(
-    novel: Novel,
-    lexicon: SentimentLexicon,
-    n_segments: int = 75,
-    denominator: str = "matched",
-) -> SegmentProfile:
-    """Segment a novel and average sentiment scores per segment."""
-    try:
-        blocks = segment(novel.lemmas, n_segments)
-    except FeaturizationError as exc:
-        raise FeaturizationError(f"novel {novel.metadata.id!r}: {exc}") from None
-    vectors = np.zeros((n_segments, N_DIMS))
-    counts = np.zeros(n_segments, dtype=int)
-    for i, block in enumerate(blocks):
-        vec, matched = segment_sentiment(block, lexicon, denominator)
-        vectors[i] = vec.values
-        counts[i] = matched
+    # Unknown lemmas index one extra zero row. Every segment holds at least
+    # one token, which np.add.reduceat needs: it returns the element at the
+    # start index, not zero, for an empty slice.
+    unknown = lexicon.size
+    ids = np.fromiter(
+        (lexicon.entries.get(lemma, unknown) for lemma in novel.lemmas), dtype=np.intp, count=n
+    )
+    table = np.vstack([lexicon.scores, np.zeros(N_DIMS)])
+    starts = segment_bounds(n, n_segments)[:-1]
+    totals = np.add.reduceat(table[ids], starts)
+    counts = np.add.reduceat(ids != unknown, starts)
+    vectors = np.divide(
+        totals, counts[:, None], out=np.zeros_like(totals), where=counts[:, None] > 0
+    )
     vectors.flags.writeable = False
     counts.flags.writeable = False
     return SegmentProfile(novel.metadata.id, vectors, counts)
 
 
 def compute_profiles(
-    corpus: Corpus,
-    lexicon: SentimentLexicon,
-    n_segments: int = 75,
-    denominator: str = "matched",
+    corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 75
 ) -> list[SegmentProfile]:
-    return [compute_profile(novel, lexicon, n_segments, denominator) for novel in corpus.novels]
-
-
-def section_means(profile: SegmentProfile, partition: SectionPartition):
-    """Unweighted per-section means (main, late-main, final) of the segment vectors.
-
-    Returns a triple of 11-vectors; the late-main mean is None when
-    ``late_len`` is 0.
-    """
-    if partition.n_segments != profile.n_segments:
-        raise FeaturizationError(
-            f"partition expects {partition.n_segments} segments, "
-            f"profile has {profile.n_segments}"
-        )
-    vecs = profile.segment_vectors
-    main = vecs[partition.main_slice].mean(axis=0)
-    final = vecs[partition.final_slice].mean(axis=0)
-    late = vecs[partition.late_slice].mean(axis=0) if partition.late_len >= 1 else None
-    return main, late, final
-
-
-def build_features(
-    profile: SegmentProfile, partition: SectionPartition, feature_set_id: int, label: bool
-) -> FeatureVector:
-    """Assemble one of the six cumulative feature sets as a flat vector.
-
-    Block order (11 values each, canonical dimension order):
-      1: [final segment]
-      2: [final segment, final segment - main mean]
-      3: [final-section mean]
-      4: [final-section mean, final - main]
-      5: [final-section mean, final - main, final - late-main]
-      6: [final-section mean, final - main, final - late-main, final segment]
-
-    All differences are oriented as (final minus other).
-    """
-    if feature_set_id not in FEATURE_SET_DIMS:
-        raise FeaturizationError(f"feature_set_id must be in 1..6, got {feature_set_id}")
-    main, late, final = section_means(profile, partition)
-    final_segment = profile.segment_vectors[-1]
-
-    if feature_set_id == 1:
-        blocks = [final_segment]
-    elif feature_set_id == 2:
-        blocks = [final_segment, final_segment - main]
-    elif feature_set_id == 3:
-        blocks = [final]
-    elif feature_set_id == 4:
-        blocks = [final, final - main]
-    else:
-        if late is None:
-            raise FeaturizationError(
-                f"feature set {feature_set_id} needs late_len >= 1 in the partition"
-            )
-        blocks = [final, final - main, final - late]
-        if feature_set_id == 6:
-            blocks.append(final_segment)
-
-    values = np.concatenate(blocks)
-    assert values.shape == (FEATURE_SET_DIMS[feature_set_id],)
-    values.flags.writeable = False
-    return FeatureVector(profile.novel_id, feature_set_id, values, label)
+    return [compute_profile(novel, lexicon, n_segments) for novel in corpus.novels]
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +127,3 @@ def write_profile_cache(profiles, stream) -> None:
             row.extend(format(v, ".17g") for v in profile.segment_vectors[i])
             row.append(int(profile.matched_counts[i]))
             writer.writerow(row)
-
-
-def read_profile_cache(stream) -> list[SegmentProfile]:
-    reader = csv.reader(stream)
-    header = next(reader)
-    if header != CACHE_HEADER:
-        raise FeaturizationError(f"unexpected cache header: {header}")
-    by_novel: dict[str, list[tuple[int, list[float], int]]] = {}
-    order: list[str] = []
-    for row in reader:
-        novel_id = row[0]
-        if novel_id not in by_novel:
-            by_novel[novel_id] = []
-            order.append(novel_id)
-        by_novel[novel_id].append(
-            (int(row[1]), [float(v) for v in row[2 : 2 + N_DIMS]], int(row[-1]))
-        )
-    profiles = []
-    for novel_id in order:
-        rows = sorted(by_novel[novel_id])
-        vectors = np.array([r[1] for r in rows])
-        counts = np.array([r[2] for r in rows], dtype=int)
-        vectors.flags.writeable = False
-        counts.flags.writeable = False
-        profiles.append(SegmentProfile(novel_id, vectors, counts))
-    return profiles

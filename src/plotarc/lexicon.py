@@ -3,15 +3,15 @@
 The lexicon file is UTF-8 TSV: one lemma per row followed by ten binary
 columns (two valence dimensions and eight emotions). Polarity is not part
 of the file; it is derived as positive minus negative and stored as the
-third component of every vector.
+third column of the lexicon's score matrix.
 """
 
 from __future__ import annotations
 
 import io
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -69,82 +69,25 @@ class LexiconError(ValueError):
     """Raised for malformed lexicon input."""
 
 
-@dataclass(frozen=True)
-class SentimentVector:
-    """An 11-component sentiment score in canonical dimension order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (len(DIMENSIONS),):
-            raise ValueError(f"expected {len(DIMENSIONS)} components, got shape {arr.shape}")
-        object.__setattr__(self, "values", arr)
-        arr.flags.writeable = False
-
-    def __getattr__(self, name):
-        try:
-            idx = DIMENSIONS.index(name)
-        except ValueError:
-            raise AttributeError(name) from None
-        return float(self.values[idx])
-
-    def __eq__(self, other):
-        if not isinstance(other, SentimentVector):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash(self.values.tobytes())
-
-    @classmethod
-    def from_components(cls, **components: float) -> "SentimentVector":
-        """Build a vector from named components; polarity is derived if omitted."""
-        unknown = set(components) - set(DIMENSIONS)
-        if unknown:
-            raise ValueError(f"unknown components: {sorted(unknown)}")
-        vals = np.zeros(len(DIMENSIONS))
-        for name, value in components.items():
-            vals[DIMENSIONS.index(name)] = value
-        if "polarity" not in components:
-            vals[POLARITY_INDEX] = vals[DIMENSIONS.index("positive")] - vals[
-                DIMENSIONS.index("negative")
-            ]
-        return cls(vals)
-
-
-def derive_polarity(positive: int, negative: int) -> int:
-    """Overall sentiment score: positive minus negative, in {-1, 0, 1}."""
-    return positive - negative
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SentimentLexicon:
-    """Immutable lemma -> SentimentVector table with exact, case-sensitive keys."""
+    """Lemma -> row map over a read-only ``(V, 11)`` score matrix.
 
-    entries: dict[str, SentimentVector] = field(default_factory=dict)
+    Keys are exact and case-sensitive; ``entries`` keeps file order and maps
+    each lemma to its row of ``scores`` (canonical dimension order).
+    """
+
+    entries: dict[str, int]
+    scores: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    def lookup(self, lemma: str) -> Optional[SentimentVector]:
-        """Exact-match lookup; None when absent (caller decides OOV policy)."""
-        return self.entries.get(lemma)
-
-    def __contains__(self, lemma: str) -> bool:
-        return lemma in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def lemmas_by_polarity(self, sign: int) -> list[str]:
         """All lemmas whose polarity has the given sign (-1, 0, or +1)."""
-        return [
-            lemma
-            for lemma, vec in self.entries.items()
-            if np.sign(vec.values[POLARITY_INDEX]) == sign
-        ]
+        signs = np.sign(self.scores[:, POLARITY_INDEX]).tolist()
+        return [lemma for lemma, row in self.entries.items() if signs[row] == sign]
 
 
 def _looks_like_header(cells: list[str]) -> bool:
@@ -164,7 +107,8 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
     if isinstance(source, str):
         source = io.StringIO(source)
 
-    entries: dict[str, SentimentVector] = {}
+    entries: dict[str, int] = {}
+    rows: list[list[int]] = []
     column_order = list(FILE_DIMENSIONS)
     expected_cols = 1 + len(FILE_DIMENSIONS)
 
@@ -192,26 +136,31 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
         lemma = unicodedata.normalize("NFC", cells[0])
         if lemma in entries:
             raise LexiconError(f"line {lineno}: duplicate lemma {lemma!r}")
-        components = {}
+        row = [0] * len(DIMENSIONS)
         for name, cell in zip(column_order, cells[1:]):
             if cell not in ("0", "1"):
                 raise LexiconError(
                     f"line {lineno}: non-binary value {cell!r} in column {name!r}"
                 )
-            components[name] = int(cell)
-        entries[lemma] = SentimentVector.from_components(**components)
+            row[DIMENSIONS.index(name)] = int(cell)
+        entries[lemma] = len(rows)
+        rows.append(row)
 
-    return SentimentLexicon(entries)
+    scores = np.array(rows, dtype=float).reshape(len(rows), len(DIMENSIONS))
+    scores[:, POLARITY_INDEX] = (
+        scores[:, DIMENSIONS.index("positive")] - scores[:, DIMENSIONS.index("negative")]
+    )
+    scores.flags.writeable = False
+    return SentimentLexicon(entries, scores)
 
 
 def write_lexicon(lexicon: SentimentLexicon, stream: TextIO) -> None:
     """Canonical writer: header plus one row per lemma in insertion order."""
     stream.write("lemma\t" + "\t".join(FILE_DIMENSIONS) + "\n")
-    for lemma, vec in lexicon.entries.items():
-        cells = [lemma]
-        for name in FILE_DIMENSIONS:
-            cells.append(str(int(vec.values[DIMENSIONS.index(name)])))
-        stream.write("\t".join(cells) + "\n")
+    file_columns = [DIMENSIONS.index(name) for name in FILE_DIMENSIONS]
+    cells = lexicon.scores[:, file_columns].astype(int).tolist()
+    for lemma, row in lexicon.entries.items():
+        stream.write(lemma + "\t" + "\t".join(map(str, cells[row])) + "\n")
 
 
 def lexicon_to_text(lexicon: SentimentLexicon) -> str:
@@ -221,5 +170,7 @@ def lexicon_to_text(lexicon: SentimentLexicon) -> str:
 
 
 def load_lexicon_file(path) -> SentimentLexicon:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise end up
+    # in the first lemma and keep it from ever matching.
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_lexicon(fh)

@@ -20,6 +20,9 @@ PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+# Expected F1 of a fair coin on balanced classes, drawn as the dashed baseline.
+CHANCE_F1 = 0.5
+
 
 def _fx(x: float) -> str:
     return f"{x:.2f}"
@@ -82,8 +85,8 @@ def _polyline(curve: SweepCurve, x_min: float, x_max: float, color: str) -> str:
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
 
 
-def _baseline(baseline: float) -> str:
-    y = _fx(_y_pos(baseline))
+def _baseline() -> str:
+    y = _fx(_y_pos(CHANCE_F1))
     return (
         f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{MARGIN_LEFT + PLOT_W}" y2="{y}" '
         f'stroke="gray" stroke-dasharray="8,4"/>'
@@ -135,7 +138,7 @@ def render_sweep(curve: SweepCurve, title: str = "Partition sweep") -> str:
     x_min, x_max = _x_range([curve])
     body = _axes(x_min, x_max)
     body.append(f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{escape(title)}</text>')
-    body.append(_baseline(curve.baseline))
+    body.append(_baseline())
     if curve.points:
         body.append(_polyline(curve, x_min, x_max, PALETTE[0]))
         body.append(_argmax_marker(curve, x_min, x_max, PALETTE[0]))
@@ -151,7 +154,7 @@ def render_periods(report: PeriodReport, title: str = "Partition sweep by period
     body = _axes(x_min, x_max)
     body.append(f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{escape(title)}</text>')
     if curves:
-        body.append(_baseline(curves[0].baseline))
+        body.append(_baseline())
     legend = [("baseline", "gray")]
     for i, group in enumerate(populated):
         color = PALETTE[i % len(PALETTE)]

@@ -105,22 +105,6 @@ def train_linear_svm(
     return LinearModel(w, float(b), float(C), int(epochs), int(seed), standardization)
 
 
-def decision_value(model: LinearModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.weights.shape:
-        raise TrainingError(
-            f"feature dimension {x.shape} does not match model {model.weights.shape}"
-        )
-    xs = (x - model.standardization.means) / model.standardization.scales
-    return float(model.weights @ xs + model.bias)
-
-
-def predict(model: LinearModel, x: np.ndarray) -> int:
-    """Standardize x with the stored params and return the sign of the
-    decision value; an exact zero maps to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
-
-
 def predict_many(model: LinearModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Xs = model.standardization.transform(X)
@@ -226,48 +210,4 @@ def cross_validate(
         per_fold=tuple(per_fold),
         confusion=confusion_counts(pooled, y),
         fold_assignment=tuple(int(a) for a in assignment),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Model serialization: versioned flat text, exact round-trip.
-# ---------------------------------------------------------------------------
-
-_FORMAT_TAG = "plotarc-linear-svm v1"
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def save_model(model: LinearModel, stream) -> None:
-    dim = model.weights.shape[0]
-    stream.write(f"{_FORMAT_TAG} dim={dim} C={_fmt(model.C)} epochs={model.epochs} seed={model.seed}\n")
-    for w in model.weights:
-        stream.write(_fmt(w) + "\n")
-    stream.write(_fmt(model.bias) + "\n")
-    stream.write("\t".join(_fmt(m) for m in model.standardization.means) + "\n")
-    stream.write("\t".join(_fmt(s) for s in model.standardization.scales) + "\n")
-
-
-def load_model(stream) -> LinearModel:
-    header = stream.readline().rstrip("\n")
-    if not header.startswith(_FORMAT_TAG):
-        raise TrainingError(f"unrecognized model header: {header!r}")
-    fields = dict(part.split("=", 1) for part in header[len(_FORMAT_TAG) :].split())
-    dim = int(fields["dim"])
-    weights = np.array([float(stream.readline()) for _ in range(dim)])
-    bias = float(stream.readline())
-    means = np.array([float(v) for v in stream.readline().split("\t")])
-    scales = np.array([float(v) for v in stream.readline().split("\t")])
-    weights.flags.writeable = False
-    means.flags.writeable = False
-    scales.flags.writeable = False
-    return LinearModel(
-        weights,
-        bias,
-        float(fields["C"]),
-        int(fields["epochs"]),
-        int(fields["seed"]),
-        StandardizationParams(means, scales),
     )

@@ -17,14 +17,16 @@ from plotarc.corpus import (
     NovelMetadata,
     demo_lexicon,
     generate_synthetic_corpus,
+    segment_bounds,
 )
 from plotarc.experiments import (
+    RunInputs,
     feature_matrix,
     group_indices,
     prepare_inputs,
     run_partition_sweep,
 )
-from plotarc.features import SectionPartition, build_features, compute_profile, segment
+from plotarc.features import SectionPartition, compute_profile
 from plotarc.lexicon import parse_lexicon
 from plotarc.svm import cross_validate, standardize_fit, stratified_folds
 
@@ -62,7 +64,7 @@ def test_lexicon_golden():
         "Zufall": (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
     }
     ok = lex.size == 3 and all(
-        tuple(lex.lookup(lemma).values) == vals for lemma, vals in expected.items()
+        tuple(lex.scores[lex.entries[lemma]]) == vals for lemma, vals in expected.items()
     )
     check("lexicon golden entries incl. derived polarity (-1, 1, 0)", ok)
 
@@ -158,10 +160,11 @@ def test_featurization_oracle():
         profile = compute_profile(novel, lexicon)
         expected = np.array(brute_profile(list(tokens)))
         worst = max(worst, float(np.abs(profile.segment_vectors - expected).max()))
+        inputs = RunInputs((profile,), profile.segment_vectors[None], np.array([1]))
         for fsid in range(1, 7):
-            fv = build_features(profile, partition, fsid, True)
+            row = feature_matrix(inputs, partition, fsid)[0]
             brute = np.array(brute_features(brute_profile(list(tokens)), 4, 4, fsid))
-            worst = max(worst, float(np.abs(fv.values - brute).max()))
+            worst = max(worst, float(np.abs(row - brute).max()))
     check("featurization matches brute-force oracle", worst <= 1e-12,
           f"max deviation {worst:.2e}")
 
@@ -178,7 +181,8 @@ def test_segmentation_properties():
         n_segments = rng.randint(1, 120)
         length = rng.randint(n_segments, n_segments + rng.randint(0, 2000))
         lemmas = [f"w{i}" for i in range(length)]
-        blocks = segment(lemmas, n_segments)
+        bounds = segment_bounds(length, n_segments)
+        blocks = [lemmas[a:b] for a, b in zip(bounds, bounds[1:])]
         sizes = [len(b) for b in blocks]
         q, r = divmod(length, n_segments)
         ok = ok and max(sizes) - min(sizes) <= 1

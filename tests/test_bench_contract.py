@@ -1,0 +1,85 @@
+"""Contract between the benchmark's traced run and the program.
+
+``perfbench/traced.py`` replaces layer-boundary names in the modules where
+the program looks them up, and silently leaves alone a name the program no
+longer has. These tests fail when a refactor renames, moves or bypasses a
+wrapped name, so the per-layer metrics cannot go blind unnoticed.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from plotarc import cli, corpus, experiments
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
+
+
+class _Recorder:
+    """Stands in for the tracer: records each wrap request, wraps nothing."""
+
+    def __init__(self):
+        self.wrapped = []
+
+    def wrap(self, module, attr, name, counter=None):
+        self.wrapped.append((module, attr, name))
+
+
+def _wrapped():
+    spec = importlib.util.spec_from_file_location("traced_under_test", TRACED)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    recorder = _Recorder()
+    traced.install(recorder, cli, corpus, experiments)
+    return recorder.wrapped
+
+
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory):
+    """Spans and counts of traced ``featurize``, ``run sweep`` and ``run periods``."""
+    tmp = tmp_path_factory.mktemp("contract")
+    corpus_dir = tmp / "corpus"
+    assert cli.main([
+        "synth", "--seed", "2", "--n-novels", "20", "--tokens-per-novel", "300",
+        "--ending-len", "4", "--out", str(corpus_dir),
+    ]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = {}
+    for command in (["featurize"], ["run", "sweep"], ["run", "periods"]):
+        name = "-".join(command)
+        spans = tmp / f"{name}.json"
+        done = subprocess.run(
+            [sys.executable, str(TRACED), str(spans), *command,
+             "--corpus", str(corpus_dir), "--metadata", str(corpus_dir / "metadata.tsv"),
+             "--lexicon", str(corpus_dir / "lexicon.tsv"),
+             "--folds", "2", "--epochs", "2", "--out", str(tmp / name)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        out[name] = json.loads(spans.read_text(encoding="utf-8"))
+    return out
+
+
+def test_every_wrapped_name_exists():
+    missing = [f"{m.__name__}.{attr}" for m, attr, _ in _wrapped() if not callable(getattr(m, attr, None))]
+    assert not missing, f"traced.py wraps names the program no longer has: {missing}"
+
+
+def test_every_wrapped_span_recorded(traces):
+    recorded = {span[1] for trace in traces.values() for span in trace["spans"]}
+    never = sorted({name for _, _, name in _wrapped()} - recorded)
+    assert not never, f"wrapped but never called: {never}"
+
+
+def test_counters_non_zero(traces):
+    for name, trace in traces.items():
+        assert trace["counts"], f"{name}: no counters recorded"
+        zero = [counter for counter, value in trace["counts"].items() if value <= 0]
+        assert not zero, f"{name}: zero counters {zero}"

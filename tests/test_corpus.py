@@ -55,6 +55,11 @@ class TestLemmaMapFile:
         p.write_text("ging\tgehen\nwar\tsein\n", encoding="utf-8")
         assert load_lemma_map(p) == {"ging": "gehen", "war": "sein"}
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        p = tmp_path / "map.tsv"
+        p.write_bytes(b"\xef\xbb\xbf" + "ging\tgehen\n".encode("utf-8"))
+        assert load_lemma_map(p) == {"ging": "gehen"}
+
     def test_duplicate_surface_rejected(self, tmp_path):
         p = tmp_path / "map.tsv"
         p.write_text("ging\tgehen\nging\tgang\n", encoding="utf-8")
@@ -98,6 +103,17 @@ class TestLoadCorpus:
         metadata.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="duplicate id"):
             load_corpus(text_dir, metadata)
+
+    def test_text_byte_order_mark_dropped(self, toy_corpus_dir):
+        text_dir, metadata = toy_corpus_dir
+        text_path = text_dir / "n1.txt"
+        text_path.write_bytes(b"\xef\xbb\xbf" + text_path.read_bytes())
+        assert load_corpus(text_dir, metadata).novels[0].lemmas[0] == "Es"
+
+    def test_metadata_byte_order_mark_dropped(self, toy_corpus_dir):
+        text_dir, metadata = toy_corpus_dir
+        metadata.write_bytes(b"\xef\xbb\xbf" + metadata.read_bytes())
+        assert load_corpus(text_dir, metadata).total == 4
 
     def test_lemma_map_applied(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir

@@ -108,7 +108,6 @@ class TestPartitionSweep:
                 SweepPoint(0.95, 4, 0.8),
                 SweepPoint(0.8, 15, 0.7),
             ),
-            baseline=0.5,
         )
         assert curve.argmax_point.main_fraction == 0.95
 

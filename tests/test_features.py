@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 
@@ -5,25 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plotarc.corpus import Novel, NovelMetadata
+from plotarc.corpus import Novel, NovelMetadata, segment_bounds
+from plotarc.experiments import FEATURE_SET_DIMS, RunInputs, feature_matrix
 from plotarc.features import (
-    FEATURE_SET_DIMS,
     FeaturizationError,
     SectionPartition,
-    SegmentProfile,
-    build_features,
     compute_profile,
-    read_profile_cache,
-    section_means,
-    segment,
-    segment_sentiment,
     write_profile_cache,
 )
+from plotarc.lexicon import DIMENSIONS
 
 
-def make_profile(vectors, novel_id="x"):
+def make_inputs(vectors):
+    """Run inputs holding one novel with the given (n_segments, 11) profile."""
     arr = np.array(vectors, dtype=float)
-    return SegmentProfile(novel_id, arr, np.ones(arr.shape[0], dtype=int))
+    return RunInputs((), arr[None], np.array([1]))
+
+
+def segment(lemmas, n_segments):
+    bounds = segment_bounds(len(lemmas), n_segments)
+    return [lemmas[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def one_segment(lemmas, lexicon):
+    """Scores (by dimension name) and matched count of a single-segment novel."""
+    novel = Novel(NovelMetadata("s", "t", "a", 1850, True), tuple(lemmas))
+    profile = compute_profile(novel, lexicon, n_segments=1)
+    return dict(zip(DIMENSIONS, profile.segment_vectors[0])), int(profile.matched_counts[0])
 
 
 class TestSegment:
@@ -39,9 +48,10 @@ class TestSegment:
         assert sizes[:2] == [2, 2] and set(sizes[2:]) == {1}
         assert [w for b in blocks for w in b] == lemmas
 
-    def test_too_short_raises(self):
+    def test_too_short_raises(self, toy_lexicon):
+        novel = Novel(NovelMetadata("short", "t", "a", 1850, True), ("a",) * 74)
         with pytest.raises(FeaturizationError):
-            segment(["a"] * 74, 75)
+            compute_profile(novel, toy_lexicon, 75)
 
     @given(
         st.integers(1, 60).flatmap(
@@ -63,34 +73,23 @@ class TestSegment:
 
 class TestSegmentSentiment:
     def test_single_surprise_token(self, table1_lexicon):
-        vec, matched = segment_sentiment(["Zufall"], table1_lexicon)
+        vec, matched = one_segment(["Zufall"], table1_lexicon)
         assert matched == 1
-        assert vec.surprise == 1.0
-        assert np.sum(vec.values) == 1.0
+        assert vec["surprise"] == 1.0
+        assert sum(vec.values()) == 1.0
 
     def test_hand_averaged_pair(self, table1_lexicon):
-        vec, matched = segment_sentiment(["verabscheuen", "bewundernswert"], table1_lexicon)
+        vec, matched = one_segment(["verabscheuen", "bewundernswert"], table1_lexicon)
         assert matched == 2
-        assert vec.positive == 0.5 and vec.negative == 0.5 and vec.polarity == 0.0
-        assert vec.anger == 0.5 and vec.disgust == 0.5 and vec.fear == 0.5
-        assert vec.joy == 0.5 and vec.trust == 0.5
-        assert vec.sadness == 0.0 and vec.surprise == 0.0 and vec.anticipation == 0.0
+        assert vec["positive"] == 0.5 and vec["negative"] == 0.5 and vec["polarity"] == 0.0
+        assert vec["anger"] == 0.5 and vec["disgust"] == 0.5 and vec["fear"] == 0.5
+        assert vec["joy"] == 0.5 and vec["trust"] == 0.5
+        assert vec["sadness"] == 0.0 and vec["surprise"] == 0.0 and vec["anticipation"] == 0.0
 
     def test_all_oov_gives_zero_vector(self, table1_lexicon):
-        vec, matched = segment_sentiment(["foo", "bar"], table1_lexicon)
+        vec, matched = one_segment(["foo", "bar"], table1_lexicon)
         assert matched == 0
-        assert not vec.values.any()
-
-    def test_all_tokens_denominator(self, table1_lexicon):
-        vec, matched = segment_sentiment(
-            ["Zufall", "oov", "oov", "oov"], table1_lexicon, denominator="all"
-        )
-        assert matched == 1
-        assert vec.surprise == 0.25
-
-    def test_unknown_policy_rejected(self, table1_lexicon):
-        with pytest.raises(ValueError):
-            segment_sentiment(["Zufall"], table1_lexicon, denominator="weird")
+        assert not any(vec.values())
 
 
 class TestSectionMeans:
@@ -102,20 +101,21 @@ class TestSectionMeans:
 
     def test_final_len_one_equals_last_segment(self):
         rng = np.random.default_rng(0)
-        profile = make_profile(rng.random((75, 11)))
-        _, _, final = section_means(profile, SectionPartition(75, 1, 0))
-        np.testing.assert_array_equal(final, profile.segment_vectors[-1])
+        inputs = make_inputs(rng.random((75, 11)))
+        final = feature_matrix(inputs, SectionPartition(75, 1, 0), 3)[0]
+        np.testing.assert_array_equal(final, inputs.vectors[0, -1])
 
     def test_constant_profile_all_equal(self):
-        profile = make_profile(np.tile(np.arange(11.0), (75, 1)))
-        main, late, final = section_means(profile, SectionPartition(75, 4, 4))
-        np.testing.assert_allclose(main, final)
-        np.testing.assert_allclose(late, final)
+        row = np.arange(11.0)
+        X = feature_matrix(make_inputs(np.tile(row, (75, 1))), SectionPartition(75, 4, 4), 5)
+        final, final_minus_main, final_minus_late = X[0, :11], X[0, 11:22], X[0, 22:]
+        np.testing.assert_allclose(final, row)
+        np.testing.assert_allclose(final_minus_main, 0.0, atol=1e-15)
+        np.testing.assert_allclose(final_minus_late, 0.0, atol=1e-15)
 
     def test_length_mismatch_rejected(self):
-        profile = make_profile(np.zeros((10, 11)))
         with pytest.raises(FeaturizationError):
-            section_means(profile, SectionPartition(75, 4, 4))
+            feature_matrix(make_inputs(np.zeros((10, 11))), SectionPartition(75, 4, 4), 3)
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(FeaturizationError):
@@ -125,49 +125,51 @@ class TestSectionMeans:
 
 
 class TestBuildFeatures:
-    @pytest.fixture
-    def random_profile(self):
-        rng = np.random.default_rng(7)
-        return make_profile(rng.random((75, 11)))
+    """The six feature sets as built by ``feature_matrix``."""
 
-    def test_set1_is_last_segment(self, random_profile):
-        fv = build_features(random_profile, SectionPartition(75, 4, 4), 1, True)
-        np.testing.assert_array_equal(fv.values, random_profile.segment_vectors[-1])
+    @pytest.fixture
+    def random_inputs(self):
+        rng = np.random.default_rng(7)
+        return make_inputs(rng.random((75, 11)))
+
+    def test_set1_is_last_segment(self, random_inputs):
+        X = feature_matrix(random_inputs, SectionPartition(75, 4, 4), 1)
+        np.testing.assert_array_equal(X[0], random_inputs.vectors[0, -1])
 
     @pytest.mark.parametrize("fsid,dim", sorted(FEATURE_SET_DIMS.items()))
-    def test_dimensions(self, random_profile, fsid, dim):
-        fv = build_features(random_profile, SectionPartition(75, 4, 4), fsid, False)
-        assert fv.values.shape == (dim,)
+    def test_dimensions(self, random_inputs, fsid, dim):
+        X = feature_matrix(random_inputs, SectionPartition(75, 4, 4), fsid)
+        assert X.shape == (1, dim)
 
     def test_constant_profile_zero_differences(self):
-        profile = make_profile(np.tile(np.arange(11.0), (75, 1)))
+        inputs = make_inputs(np.tile(np.arange(11.0), (75, 1)))
         partition = SectionPartition(75, 4, 4)
         for fsid in (2, 4, 5, 6):
-            fv = build_features(profile, partition, fsid, True)
-            diffs = fv.values[11:33] if fsid in (5, 6) else fv.values[11:22]
+            X = feature_matrix(inputs, partition, fsid)
+            diffs = X[0, 11:33] if fsid in (5, 6) else X[0, 11:22]
             np.testing.assert_allclose(diffs, 0.0, atol=1e-15)
 
-    def test_set3_equals_set1_with_final_len_one(self, random_profile):
+    def test_set3_equals_set1_with_final_len_one(self, random_inputs):
         partition = SectionPartition(75, 1, 0)
-        f1 = build_features(random_profile, partition, 1, True)
-        f3 = build_features(random_profile, partition, 3, True)
-        np.testing.assert_array_equal(f1.values, f3.values)
+        X1 = feature_matrix(random_inputs, partition, 1)
+        X3 = feature_matrix(random_inputs, partition, 3)
+        np.testing.assert_array_equal(X1, X3)
 
-    def test_late_required_for_sets_5_6(self, random_profile):
+    def test_late_required_for_sets_5_6(self, random_inputs):
         partition = SectionPartition(75, 4, 0)
         for fsid in (5, 6):
             with pytest.raises(FeaturizationError, match="late_len"):
-                build_features(random_profile, partition, fsid, True)
+                feature_matrix(random_inputs, partition, fsid)
 
-    def test_bad_feature_set_id(self, random_profile):
+    def test_bad_feature_set_id(self, random_inputs):
         with pytest.raises(FeaturizationError):
-            build_features(random_profile, SectionPartition(75, 4, 4), 7, True)
+            feature_matrix(random_inputs, SectionPartition(75, 4, 4), 7)
 
-    def test_pure_function(self, random_profile):
+    def test_pure_function(self, random_inputs):
         partition = SectionPartition(75, 4, 4)
-        a = build_features(random_profile, partition, 6, True)
-        b = build_features(random_profile, partition, 6, True)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = feature_matrix(random_inputs, partition, 6)
+        b = feature_matrix(random_inputs, partition, 6)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestComputeProfile:
@@ -203,9 +205,12 @@ class TestProfileCache:
         buf = io.StringIO()
         write_profile_cache(profiles, buf)
         buf.seek(0)
-        again = read_profile_cache(buf)
-        assert len(again) == 3
-        for orig, back in zip(profiles, again):
-            assert back.novel_id == orig.novel_id
-            np.testing.assert_array_equal(back.segment_vectors, orig.segment_vectors)
-            np.testing.assert_array_equal(back.matched_counts, orig.matched_counts)
+        rows = list(csv.reader(buf))[1:]
+        assert len(rows) == 3 * 75
+        for k, profile in enumerate(profiles):
+            block = rows[k * 75 : (k + 1) * 75]
+            assert {r[0] for r in block} == {profile.novel_id}
+            assert [int(r[1]) for r in block] == list(range(75))
+            back = np.array([[float(v) for v in r[2:-1]] for r in block])
+            np.testing.assert_array_equal(back, profile.segment_vectors)
+            np.testing.assert_array_equal([int(r[-1]) for r in block], profile.matched_counts)

@@ -5,40 +5,51 @@ from hypothesis import given, strategies as st
 from plotarc.lexicon import (
     DIMENSIONS,
     FILE_DIMENSIONS,
+    POLARITY_INDEX,
     LexiconError,
-    SentimentVector,
-    derive_polarity,
     lexicon_to_text,
+    load_lexicon_file,
     parse_lexicon,
 )
 
 from conftest import TABLE1_TSV
 
 
+def scores_of(lexicon, lemma):
+    """The lemma's score row, keyed by dimension name."""
+    return dict(zip(DIMENSIONS, lexicon.scores[lexicon.entries[lemma]]))
+
+
+def polarity_of(positive, negative):
+    header = "lemma\tpositive\tnegative\tanger\tanticipation\tdisgust\tfear\tjoy\tsadness\tsurprise\ttrust\n"
+    lex = parse_lexicon(header + f"w\t{positive}\t{negative}" + "\t0" * 8 + "\n")
+    return lex.scores[0, POLARITY_INDEX]
+
+
 class TestDerivePolarity:
     def test_positive_word(self):
-        assert derive_polarity(1, 0) == 1
+        assert polarity_of(1, 0) == 1
 
     def test_negative_word(self):
-        assert derive_polarity(0, 1) == -1
+        assert polarity_of(0, 1) == -1
 
     def test_neutral_word(self):
-        assert derive_polarity(0, 0) == 0
+        assert polarity_of(0, 0) == 0
 
 
 class TestParse:
     def test_table1_entries(self, table1_lexicon):
         assert table1_lexicon.size == 3
-        v = table1_lexicon.lookup("verabscheuen")
-        assert v.negative == 1 and v.polarity == -1
-        assert v.anger == 1 and v.disgust == 1 and v.fear == 1
-        assert v.positive == 0 and v.joy == 0 and v.trust == 0
-        b = table1_lexicon.lookup("bewundernswert")
-        assert b.positive == 1 and b.polarity == 1
-        assert b.joy == 1 and b.trust == 1 and b.anger == 0
-        z = table1_lexicon.lookup("Zufall")
-        assert z.surprise == 1 and z.polarity == 0
-        assert np.sum(z.values) == 1  # surprise only
+        v = scores_of(table1_lexicon, "verabscheuen")
+        assert v["negative"] == 1 and v["polarity"] == -1
+        assert v["anger"] == 1 and v["disgust"] == 1 and v["fear"] == 1
+        assert v["positive"] == 0 and v["joy"] == 0 and v["trust"] == 0
+        b = scores_of(table1_lexicon, "bewundernswert")
+        assert b["positive"] == 1 and b["polarity"] == 1
+        assert b["joy"] == 1 and b["trust"] == 1 and b["anger"] == 0
+        z = scores_of(table1_lexicon, "Zufall")
+        assert z["surprise"] == 1 and z["polarity"] == 0
+        assert sum(z.values()) == 1  # surprise only
 
     def test_empty_stream(self):
         assert parse_lexicon("").size == 0
@@ -63,8 +74,8 @@ class TestParse:
             "gut\t1\t0\t0\t0\t0\t0\t1\t0\t0\t0\n"
         )
         lex = parse_lexicon(text)
-        v = lex.lookup("gut")
-        assert v.positive == 1 and v.joy == 1 and v.anger == 0
+        v = scores_of(lex, "gut")
+        assert v["positive"] == 1 and v["joy"] == 1 and v["anger"] == 0
 
     def test_unknown_header_column(self):
         text = "lemma\tbogus\tnegative\tanger\tanticipation\tdisgust\tfear\tjoy\tsadness\tsurprise\ttrust\n"
@@ -75,21 +86,29 @@ class TestParse:
         # decomposed u + combining diaeresis collapses to the NFC form
         decomposed = "über"
         lex = parse_lexicon(decomposed + "\t0\t0\t0\t0\t0\t0\t1\t0\t0\t0\n")
-        assert lex.lookup("über") is not None
+        assert "über" in lex.entries
 
     def test_lookup_missing_returns_none(self, table1_lexicon):
-        assert table1_lexicon.lookup("xyzzy") is None
+        assert table1_lexicon.entries.get("xyzzy") is None
+
+
+class TestLoadFile:
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + TABLE1_TSV.encode("utf-8"))
+        assert list(load_lexicon_file(path).entries) == ["verabscheuen", "bewundernswert", "Zufall"]
 
 
 class TestInvariants:
     def test_polarity_consistency(self, table1_lexicon):
-        for vec in table1_lexicon.entries.values():
-            assert vec.polarity == vec.positive - vec.negative
+        scores = table1_lexicon.scores
+        np.testing.assert_array_equal(scores[:, POLARITY_INDEX], scores[:, 0] - scores[:, 1])
 
     def test_roundtrip_identity(self, table1_lexicon):
         text = lexicon_to_text(table1_lexicon)
         again = parse_lexicon(text)
         assert again.entries == table1_lexicon.entries
+        np.testing.assert_array_equal(again.scores, table1_lexicon.scores)
 
     @given(
         st.dictionaries(
@@ -107,23 +126,19 @@ class TestInvariants:
             lex = parse_lexicon("\n".join(lines) + ("\n" if lines else ""))
         except LexiconError:
             return
-        assert parse_lexicon(lexicon_to_text(lex)).entries == lex.entries
-        for vec in lex.entries.values():
-            assert vec.polarity == vec.positive - vec.negative
-            binary = np.delete(vec.values, DIMENSIONS.index("polarity"))
-            assert set(binary) <= {0.0, 1.0}
+        again = parse_lexicon(lexicon_to_text(lex))
+        assert again.entries == lex.entries
+        np.testing.assert_array_equal(again.scores, lex.scores)
+        assert lex.scores.shape == (lex.size, len(DIMENSIONS))
+        np.testing.assert_array_equal(lex.scores[:, POLARITY_INDEX], lex.scores[:, 0] - lex.scores[:, 1])
+        binary = np.delete(lex.scores, POLARITY_INDEX, axis=1)
+        assert set(binary.ravel()) <= {0.0, 1.0}
 
 
 class TestSentimentVector:
+    """A sentiment vector is one row of the score matrix, in canonical order."""
+
     def test_dimension_order_fixed(self):
         assert DIMENSIONS[:3] == ("positive", "negative", "polarity")
         assert len(DIMENSIONS) == 11
         assert len(FILE_DIMENSIONS) == 10
-
-    def test_from_components_derives_polarity(self):
-        v = SentimentVector.from_components(positive=1, joy=1)
-        assert v.polarity == 1
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            SentimentVector(np.zeros(5))

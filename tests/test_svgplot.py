@@ -11,7 +11,7 @@ def make_curve():
     points = tuple(
         SweepPoint((75 - fl) / 75, fl, 0.5 + 0.01 * (10 - abs(fl - 4))) for fl in range(1, 11)
     )
-    return SweepCurve(points=points, baseline=0.5)
+    return SweepCurve(points=points)
 
 
 def test_sweep_svg_structure():
@@ -29,7 +29,7 @@ def test_sweep_svg_deterministic():
 
 
 def test_empty_curve_renders():
-    svg = render_sweep(SweepCurve(points=(), baseline=0.5))
+    svg = render_sweep(SweepCurve(points=()))
     assert "<polyline" not in svg
     assert "</svg>" in svg
 

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,7 @@ from plotarc.svm import (
     cross_validate,
     f1_score,
     hinge_objective,
-    load_model,
-    predict,
     predict_many,
-    save_model,
     standardize_fit,
     stratified_folds,
     train_linear_svm,
@@ -69,8 +64,7 @@ class TestTrain:
         X, y = separable_set(seed=3)
         a = train_linear_svm(X, y, seed=7)
         b = train_linear_svm(X, -y, seed=7)
-        for x in X:
-            assert predict(a, x) == -predict(b, x)
+        np.testing.assert_array_equal(predict_many(a, X), -predict_many(b, X))
 
     def test_single_class_rejected(self):
         X, _ = separable_set()
@@ -94,24 +88,19 @@ class TestPredict:
         )
 
     def test_positive_side(self):
-        assert predict(self.make_model([1.0, 0.0], 0.0), np.array([3.0, 5.0])) == 1
+        assert predict_many(self.make_model([1.0, 0.0], 0.0), np.array([[3.0, 5.0]]))[0] == 1
 
     def test_negative_side(self):
-        assert predict(self.make_model([1.0, 0.0], 0.0), np.array([-3.0, 5.0])) == -1
+        assert predict_many(self.make_model([1.0, 0.0], 0.0), np.array([[-3.0, 5.0]]))[0] == -1
 
     def test_on_hyperplane_tiebreak_positive(self):
-        assert predict(self.make_model([1.0, 0.0], 0.0), np.array([0.0, 9.0])) == 1
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(TrainingError):
-            predict(self.make_model([1.0, 0.0], 0.0), np.array([1.0, 2.0, 3.0]))
+        assert predict_many(self.make_model([1.0, 0.0], 0.0), np.array([[0.0, 9.0]]))[0] == 1
 
     def test_positive_rescaling_invariance(self):
         model = self.make_model([1.5, -2.0], 0.7)
         scaled = self.make_model([1.5 * 13, -2.0 * 13], 0.7 * 13)
-        rng = np.random.default_rng(2)
-        for x in rng.normal(size=(50, 2)):
-            assert predict(model, x) == predict(scaled, x)
+        X = np.random.default_rng(2).normal(size=(50, 2))
+        np.testing.assert_array_equal(predict_many(model, X), predict_many(scaled, X))
 
 
 class TestF1:
@@ -177,24 +166,3 @@ class TestCrossValidate:
         params_after = standardize_fit(X_perturbed[train_mask])
         np.testing.assert_array_equal(params.means, params_after.means)
         np.testing.assert_array_equal(params.scales, params_after.scales)
-
-
-class TestSerialization:
-    def test_roundtrip_exact(self):
-        X, y = separable_set(seed=8)
-        params = standardize_fit(X)
-        model = train_linear_svm(params.transform(X), y, C=0.5, epochs=30, seed=3)
-        model = LinearModel(model.weights, model.bias, 0.5, 30, 3, params)
-        buf = io.StringIO()
-        save_model(model, buf)
-        buf.seek(0)
-        back = load_model(buf)
-        np.testing.assert_array_equal(back.weights, model.weights)
-        assert back.bias == model.bias
-        assert (back.C, back.epochs, back.seed) == (0.5, 30, 3)
-        np.testing.assert_array_equal(back.standardization.means, params.means)
-        np.testing.assert_array_equal(back.standardization.scales, params.scales)
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(TrainingError):
-            load_model(io.StringIO("not a model\n"))
