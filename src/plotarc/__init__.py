@@ -36,16 +36,7 @@ from plotarc.features import (
     SegmentProfile,
     compute_profile,
 )
-from plotarc.svm import (
-    EvalMetrics,
-    LinearModel,
-    StandardizationParams,
-    TrainingError,
-    cross_validate,
-    f1_score,
-    standardize_fit,
-    train_linear_svm,
-)
+from plotarc.svm import EvalMetrics, TrainingError, cross_validate, f1_score
 from plotarc.experiments import (
     LadderReport,
     PeriodReport,

@@ -52,7 +52,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=float, default=1.0, dest="C", help="SVM regularization trade-off")
     parser.add_argument("--epochs", type=int, default=200)
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweep points")
     parser.add_argument("--dry-run", action="store_true", help="print resolved config and exit")
 
 
@@ -148,9 +147,7 @@ def cmd_run(args) -> int:
         for fsid, f1, acc in report.rows:
             print(f"feature set {fsid}: F1 {f1:.3f}, accuracy {acc:.3f}")
     elif args.experiment == "sweep":
-        curve = run_partition_sweep(
-            inputs, feature_set_id=args.feature_set, config=config, jobs=args.jobs
-        )
+        curve = run_partition_sweep(inputs, feature_set_id=args.feature_set, config=config)
         (out_dir / "sweep.csv").write_text(sweep_csv(curve), encoding="utf-8")
         (out_dir / "sweep.meta.txt").write_text(
             meta_text(curve.config, corpus, lexicon), encoding="utf-8"
@@ -163,7 +160,7 @@ def cmd_run(args) -> int:
     else:  # periods
         report = run_period_analysis(
             corpus, inputs, DEFAULT_PERIOD_BOUNDARIES,
-            feature_set_id=args.feature_set, config=config, jobs=args.jobs,
+            feature_set_id=args.feature_set, config=config,
         )
         (out_dir / "periods.csv").write_text(periods_csv(report), encoding="utf-8")
         (out_dir / "periods.meta.txt").write_text(

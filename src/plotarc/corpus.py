@@ -68,6 +68,8 @@ def segment_bounds(n_tokens: int, n_segments: int) -> list[int]:
     ``q + 1`` tokens and the rest ``q``; segment ``i`` is
     ``tokens[bounds[i]:bounds[i + 1]]``.
     """
+    if n_segments < 1:
+        raise CorpusError(f"the number of segments must be at least 1, got {n_segments}")
     q, r = divmod(n_tokens, n_segments)
     return list(accumulate([q + 1] * r + [q] * (n_segments - r), initial=0))
 

@@ -9,7 +9,6 @@ numbers directly comparable.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,39 +191,29 @@ def fraction_to_final_len(fraction: float, n_segments: int) -> int:
     return final_len
 
 
-def _sweep_point(args) -> SweepPoint:
-    inputs, fraction, feature_set_id, config = args
-    final_len = fraction_to_final_len(fraction, inputs.n_segments)
-    # One degree of freedom per point: the late-main section mirrors the
-    # final section whenever the feature set consumes it.
-    late_len = final_len if feature_set_id in (5, 6) else 0
-    partition = SectionPartition(inputs.n_segments, final_len, late_len)
-    X = feature_matrix(inputs, partition, feature_set_id)
-    metrics = cross_validate(
-        X, inputs.labels, folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs
-    )
-    return SweepPoint(fraction, final_len, metrics.f1)
-
-
 def run_partition_sweep(
     inputs: RunInputs,
     fractions=None,
     feature_set_id: int = 3,
     config: ClassifierConfig = ClassifierConfig(),
-    jobs: int = 1,
 ) -> SweepCurve:
     """One cross-validated F1 per main-section fraction, shared folds throughout."""
     if fractions is None:
         fractions = default_fractions(inputs.n_segments)
-    fractions = sorted(fractions)
-    tasks = [(inputs, f, feature_set_id, config) for f in fractions]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = tuple(pool.map(_sweep_point, tasks))
-    else:
-        points = tuple(_sweep_point(t) for t in tasks)
+    points = []
+    for fraction in sorted(fractions):
+        final_len = fraction_to_final_len(fraction, inputs.n_segments)
+        # One degree of freedom per point: the late-main section mirrors the
+        # final section whenever the feature set consumes it.
+        late_len = final_len if feature_set_id in (5, 6) else 0
+        partition = SectionPartition(inputs.n_segments, final_len, late_len)
+        X = feature_matrix(inputs, partition, feature_set_id)
+        metrics = cross_validate(
+            X, inputs.labels, folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs
+        )
+        points.append(SweepPoint(fraction, final_len, metrics.f1))
     return SweepCurve(
-        points=points,
+        points=tuple(points),
         config={
             "n_segments": inputs.n_segments,
             "feature_set": feature_set_id,
@@ -293,7 +282,6 @@ def run_period_analysis(
     feature_set_id: int = 3,
     fractions=None,
     config: ClassifierConfig = ClassifierConfig(),
-    jobs: int = 1,
 ) -> PeriodReport:
     """Per-period partition sweep; undersized groups are flagged, not fatal.
 
@@ -314,7 +302,7 @@ def run_period_analysis(
             vectors=inputs.vectors[idx],
             labels=sub_labels,
         )
-        curve = run_partition_sweep(sub_inputs, fractions, feature_set_id, config, jobs)
+        curve = run_partition_sweep(sub_inputs, fractions, feature_set_id, config)
         groups.append(PeriodGroup(label, year_range, len(idx), n_happy, curve, False))
     return PeriodReport(
         groups=tuple(groups),

@@ -173,4 +173,7 @@ def load_lexicon_file(path) -> SentimentLexicon:
     # utf-8-sig drops a leading byte-order mark, which would otherwise end up
     # in the first lemma and keep it from ever matching.
     with open(path, encoding="utf-8-sig") as fh:
-        return parse_lexicon(fh)
+        try:
+            return parse_lexicon(fh)
+        except LexiconError as exc:
+            raise LexiconError(f"{path}: {exc}") from None

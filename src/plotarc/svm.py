@@ -5,13 +5,15 @@ The trainer runs primal subgradient descent on
 
     (1/n) sum_i max(0, 1 - y_i (w . x_i + b))  +  (1/(2 C n)) ||w||^2
 
-with the classic 1/(lambda t) step schedule, lambda = 1/(C n). Everything
+with the classic 1/(lambda t) step schedule, lambda = 1/(C n), for all
+folds of a cross-validation at once (one numpy update per step). Everything
 is a pure function of its inputs plus an explicit seed, so repeated runs
 are bit-identical.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +49,6 @@ def standardize_fit(X: np.ndarray) -> StandardizationParams:
 class LinearModel:
     weights: np.ndarray
     bias: float
-    C: float
-    epochs: int
-    seed: int
     standardization: StandardizationParams
 
 
@@ -59,50 +58,66 @@ def hinge_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, lam: 
 
 
 def train_linear_svm(
-    X: np.ndarray,
-    y: np.ndarray,
+    X_sets: Sequence[np.ndarray],
+    y_sets: Sequence[np.ndarray],
     C: float = 1.0,
     epochs: int = 200,
     seed: int = 42,
-    standardization: StandardizationParams | None = None,
-) -> LinearModel:
-    """Train on already-standardized rows X with labels y in {+1, -1}.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train one model per training set, all K of them stepped together.
 
-    Deterministic: the per-epoch example order is a fixed shuffle derived
-    from ``seed``. The unregularized bias rides along with the same step
-    sizes as the weights.
+    ``X_sets[k]`` holds standardized rows and ``y_sets[k]`` their {+1, -1}
+    labels; the sets may differ in size. Returns read-only ``(K, dim)``
+    weights and ``(K,)`` biases. Model k takes exactly the steps of a run on
+    its set alone: each epoch visits its rows in
+    ``default_rng(seed).permutation(n_k)`` order, its step counter reaches
+    ``epochs * n_k``, and steps past ``n_k`` within an epoch are no-ops. The
+    unregularized bias uses the weights' step sizes. The stacked ``matmul``
+    computes each margin exactly as ``x @ w`` does, so a model's bits do not
+    depend on the other sets.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise TrainingError("X must be 2-D with one label per row")
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise TrainingError("training needs at least one example of each class")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be >= 1, got {epochs}")
     if C <= 0:
         raise TrainingError("C must be positive")
+    X_sets = [np.asarray(X, dtype=float) for X in X_sets]
+    y_sets = [np.asarray(y, dtype=float) for y in y_sets]
+    dim = X_sets[0].shape[-1]
+    for X, y in zip(X_sets, y_sets, strict=True):
+        if X.ndim != 2 or X.shape[1] != dim or X.shape[0] != y.shape[0]:
+            raise TrainingError("each X must be 2-D, share one width, and have one label per row")
+        if not (np.any(y > 0) and np.any(y < 0)):
+            raise TrainingError("training needs at least one example of each class")
 
-    n, dim = X.shape
+    n = np.array([X.shape[0] for X in X_sets])
+    n_max = int(n.max())
     lam = 1.0 / (C * n)
-    rng = np.random.default_rng(seed)
-    w = np.zeros(dim)
-    b = 0.0
-    t = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            xi, yi = X[i], y[i]
-            if yi * (xi @ w + b) < 1.0:
-                w = (1.0 - eta * lam) * w + eta * yi * xi
-                b = b + eta * yi
-            else:
-                w = (1.0 - eta * lam) * w
-
-    if standardization is None:
-        standardization = StandardizationParams(np.zeros(dim), np.ones(dim))
-    w.flags.writeable = False
-    return LinearModel(w, float(b), float(C), int(epochs), int(seed), standardization)
+    rngs = [np.random.default_rng(seed) for _ in X_sets]
+    steps = np.arange(1, n_max + 1)[:, None]  # step within the epoch
+    active = steps <= n  # (n_max, K): False on the padding past a set's size
+    # Row t holds every model's t-th example of the epoch; padding stays zero.
+    X_epoch = np.zeros((n_max, len(X_sets), dim))
+    y_epoch = np.zeros((n_max, len(X_sets)))
+    W = np.zeros((len(X_sets), dim))
+    b = np.zeros(len(X_sets))
+    for epoch in range(epochs):
+        for k, (X, y, rng) in enumerate(zip(X_sets, y_sets, rngs)):
+            order = rng.permutation(n[k])
+            X_epoch[: n[k], k] = X[order]
+            y_epoch[: n[k], k] = y[order]
+        eta = 1.0 / (lam * (epoch * n + steps))
+        shrink = np.where(active, 1.0 - eta * lam, 1.0)
+        coef = eta * y_epoch
+        push = coef[:, :, None] * X_epoch
+        for t in range(n_max):
+            margin = np.matmul(X_epoch[t, :, None, :], W[:, :, None])[:, 0, 0]
+            violated = (y_epoch[t] * (margin + b) < 1.0) & active[t]
+            W *= shrink[t, :, None]
+            np.add(W, push[t], out=W, where=violated[:, None])
+            b = np.where(violated, b + coef[t], b)
+    W.flags.writeable = False
+    b.flags.writeable = False
+    return W, b
 
 
 def predict_many(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -187,23 +202,25 @@ def cross_validate(
     """Stratified k-fold CV; the aggregate F1 pools out-of-fold predictions.
 
     Standardization is fitted on each fold's training split only, so
-    held-out rows never leak into the fitted parameters.
+    held-out rows never leak into the fitted parameters. The ``folds``
+    models are trained together in one lockstep call.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
     assignment = stratified_folds(y, folds, seed)
+    train_masks = [assignment != k for k in range(folds)]
+    params = [standardize_fit(X[mask]) for mask in train_masks]
+    W, b = train_linear_svm(
+        [p.transform(X[mask]) for p, mask in zip(params, train_masks)],
+        [y[mask] for mask in train_masks],
+        C=C, epochs=epochs, seed=seed,
+    )
     pooled = np.empty_like(y)
     per_fold = []
-    for k in range(folds):
-        test_mask = assignment == k
-        params = standardize_fit(X[~test_mask])
-        model = train_linear_svm(
-            params.transform(X[~test_mask]), y[~test_mask], C=C, epochs=epochs, seed=seed
-        )
-        model = LinearModel(model.weights, model.bias, C, epochs, seed, params)
-        preds = predict_many(model, X[test_mask])
-        pooled[test_mask] = preds
-        per_fold.append((f1_score(preds, y[test_mask]), accuracy_score(preds, y[test_mask])))
+    for k, (p, mask) in enumerate(zip(params, train_masks)):
+        preds = predict_many(LinearModel(W[k], float(b[k]), p), X[~mask])
+        pooled[~mask] = preds
+        per_fold.append((f1_score(preds, y[~mask]), accuracy_score(preds, y[~mask])))
     return EvalMetrics(
         f1=f1_score(pooled, y),
         accuracy=accuracy_score(pooled, y),

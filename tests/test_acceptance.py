@@ -224,7 +224,7 @@ def test_planted_ending_classification(planted_inputs):
 
 
 def test_sweep_peak_recovery(planted_inputs):
-    curve = run_partition_sweep(planted_inputs, feature_set_id=3, jobs=4)
+    curve = run_partition_sweep(planted_inputs, feature_set_id=3)
     best = curve.argmax_point
     check("sweep argmax final_len in [2, 6] (planted boundary 4)",
           2 <= best.final_len <= 6,

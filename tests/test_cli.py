@@ -71,6 +71,19 @@ class TestFeaturize:
         assert main(["featurize", *args]) == 2
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_zero_segments_exits_2(self, synth_corpus, tmp_path, capsys):
+        args = pipeline_args(synth_corpus, tmp_path / "out", ["--segments", "0"])
+        assert main(["featurize", *args]) == 2
+        assert "segments must be at least 1" in capsys.readouterr().err
+
+    def test_malformed_lexicon_error_names_file(self, synth_corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("a\tb\tc\n", encoding="utf-8")
+        args = pipeline_args(synth_corpus, tmp_path / "out")
+        args[args.index("--lexicon") + 1] = str(bad)
+        assert main(["featurize", *args]) == 2
+        assert f"error: {bad}: line 1:" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, synth_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["featurize", *pipeline_args(synth_corpus, a)]) == 0
@@ -97,6 +110,14 @@ class TestRun:
         assert main(["run", "periods", *pipeline_args(synth_corpus, out)]) == 0
         assert (out / "periods.csv").exists()
         assert (out / "periods.svg").exists()
+
+    def test_epochs_below_one_exits_2(self, synth_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = pipeline_args(synth_corpus, out)
+        args[args.index("--epochs") + 1] = "-2"
+        assert main(["run", "ladder", *args]) == 2
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not (out / "ladder.csv").exists()
 
     def test_dry_run_prints_config_only(self, synth_corpus, tmp_path, capsys):
         out = tmp_path / "out"

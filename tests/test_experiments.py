@@ -111,13 +111,6 @@ class TestPartitionSweep:
         )
         assert curve.argmax_point.main_fraction == 0.95
 
-    def test_parallel_matches_serial(self, planted):
-        _, inputs = planted
-        fractions = [(75 - fl) / 75 for fl in (2, 4, 8)]
-        serial = run_partition_sweep(inputs, fractions, 3, FAST, jobs=1)
-        parallel = run_partition_sweep(inputs, fractions, 3, FAST, jobs=3)
-        assert serial.points == parallel.points
-
 
 class TestPeriodGrouping:
     def test_paper_sized_groups(self):
@@ -187,7 +180,7 @@ class TestPeriodAnalysis:
         inputs = prepare_inputs(corpus, toy_lexicon)
         fractions = [(75 - fl) / 75 for fl in range(1, 16)]
         report = run_period_analysis(
-            corpus, inputs, feature_set_id=3, fractions=fractions, config=FAST, jobs=4
+            corpus, inputs, feature_set_id=3, fractions=fractions, config=FAST
         )
         populated = [g for g in report.groups if not g.skipped]
         assert [g.novel_count for g in populated] == [50, 50]

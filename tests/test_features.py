@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plotarc.corpus import Novel, NovelMetadata, segment_bounds
+from plotarc.corpus import CorpusError, Novel, NovelMetadata, segment_bounds
 from plotarc.experiments import FEATURE_SET_DIMS, RunInputs, feature_matrix
 from plotarc.features import (
     FeaturizationError,
@@ -47,6 +47,11 @@ class TestSegment:
         sizes = [len(b) for b in blocks]
         assert sizes[:2] == [2, 2] and set(sizes[2:]) == {1}
         assert [w for b in blocks for w in b] == lemmas
+
+    @pytest.mark.parametrize("n_segments", [0, -3])
+    def test_fewer_than_one_segment_rejected(self, n_segments):
+        with pytest.raises(CorpusError, match="at least 1"):
+            segment_bounds(100, n_segments)
 
     def test_too_short_raises(self, toy_lexicon):
         novel = Novel(NovelMetadata("short", "t", "a", 1850, True), ("a",) * 74)

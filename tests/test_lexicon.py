@@ -98,6 +98,13 @@ class TestLoadFile:
         path.write_bytes(b"\xef\xbb\xbf" + TABLE1_TSV.encode("utf-8"))
         assert list(load_lexicon_file(path).entries) == ["verabscheuen", "bewundernswert", "Zufall"]
 
+    def test_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tb\tc\n", encoding="utf-8")
+        with pytest.raises(LexiconError) as info:
+            load_lexicon_file(path)
+        assert str(info.value).startswith(f"{path}: line 1: expected 11")
+
 
 class TestInvariants:
     def test_polarity_consistency(self, table1_lexicon):

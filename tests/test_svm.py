@@ -15,6 +15,36 @@ from plotarc.svm import (
 )
 
 
+def reference_train(X, y, C=1.0, epochs=200, seed=42):
+    """The per-sample Pegasos loop for one model: the bit-exact oracle."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, dim = X.shape
+    lam = 1.0 / (C * n)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(dim)
+    b = 0.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            xi, yi = X[i], y[i]
+            if yi * (xi @ w + b) < 1.0:
+                w = (1.0 - eta * lam) * w + eta * yi * xi
+                b = b + eta * yi
+            else:
+                w = (1.0 - eta * lam) * w
+    return w, b
+
+
+def fit(X, y, **kwargs):
+    """One model (K = 1) on unstandardized rows."""
+    W, b = train_linear_svm([X], [y], **kwargs)
+    dim = W.shape[1]
+    return LinearModel(W[0], float(b[0]), StandardizationParams(np.zeros(dim), np.ones(dim)))
+
+
 def separable_set(seed=0, per_class=20, spread=0.3):
     rng = np.random.default_rng(seed)
     pos = rng.normal([2.0, 0.0], spread, size=(per_class, 2))
@@ -50,42 +80,74 @@ class TestStandardize:
 class TestTrain:
     def test_separable_perfect_training_accuracy(self):
         X, y = separable_set()
-        model = train_linear_svm(X, y, seed=7)
+        model = fit(X, y, seed=7)
         assert np.array_equal(predict_many(model, X), y)
 
     def test_deterministic(self):
         X, y = separable_set()
-        a = train_linear_svm(X, y, seed=7)
-        b = train_linear_svm(X, y, seed=7)
+        a = fit(X, y, seed=7)
+        b = fit(X, y, seed=7)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
     def test_flipped_labels_negate_decision(self):
         X, y = separable_set(seed=3)
-        a = train_linear_svm(X, y, seed=7)
-        b = train_linear_svm(X, -y, seed=7)
+        a = fit(X, y, seed=7)
+        b = fit(X, -y, seed=7)
         np.testing.assert_array_equal(predict_many(a, X), -predict_many(b, X))
 
     def test_single_class_rejected(self):
         X, _ = separable_set()
         with pytest.raises(TrainingError):
-            train_linear_svm(X, np.ones(X.shape[0]))
+            train_linear_svm([X], [np.ones(X.shape[0])])
+
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_epochs_below_one_rejected(self, epochs):
+        X, y = separable_set()
+        with pytest.raises(TrainingError, match="epochs"):
+            train_linear_svm([X], [y], epochs=epochs)
 
     def test_objective_decreases(self):
         X, y = separable_set(seed=5)
         lam = 1.0 / X.shape[0]
         initial = hinge_objective(np.zeros(2), 0.0, X, y, lam)
-        model = train_linear_svm(X, y, C=1.0, epochs=50, seed=1)
+        model = fit(X, y, C=1.0, epochs=50, seed=1)
         final = hinge_objective(model.weights, model.bias, X, y, lam)
         assert final < initial
+
+
+class TestLockstep:
+    """K models stepped together equal K lone runs of the per-sample loop, bit for bit."""
+
+    @pytest.mark.parametrize("sizes", [(7, 10, 13), (12,)])
+    @pytest.mark.parametrize("dim", [11, 44])
+    @pytest.mark.parametrize("epochs,seed", [(1, 0), (3, 42), (20, 7)])
+    def test_ragged_sets_match_reference(self, sizes, dim, epochs, seed):
+        rng = np.random.default_rng(dim * 100 + epochs)
+        X_sets, y_sets = [], []
+        for n in sizes:
+            X_sets.append(rng.normal(size=(n, dim)) * rng.uniform(0.5, 3.0, size=dim))
+            y = np.where(rng.random(n) < 0.5, 1, -1)
+            y[:2] = (1, -1)
+            y_sets.append(y)
+        W, b = train_linear_svm(X_sets, y_sets, C=0.8, epochs=epochs, seed=seed)
+        assert W.shape == (len(sizes), dim) and b.shape == (len(sizes),)
+        for k, (X, y) in enumerate(zip(X_sets, y_sets)):
+            w_ref, b_ref = reference_train(X, y, C=0.8, epochs=epochs, seed=seed)
+            # Compare the bit patterns, so even the sign of a zero must agree.
+            assert W[k].tobytes() == w_ref.tobytes()
+            assert b[k].tobytes() == np.float64(b_ref).tobytes()
+
+    def test_width_mismatch_rejected(self):
+        X, y = separable_set()
+        with pytest.raises(TrainingError):
+            train_linear_svm([X, X[:, :1]], [y, y])
 
 
 class TestPredict:
     def make_model(self, w, b):
         w = np.asarray(w, dtype=float)
-        return LinearModel(
-            w, b, 1.0, 1, 0, StandardizationParams(np.zeros(w.shape), np.ones(w.shape))
-        )
+        return LinearModel(w, b, StandardizationParams(np.zeros(w.shape), np.ones(w.shape)))
 
     def test_positive_side(self):
         assert predict_many(self.make_model([1.0, 0.0], 0.0), np.array([[3.0, 5.0]]))[0] == 1
