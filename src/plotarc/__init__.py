@@ -24,7 +24,6 @@ from plotarc.corpus import (
     NovelMetadata,
     demo_lexicon,
     generate_synthetic_corpus,
-    lemmatize,
     load_corpus,
     load_lemma_map,
     segment_bounds,

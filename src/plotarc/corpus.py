@@ -80,38 +80,34 @@ def _is_punct(ch: str) -> bool:
 
 def tokenize(text: str) -> list[str]:
     """Split on whitespace and strip leading/trailing punctuation per token."""
-    tokens = []
-    for raw in text.split():
-        start, end = 0, len(raw)
-        while start < end and _is_punct(raw[start]):
-            start += 1
-        while end > start and _is_punct(raw[end - 1]):
-            end -= 1
-        if end > start:
-            tokens.append(raw[start:end])
-    return tokens
+    # Punctuation is Unicode category P. Every such character at a token edge
+    # occurs in the text, so stripping the text's own punctuation is exact.
+    punct = "".join(filter(_is_punct, set(text)))
+    return [token for raw in text.split() if (token := raw.strip(punct))]
 
 
-def lemmatize(token: str, lemma_map: dict[str, str]) -> str:
-    """Dictionary lookup with identity fallback for unmapped surface forms."""
-    return lemma_map.get(token, token)
+def _read_text(path) -> str:
+    """The file decoded as ``utf-8-sig``; a decoding error names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def load_lemma_map(path) -> dict[str, str]:
     """Read a ``surface<TAB>lemma`` TSV; duplicate surface forms are an error."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 2:
-                raise CorpusError(f"{path}: line {lineno}: expected 2 columns, got {len(cells)}")
-            surface, lemma = cells
-            if surface in mapping:
-                raise CorpusError(f"{path}: line {lineno}: duplicate surface form {surface!r}")
-            mapping[surface] = lemma
+    # Reading in text mode turns "\r\n" and "\r" line ends into "\n".
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != 2:
+            raise CorpusError(f"{path}: line {lineno}: expected 2 columns, got {len(cells)}")
+        surface, lemma = cells
+        if surface in mapping:
+            raise CorpusError(f"{path}: line {lineno}: duplicate surface form {surface!r}")
+        mapping[surface] = lemma
     return mapping
 
 
@@ -126,35 +122,34 @@ def _parse_label(cell: str, where: str) -> bool:
 def load_metadata(metadata_file) -> list[NovelMetadata]:
     rows: list[NovelMetadata] = []
     seen_ids: set[str] = set()
-    with open(metadata_file, encoding="utf-8-sig") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r").split("\t")
-        if tuple(header) != METADATA_COLUMNS:
+    header_line, *lines = _read_text(metadata_file).split("\n")
+    header = header_line.split("\t")
+    if tuple(header) != METADATA_COLUMNS:
+        raise CorpusError(
+            f"{metadata_file}: header must be {list(METADATA_COLUMNS)}, got {header}"
+        )
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(METADATA_COLUMNS):
             raise CorpusError(
-                f"{metadata_file}: header must be {list(METADATA_COLUMNS)}, got {header}"
+                f"{metadata_file}: row {lineno}: expected {len(METADATA_COLUMNS)} columns"
             )
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(METADATA_COLUMNS):
-                raise CorpusError(
-                    f"{metadata_file}: row {lineno}: expected {len(METADATA_COLUMNS)} columns"
-                )
-            novel_id, title, author, year_cell, label_cell = cells
-            if novel_id in seen_ids:
-                raise CorpusError(f"{metadata_file}: row {lineno}: duplicate id {novel_id!r}")
-            seen_ids.add(novel_id)
-            try:
-                year = int(year_cell)
-            except ValueError:
-                raise CorpusError(
-                    f"{metadata_file}: row {lineno}: unparseable year {year_cell!r}"
-                ) from None
-            if year <= 0:
-                raise CorpusError(f"{metadata_file}: row {lineno}: year must be positive")
-            label = _parse_label(label_cell, f"{metadata_file}: row {lineno}")
-            rows.append(NovelMetadata(novel_id, title, author, year, label))
+        novel_id, title, author, year_cell, label_cell = cells
+        if novel_id in seen_ids:
+            raise CorpusError(f"{metadata_file}: row {lineno}: duplicate id {novel_id!r}")
+        seen_ids.add(novel_id)
+        try:
+            year = int(year_cell)
+        except ValueError:
+            raise CorpusError(
+                f"{metadata_file}: row {lineno}: unparseable year {year_cell!r}"
+            ) from None
+        if year <= 0:
+            raise CorpusError(f"{metadata_file}: row {lineno}: year must be positive")
+        label = _parse_label(label_cell, f"{metadata_file}: row {lineno}")
+        rows.append(NovelMetadata(novel_id, title, author, year, label))
     return rows
 
 
@@ -167,8 +162,8 @@ def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None
         text_path = text_dir / f"{meta.id}.txt"
         if not text_path.is_file():
             raise CorpusError(f"missing text file for novel {meta.id!r}: {text_path}")
-        text = text_path.read_text(encoding="utf-8-sig")
-        lemmas = tuple(lemmatize(tok, lemma_map) for tok in tokenize(text))
+        tokens = tokenize(_read_text(text_path))
+        lemmas = tuple(map(lemma_map.get, tokens, tokens))
         if not lemmas:
             raise CorpusError(f"novel {meta.id!r} has no tokens")
         novels.append(Novel(meta, lemmas))

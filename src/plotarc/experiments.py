@@ -50,10 +50,10 @@ class RunInputs:
 
 
 def prepare_inputs(corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 75) -> RunInputs:
-    profiles = tuple(compute_profiles(corpus, lexicon, n_segments))
-    vectors = np.array([p.segment_vectors for p in profiles]).reshape(
-        len(profiles), n_segments, N_DIMS
-    )
+    if n_segments < 1:
+        raise FeaturizationError(f"the number of segments must be at least 1, got {n_segments}")
+    vectors = np.empty((corpus.total, n_segments, N_DIMS))
+    profiles = tuple(compute_profiles(corpus, lexicon, vectors))
     vectors.flags.writeable = False
     labels = np.array([1 if n.metadata.label else -1 for n in corpus.novels])
     labels.flags.writeable = False

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -31,10 +32,6 @@ class SegmentProfile:
     novel_id: str
     segment_vectors: np.ndarray  # shape (n_segments, 11)
     matched_counts: np.ndarray  # shape (n_segments,), lexicon hits per segment
-
-    @property
-    def n_segments(self) -> int:
-        return self.segment_vectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -80,35 +77,43 @@ def compute_profile(novel: Novel, lexicon: SentimentLexicon, n_segments: int = 7
 
     A segment without lexicon matches gets the zero vector.
     """
-    n = len(novel.lemmas)
-    if n < n_segments:
-        raise FeaturizationError(
-            f"novel {novel.metadata.id!r}: cannot split {n} lemmas into "
-            f"{n_segments} non-empty segments"
-        )
+    return compute_profiles(Corpus((novel,)), lexicon, np.empty((1, n_segments, N_DIMS)))[0]
+
+
+def compute_profiles(
+    corpus: Corpus, lexicon: SentimentLexicon, out: np.ndarray
+) -> list[SegmentProfile]:
+    """:func:`compute_profile` for every novel, in corpus order, into one array.
+
+    ``out`` is a ``(novels, n_segments, 11)`` float array: novel ``i``'s
+    segment vectors are written to ``out[i]``, and its profile holds a
+    read-only view of them.
+    """
+    n_segments = out.shape[1]
     # Unknown lemmas index one extra zero row. Every segment holds at least
     # one token, which np.add.reduceat needs: it returns the element at the
     # start index, not zero, for an empty slice.
     unknown = lexicon.size
-    ids = np.fromiter(
-        (lexicon.entries.get(lemma, unknown) for lemma in novel.lemmas), dtype=np.intp, count=n
-    )
     table = np.vstack([lexicon.scores, np.zeros(N_DIMS)])
-    starts = segment_bounds(n, n_segments)[:-1]
-    totals = np.add.reduceat(table[ids], starts)
-    counts = np.add.reduceat(ids != unknown, starts)
-    vectors = np.divide(
-        totals, counts[:, None], out=np.zeros_like(totals), where=counts[:, None] > 0
-    )
-    vectors.flags.writeable = False
-    counts.flags.writeable = False
-    return SegmentProfile(novel.metadata.id, vectors, counts)
-
-
-def compute_profiles(
-    corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 75
-) -> list[SegmentProfile]:
-    return [compute_profile(novel, lexicon, n_segments) for novel in corpus.novels]
+    profiles = []
+    for novel, vectors in zip(corpus.novels, out, strict=True):
+        n = len(novel.lemmas)
+        if n < n_segments:
+            raise FeaturizationError(
+                f"novel {novel.metadata.id!r}: cannot split {n} lemmas into "
+                f"{n_segments} non-empty segments"
+            )
+        ids = np.fromiter(
+            map(lexicon.entries.get, novel.lemmas, repeat(unknown, n)), dtype=np.intp, count=n
+        )
+        starts = segment_bounds(n, n_segments)[:-1]
+        counts = np.add.reduceat(ids != unknown, starts)
+        # A segment without matches sums only zero rows: 0 / 1 keeps it zero.
+        np.divide(np.add.reduceat(table[ids], starts), np.maximum(counts, 1)[:, None], out=vectors)
+        vectors.flags.writeable = False
+        counts.flags.writeable = False
+        profiles.append(SegmentProfile(novel.metadata.id, vectors, counts))
+    return profiles
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +127,6 @@ def write_profile_cache(profiles, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CACHE_HEADER)
     for profile in profiles:
-        for i in range(profile.n_segments):
-            row = [profile.novel_id, i]
-            row.extend(format(v, ".17g") for v in profile.segment_vectors[i])
-            row.append(int(profile.matched_counts[i]))
-            writer.writerow(row)
+        rows = zip(profile.segment_vectors.tolist(), profile.matched_counts.tolist())
+        for i, (vector, count) in enumerate(rows):
+            writer.writerow([profile.novel_id, i, *(format(v, ".17g") for v in vector), count])

@@ -109,7 +109,8 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
 
     entries: dict[str, int] = {}
     rows: list[list[int]] = []
-    column_order = list(FILE_DIMENSIONS)
+    # The row index each dimension column is written to, in column order.
+    targets = [DIMENSIONS.index(name) for name in FILE_DIMENSIONS]
     expected_cols = 1 + len(FILE_DIMENSIONS)
 
     for lineno, raw in enumerate(source, start=1):
@@ -130,19 +131,19 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
                 mapped.append(_HEADER_ALIASES[key])
             if len(set(mapped)) != len(mapped):
                 raise LexiconError("line 1: duplicate header columns")
-            column_order = mapped
+            targets = [DIMENSIONS.index(name) for name in mapped]
             continue
 
         lemma = unicodedata.normalize("NFC", cells[0])
         if lemma in entries:
             raise LexiconError(f"line {lineno}: duplicate lemma {lemma!r}")
         row = [0] * len(DIMENSIONS)
-        for name, cell in zip(column_order, cells[1:]):
+        for target, cell in zip(targets, cells[1:]):
             if cell not in ("0", "1"):
                 raise LexiconError(
-                    f"line {lineno}: non-binary value {cell!r} in column {name!r}"
+                    f"line {lineno}: non-binary value {cell!r} in column {DIMENSIONS[target]!r}"
                 )
-            row[DIMENSIONS.index(name)] = int(cell)
+            row[target] = int(cell)
         entries[lemma] = len(rows)
         rows.append(row)
 
@@ -175,5 +176,5 @@ def load_lexicon_file(path) -> SentimentLexicon:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return parse_lexicon(fh)
-        except LexiconError as exc:
+        except (LexiconError, UnicodeDecodeError) as exc:
             raise LexiconError(f"{path}: {exc}") from None

@@ -84,6 +84,20 @@ class TestFeaturize:
         assert main(["featurize", *args]) == 2
         assert f"error: {bad}: line 1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "reader, name", [("lexicon", "lexicon.tsv"), ("lemma-map", "lemmas.tsv"),
+                         ("metadata", "metadata.tsv"), ("text", "synth-0003.txt")],
+    )
+    def test_undecodable_bytes_error_names_file(self, reader, name, synth_corpus, tmp_path, capsys):
+        args = pipeline_args(synth_corpus, tmp_path / "out")
+        bad = synth_corpus / name
+        if reader == "lemma-map":
+            bad.write_text("ging\tgehen\n", encoding="utf-8")
+            args += ["--lemma-map", str(bad)]
+        bad.write_bytes(bad.read_bytes() + b"\xff")  # 0xff never occurs in UTF-8
+        assert main(["featurize", *args]) == 2
+        assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, synth_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["featurize", *pipeline_args(synth_corpus, a)]) == 0

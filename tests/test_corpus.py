@@ -1,3 +1,5 @@
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,13 +7,38 @@ from hypothesis import given, strategies as st
 from plotarc.corpus import (
     CorpusError,
     generate_synthetic_corpus,
-    lemmatize,
     load_corpus,
     load_lemma_map,
     tokenize,
     write_corpus,
 )
 from plotarc.features import SectionPartition, compute_profile
+
+
+def reference_tokenize(text):
+    """The per-character tokenizer that ``tokenize`` must match exactly."""
+    tokens = []
+    for raw in text.split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if end > start:
+            tokens.append(raw[start:end])
+    return tokens
+
+
+# Letters, punctuation and separators, plus whitespace, "_" (connector
+# punctuation), a byte-order mark (a format character, not punctuation)
+# and an astral punctuation mark (U+1E95E ADLAM INITIAL EXCLAMATION MARK).
+TOKENIZER_TEXT = st.text(
+    st.one_of(
+        st.characters(whitelist_categories=("L", "P", "Z")),
+        st.sampled_from([" ", "\n", "\t", "_", "\ufeff", "\U0001e95e"]),
+    ),
+    max_size=200,
+)
 
 
 class TestTokenize:
@@ -27,6 +54,22 @@ class TestTokenize:
     def test_inner_punctuation_kept(self):
         assert tokenize("weiß's nicht") == ["weiß's", "nicht"]
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("„Hallo“.", ["Hallo"]),
+            ("__x__", ["x"]),
+            ("Es war ein Zufall", ["Es", "war", "ein", "Zufall"]),
+            ("\ufeff„Hallo“ \U0001e95eja\U0001e95e", ["\ufeff„Hallo", "ja"]),
+        ],
+    )
+    def test_fixed_cases_match_reference(self, text, expected):
+        assert tokenize(text) == reference_tokenize(text) == expected
+
+    @given(TOKENIZER_TEXT)
+    def test_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
     @given(st.text(max_size=200))
     def test_retokenize_is_identity(self, text):
         tokens = tokenize(text)
@@ -35,18 +78,25 @@ class TestTokenize:
 
 
 class TestLemmatize:
-    def test_map_hit(self):
-        assert lemmatize("ging", {"ging": "gehen"}) == "gehen"
+    """Lemmatization inside ``load_corpus``: lemma-map lookup with identity fallback."""
 
-    def test_identity_fallback(self):
-        assert lemmatize("Zufall", {"ging": "gehen"}) == "Zufall"
+    @staticmethod
+    def first_lemmas(toy_corpus_dir, lemma_map):
+        text_dir, metadata = toy_corpus_dir
+        return load_corpus(text_dir, metadata, lemma_map).novels[0].lemmas[:4]
 
-    def test_empty_map(self):
-        assert lemmatize("irgendwas", {}) == "irgendwas"
+    def test_map_hit(self, toy_corpus_dir):
+        assert self.first_lemmas(toy_corpus_dir, {"war": "sein"}) == ("Es", "sein", "ein", "Zufall")
 
-    def test_idempotent_on_lemmas(self):
-        mapping = {"ging": "gehen"}
-        assert lemmatize(lemmatize("ging", mapping), mapping) == "gehen"
+    def test_identity_fallback(self, toy_corpus_dir):
+        assert self.first_lemmas(toy_corpus_dir, {"ging": "gehen"}) == ("Es", "war", "ein", "Zufall")
+
+    def test_empty_map(self, toy_corpus_dir):
+        assert self.first_lemmas(toy_corpus_dir, {}) == ("Es", "war", "ein", "Zufall")
+
+    def test_idempotent_on_lemmas(self, toy_corpus_dir):
+        mapping = {"war": "sein", "sein": "sein", "Zufall": "Zufall"}
+        assert self.first_lemmas(toy_corpus_dir, mapping) == ("Es", "sein", "ein", "Zufall")
 
 
 class TestLemmaMapFile:
@@ -59,6 +109,11 @@ class TestLemmaMapFile:
         p = tmp_path / "map.tsv"
         p.write_bytes(b"\xef\xbb\xbf" + "ging\tgehen\n".encode("utf-8"))
         assert load_lemma_map(p) == {"ging": "gehen"}
+
+    def test_windows_line_ends(self, tmp_path):
+        p = tmp_path / "map.tsv"
+        p.write_bytes(b"ging\tgehen\r\nwar\tsein\r\n")
+        assert load_lemma_map(p) == {"ging": "gehen", "war": "sein"}
 
     def test_duplicate_surface_rejected(self, tmp_path):
         p = tmp_path / "map.tsv"
@@ -114,6 +169,12 @@ class TestLoadCorpus:
         text_dir, metadata = toy_corpus_dir
         metadata.write_bytes(b"\xef\xbb\xbf" + metadata.read_bytes())
         assert load_corpus(text_dir, metadata).total == 4
+
+    def test_metadata_windows_line_ends(self, toy_corpus_dir):
+        text_dir, metadata = toy_corpus_dir
+        metadata.write_bytes(metadata.read_bytes().replace(b"\n", b"\r\n"))
+        corpus = load_corpus(text_dir, metadata)
+        assert [n.metadata.label for n in corpus.novels] == [True, False, True, False]
 
     def test_lemma_map_applied(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir

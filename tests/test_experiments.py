@@ -41,6 +41,22 @@ def planted(toy_lexicon):
     return corpus, prepare_inputs(corpus, toy_lexicon)
 
 
+class TestPrepareInputs:
+    def test_profiles_are_read_only_rows_of_stacked_vectors(self, planted):
+        corpus, inputs = planted
+        assert inputs.vectors.shape == (40, 75, 11)
+        assert not inputs.vectors.flags.writeable
+        for row, profile in zip(inputs.vectors, inputs.profiles):
+            assert np.shares_memory(profile.segment_vectors, inputs.vectors)
+            np.testing.assert_array_equal(profile.segment_vectors, row)
+            assert not profile.segment_vectors.flags.writeable
+
+    @pytest.mark.parametrize("n_segments", [0, -3])
+    def test_fewer_than_one_segment_rejected(self, planted, toy_lexicon, n_segments):
+        with pytest.raises(ValueError, match="at least 1"):
+            prepare_inputs(planted[0], toy_lexicon, n_segments)
+
+
 class TestFeatureLadder:
     def test_planted_corpus_rows(self, planted):
         _, inputs = planted
