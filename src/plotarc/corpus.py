@@ -6,7 +6,8 @@ strings ``happy`` / ``unhappy``. Lemmatization is a dictionary lookup with
 identity fallback, so the pipeline stays deterministic and has no model
 dependencies. Every reader decodes ``utf-8-sig``: a leading byte-order mark
 is dropped instead of becoming part of the first token, surface form or
-header cell.
+header cell. Novel text and lemma maps are NFC-normalized like lexicon lemmas;
+metadata is not, because ids name files.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def load_lemma_map(path) -> dict[str, str]:
     """Read a ``surface<TAB>lemma`` TSV; duplicate surface forms are an error."""
     mapping: dict[str, str] = {}
     # Reading in text mode turns "\r\n" and "\r" line ends into "\n".
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    lines = unicodedata.normalize("NFC", _read_text(path)).split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         cells = line.split("\t")
@@ -162,7 +164,7 @@ def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None
         text_path = text_dir / f"{meta.id}.txt"
         if not text_path.is_file():
             raise CorpusError(f"missing text file for novel {meta.id!r}: {text_path}")
-        tokens = tokenize(_read_text(text_path))
+        tokens = tokenize(unicodedata.normalize("NFC", _read_text(text_path)))
         lemmas = tuple(map(lemma_map.get, tokens, tokens))
         if not lemmas:
             raise CorpusError(f"novel {meta.id!r} has no tokens")

@@ -131,9 +131,7 @@ def run_feature_ladder(
     fold_assignment = None
     for fsid in feature_sets:
         X = feature_matrix(inputs, partition, fsid)
-        metrics = cross_validate(
-            X, inputs.labels, folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs
-        )
+        metrics = cross_validate(X[None], inputs.labels, **_config_dict(config))[0]
         if fold_assignment is None:
             fold_assignment = metrics.fold_assignment
         elif metrics.fold_assignment != fold_assignment:
@@ -197,23 +195,24 @@ def run_partition_sweep(
     feature_set_id: int = 3,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> SweepCurve:
-    """One cross-validated F1 per main-section fraction, shared folds throughout."""
-    if fractions is None:
-        fractions = default_fractions(inputs.n_segments)
-    points = []
-    for fraction in sorted(fractions):
+    """One cross-validated F1 per main-section fraction; one CV call, shared folds."""
+    fractions = sorted(default_fractions(inputs.n_segments) if fractions is None else fractions)
+    partitions = []
+    for fraction in fractions:
         final_len = fraction_to_final_len(fraction, inputs.n_segments)
         # One degree of freedom per point: the late-main section mirrors the
         # final section whenever the feature set consumes it.
         late_len = final_len if feature_set_id in (5, 6) else 0
-        partition = SectionPartition(inputs.n_segments, final_len, late_len)
-        X = feature_matrix(inputs, partition, feature_set_id)
-        metrics = cross_validate(
-            X, inputs.labels, folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs
-        )
-        points.append(SweepPoint(fraction, final_len, metrics.f1))
+        partitions.append(SectionPartition(inputs.n_segments, final_len, late_len))
+    metrics = ()
+    if partitions:
+        X = np.stack([feature_matrix(inputs, p, feature_set_id) for p in partitions])
+        metrics = cross_validate(X, inputs.labels, **_config_dict(config))
     return SweepCurve(
-        points=tuple(points),
+        points=tuple(
+            SweepPoint(fraction, partition.final_len, m.f1)
+            for fraction, partition, m in zip(fractions, partitions, metrics)
+        ),
         config={
             "n_segments": inputs.n_segments,
             "feature_set": feature_set_id,

@@ -5,8 +5,8 @@ The trainer runs primal subgradient descent on
 
     (1/n) sum_i max(0, 1 - y_i (w . x_i + b))  +  (1/(2 C n)) ||w||^2
 
-with the classic 1/(lambda t) step schedule, lambda = 1/(C n), for all
-folds of a cross-validation at once (one numpy update per step). Everything
+with the classic 1/(lambda t) step schedule, lambda = 1/(C n), for every
+model of a cross-validation at once (one numpy update per step). Everything
 is a pure function of its inputs plus an explicit seed, so repeated runs
 are bit-identical.
 """
@@ -33,12 +33,12 @@ class StandardizationParams:
 
 
 def standardize_fit(X: np.ndarray) -> StandardizationParams:
-    """Per-column mean and population standard deviation from training rows."""
+    """Per-column mean and population std over the rows (axis -2) of each stacked matrix."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise TrainingError("standardization needs a 2-D matrix with at least 2 rows")
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)
+    if X.ndim < 2 or X.shape[-2] < 2:
+        raise TrainingError("standardization needs a matrix with at least 2 rows")
+    means = X.mean(axis=-2)
+    scales = X.std(axis=-2)
     scales = np.where(scales > 0.0, scales, 1.0)
     means.flags.writeable = False
     scales.flags.writeable = False
@@ -52,68 +52,63 @@ class LinearModel:
     standardization: StandardizationParams
 
 
-def hinge_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, lam: float) -> float:
-    margins = 1.0 - y * (X @ w + b)
-    return float(np.maximum(margins, 0.0).mean() + 0.5 * lam * (w @ w))
-
-
 def train_linear_svm(
-    X_sets: Sequence[np.ndarray],
-    y_sets: Sequence[np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: Sequence[np.ndarray],
+    standardization: StandardizationParams,
     C: float = 1.0,
     epochs: int = 200,
     seed: int = 42,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train one model per training set, all K of them stepped together.
+    """Train each of P raw ``(P, n, dim)`` matrices on each of F row sets, in lockstep.
 
-    ``X_sets[k]`` holds standardized rows and ``y_sets[k]`` their {+1, -1}
-    labels; the sets may differ in size. Returns read-only ``(K, dim)``
-    weights and ``(K,)`` biases. Model k takes exactly the steps of a run on
-    its set alone: each epoch visits its rows in
-    ``default_rng(seed).permutation(n_k)`` order, its step counter reaches
-    ``epochs * n_k``, and steps past ``n_k`` within an epoch are no-ops. The
-    unregularized bias uses the weights' step sizes. The stacked ``matmul``
-    computes each margin exactly as ``x @ w`` does, so a model's bits do not
-    depend on the other sets.
+    ``y`` labels the n rows {+1, -1}, ``rows[f]`` indexes set f's rows and
+    ``standardization`` is ``(P, F, dim)``. Returns read-only ``(P, F, dim)``
+    weights and ``(P, F)`` biases. Model (p, f) takes exactly the steps of a
+    lone run on its standardized rows: each epoch visits them in
+    ``default_rng(seed).permutation(n_f)`` order (drawn once per distinct
+    size), its step counter reaches ``epochs * n_f``, and steps past ``n_f``
+    are no-ops. Each step standardizes its gathered rows with ``transform``'s
+    elementwise operations, and the stacked ``matmul`` computes each margin
+    exactly as ``x @ w``, so a model's bits do not depend on the others.
     """
     if epochs < 1:
         raise TrainingError(f"epochs must be >= 1, got {epochs}")
     if C <= 0:
         raise TrainingError("C must be positive")
-    X_sets = [np.asarray(X, dtype=float) for X in X_sets]
-    y_sets = [np.asarray(y, dtype=float) for y in y_sets]
-    dim = X_sets[0].shape[-1]
-    for X, y in zip(X_sets, y_sets, strict=True):
-        if X.ndim != 2 or X.shape[1] != dim or X.shape[0] != y.shape[0]:
-            raise TrainingError("each X must be 2-D, share one width, and have one label per row")
-        if not (np.any(y > 0) and np.any(y < 0)):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = (X.shape[0], len(rows), X.shape[-1])
+    if X.ndim != 3 or X.shape[1] != y.shape[0] or standardization.means.shape != shape:
+        raise TrainingError("X must be (P, n, dim) with n labels, standardization (P, F, dim)")
+    for r in rows:
+        if not (np.any(y[r] > 0) and np.any(y[r] < 0)):
             raise TrainingError("training needs at least one example of each class")
 
-    n = np.array([X.shape[0] for X in X_sets])
+    n = np.array([r.size for r in rows])
     n_max = int(n.max())
     lam = 1.0 / (C * n)
-    rngs = [np.random.default_rng(seed) for _ in X_sets]
+    rngs = {size: np.random.default_rng(seed) for size in set(n.tolist())}
     steps = np.arange(1, n_max + 1)[:, None]  # step within the epoch
-    active = steps <= n  # (n_max, K): False on the padding past a set's size
-    # Row t holds every model's t-th example of the epoch; padding stays zero.
-    X_epoch = np.zeros((n_max, len(X_sets), dim))
-    y_epoch = np.zeros((n_max, len(X_sets)))
-    W = np.zeros((len(X_sets), dim))
-    b = np.zeros(len(X_sets))
+    active = steps <= n  # (n_max, F): False on the padding past a set's size
+    order = np.zeros((n_max, len(rows)), dtype=np.intp)  # row of each set's t-th step
+    W = np.zeros(shape)
+    b = np.zeros(shape[:2])
     for epoch in range(epochs):
-        for k, (X, y, rng) in enumerate(zip(X_sets, y_sets, rngs)):
-            order = rng.permutation(n[k])
-            X_epoch[: n[k], k] = X[order]
-            y_epoch[: n[k], k] = y[order]
+        draws = {size: rng.permutation(size) for size, rng in rngs.items()}
+        for f, r in enumerate(rows):
+            order[: r.size, f] = r[draws[r.size]]
+        y_epoch = y[order]
         eta = 1.0 / (lam * (epoch * n + steps))
         shrink = np.where(active, 1.0 - eta * lam, 1.0)
         coef = eta * y_epoch
-        push = coef[:, :, None] * X_epoch
         for t in range(n_max):
-            margin = np.matmul(X_epoch[t, :, None, :], W[:, :, None])[:, 0, 0]
+            x = standardization.transform(X[:, order[t]])
+            margin = np.matmul(x[..., None, :], W[..., :, None])[..., 0, 0]
             violated = (y_epoch[t] * (margin + b) < 1.0) & active[t]
             W *= shrink[t, :, None]
-            np.add(W, push[t], out=W, where=violated[:, None])
+            np.add(W, coef[t, :, None] * x, out=W, where=violated[..., None])
             b = np.where(violated, b + coef[t], b)
     W.flags.writeable = False
     b.flags.writeable = False
@@ -185,9 +180,7 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
             raise TrainingError(
                 f"class {cls:+d} has {idx.size} members, fewer than {folds} folds"
             )
-        idx = idx[rng.permutation(idx.size)]
-        for j, example in enumerate(idx):
-            assignment[example] = j % folds
+        assignment[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % folds
     return assignment
 
 
@@ -198,33 +191,39 @@ def cross_validate(
     seed: int = 42,
     C: float = 1.0,
     epochs: int = 200,
-) -> EvalMetrics:
-    """Stratified k-fold CV; the aggregate F1 pools out-of-fold predictions.
+) -> tuple[EvalMetrics, ...]:
+    """Stratified k-fold CV of each matrix in a ``(P, n, dim)`` stack (one matrix: ``X[None]``).
 
-    Standardization is fitted on each fold's training split only, so
-    held-out rows never leak into the fitted parameters. The ``folds``
-    models are trained together in one lockstep call.
+    The P matrices share the n rows labelled by ``y`` and one fold
+    assignment; the P metrics come back in stack order. The aggregate F1
+    pools out-of-fold predictions. Standardization is fitted on each fold's
+    training split only, so held-out rows never leak into it. All
+    P x ``folds`` models train in one lockstep call.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
+    if X.ndim != 3:
+        raise TrainingError(f"X must be a (P, n, dim) stack, got shape {X.shape}")
     assignment = stratified_folds(y, folds, seed)
-    train_masks = [assignment != k for k in range(folds)]
-    params = [standardize_fit(X[mask]) for mask in train_masks]
-    W, b = train_linear_svm(
-        [p.transform(X[mask]) for p, mask in zip(params, train_masks)],
-        [y[mask] for mask in train_masks],
-        C=C, epochs=epochs, seed=seed,
+    held = [assignment == k for k in range(folds)]
+    rows = [np.flatnonzero(~mask) for mask in held]
+    fits = [standardize_fit(X[:, r]) for r in rows]
+    stacked = StandardizationParams(
+        np.stack([fit.means for fit in fits], axis=1), np.stack([fit.scales for fit in fits], axis=1)
     )
-    pooled = np.empty_like(y)
-    per_fold = []
-    for k, (p, mask) in enumerate(zip(params, train_masks)):
-        preds = predict_many(LinearModel(W[k], float(b[k]), p), X[~mask])
-        pooled[~mask] = preds
-        per_fold.append((f1_score(preds, y[~mask]), accuracy_score(preds, y[~mask])))
-    return EvalMetrics(
-        f1=f1_score(pooled, y),
-        accuracy=accuracy_score(pooled, y),
-        per_fold=tuple(per_fold),
-        confusion=confusion_counts(pooled, y),
-        fold_assignment=tuple(int(a) for a in assignment),
+    W, b = train_linear_svm(X, y, rows, stacked, C=C, epochs=epochs, seed=seed)
+    pooled = np.empty(X.shape[:2], dtype=y.dtype)
+    for k, (fit, mask) in enumerate(zip(fits, held)):
+        for p in range(X.shape[0]):
+            params = StandardizationParams(fit.means[p], fit.scales[p])
+            pooled[p, mask] = predict_many(LinearModel(W[p, k], float(b[p, k]), params), X[p, mask])
+    return tuple(
+        EvalMetrics(
+            f1=f1_score(pred, y),
+            accuracy=accuracy_score(pred, y),
+            per_fold=tuple((f1_score(pred[m], y[m]), accuracy_score(pred[m], y[m])) for m in held),
+            confusion=confusion_counts(pred, y),
+            fold_assignment=tuple(assignment.tolist()),
+        )
+        for pred in pooled
     )

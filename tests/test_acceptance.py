@@ -20,6 +20,7 @@ from plotarc.corpus import (
     segment_bounds,
 )
 from plotarc.experiments import (
+    ClassifierConfig,
     RunInputs,
     feature_matrix,
     group_indices,
@@ -213,7 +214,7 @@ def test_reference_numbers_not_asserted():
 
 def test_planted_ending_classification(planted_inputs):
     X = feature_matrix(planted_inputs, SectionPartition(75, 4, 4), 3)
-    metrics = cross_validate(X, planted_inputs.labels, folds=10, seed=42)
+    metrics = cross_validate(X[None], planted_inputs.labels, folds=10, seed=42)[0]
     check("planted-ending pooled F1 >= 0.90 (set 3, final_len 4)",
           metrics.f1 >= 0.90, f"F1 = {metrics.f1:.3f}")
 
@@ -240,7 +241,7 @@ def test_null_label_sanity(planted_inputs):
     X = feature_matrix(planted_inputs, SectionPartition(75, 4, 4), 3)
     rng = np.random.default_rng(42)
     y_perm = planted_inputs.labels[rng.permutation(len(planted_inputs.labels))]
-    metrics = cross_validate(X, y_perm, folds=10, seed=42)
+    metrics = cross_validate(X[None], y_perm, folds=10, seed=42)[0]
     check("permuted-label pooled F1 in [0.35, 0.65]",
           0.35 <= metrics.f1 <= 0.65, f"F1 = {metrics.f1:.3f}")
 
@@ -316,3 +317,26 @@ def test_standardization_no_leakage(planted_inputs):
         ok = ok and np.array_equal(before.means, after.means)
         ok = ok and np.array_equal(before.scales, after.scales)
     check("per-fold standardization params ignore held-out rows (exact)", ok)
+
+
+# ---------------------------------------------------------------------------
+# 11. One batched sweep equals one cross-validation per point (exact)
+# ---------------------------------------------------------------------------
+
+
+def test_batched_sweep_matches_per_point_cv(planted_inputs):
+    config = ClassifierConfig(folds=10, seed=42, C=1.0, epochs=20)
+    curve = run_partition_sweep(planted_inputs, feature_set_id=3, config=config)
+    X = np.stack([
+        feature_matrix(planted_inputs, SectionPartition(75, p.final_len, 0), 3)
+        for p in curve.points
+    ])
+    batched = cross_validate(X, planted_inputs.labels, folds=10, seed=42, epochs=20)
+    alone = [
+        cross_validate(m[None], planted_inputs.labels, folds=10, seed=42, epochs=20)[0]
+        for m in X
+    ]
+    check("batched sweep F1s and per-fold (F1, accuracy) equal per-point CV (exact)",
+          [p.f1 for p in curve.points] == [m.f1 for m in alone]
+          and [m.per_fold for m in batched] == [m.per_fold for m in alone],
+          f"{len(alone)} points")

@@ -13,6 +13,7 @@ from plotarc.corpus import (
     write_corpus,
 )
 from plotarc.features import SectionPartition, compute_profile
+from plotarc.lexicon import parse_lexicon
 
 
 def reference_tokenize(text):
@@ -115,6 +116,11 @@ class TestLemmaMapFile:
         p.write_bytes(b"ging\tgehen\r\nwar\tsein\r\n")
         assert load_lemma_map(p) == {"ging": "gehen", "war": "sein"}
 
+    def test_entries_nfc_normalized(self, tmp_path):
+        p = tmp_path / "map.tsv"
+        p.write_text(unicodedata.normalize("NFD", "glücks\tglück\n"), encoding="utf-8")
+        assert load_lemma_map(p) == {"glücks": "glück"}
+
     def test_duplicate_surface_rejected(self, tmp_path):
         p = tmp_path / "map.tsv"
         p.write_text("ging\tgehen\nging\tgang\n", encoding="utf-8")
@@ -184,6 +190,16 @@ class TestLoadCorpus:
     def test_deterministic(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir
         assert load_corpus(text_dir, metadata) == load_corpus(text_dir, metadata)
+
+    def test_decomposed_text_matches_composed_lexicon(self, toy_corpus_dir):
+        # A text saved in NFD (decomposed umlauts) must match an NFC lexicon lemma.
+        text_dir, metadata = toy_corpus_dir
+        (text_dir / "n1.txt").write_text(unicodedata.normalize("NFD", "glück " * 80), encoding="utf-8")
+        lexicon = parse_lexicon("glück\t0\t0\t0\t0\t1\t0\t1\t0\t0\t0\n")
+        novel = load_corpus(text_dir, metadata).novels[0]
+        assert novel.lemmas == ("glück",) * 80
+        profile = compute_profile(novel, lexicon, 4)
+        assert profile.matched_counts.sum() == 80
 
 
 class TestSyntheticCorpus:

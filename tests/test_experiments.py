@@ -83,7 +83,7 @@ class TestFeatureLadder:
         X = feature_matrix(inputs, SectionPartition(75, 4, 4), 3)
         from plotarc.svm import cross_validate
 
-        metrics = cross_validate(X, inputs.labels, folds=10, seed=42)
+        metrics = cross_validate(X[None], inputs.labels, folds=10, seed=42)[0]
         assert 0.35 <= metrics.f1 <= 0.65
 
     def test_config_recorded(self, planted):

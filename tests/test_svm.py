@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from plotarc.svm import (
     TrainingError,
     cross_validate,
     f1_score,
-    hinge_objective,
     predict_many,
     standardize_fit,
     stratified_folds,
@@ -38,11 +39,29 @@ def reference_train(X, y, C=1.0, epochs=200, seed=42):
     return w, b
 
 
+def hinge_objective(w, b, X, y, lam):
+    margins = 1.0 - y * (X @ w + b)
+    return float(np.maximum(margins, 0.0).mean() + 0.5 * lam * (w @ w))
+
+
+def identity(P, F, dim):
+    """Standardization that leaves every value's bits unchanged."""
+    return StandardizationParams(np.zeros((P, F, dim)), np.ones((P, F, dim)))
+
+
 def fit(X, y, **kwargs):
-    """One model (K = 1) on unstandardized rows."""
-    W, b = train_linear_svm([X], [y], **kwargs)
-    dim = W.shape[1]
-    return LinearModel(W[0], float(b[0]), StandardizationParams(np.zeros(dim), np.ones(dim)))
+    """One model (P = F = 1) on all rows, unstandardized."""
+    X = np.asarray(X, dtype=float)
+    dim = X.shape[1]
+    W, b = train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, dim), **kwargs)
+    return LinearModel(W[0, 0], float(b[0, 0]), StandardizationParams(np.zeros(dim), np.ones(dim)))
+
+
+def stack_fits(fits):
+    """``(P, F, dim)`` parameters from one ``(P, dim)`` fit per row set."""
+    return StandardizationParams(
+        np.stack([f.means for f in fits], axis=1), np.stack([f.scales for f in fits], axis=1)
+    )
 
 
 def separable_set(seed=0, per_class=20, spread=0.3):
@@ -98,14 +117,15 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         X, _ = separable_set()
+        n = X.shape[0]
         with pytest.raises(TrainingError):
-            train_linear_svm([X], [np.ones(X.shape[0])])
+            train_linear_svm(X[None], np.ones(n), [np.arange(n)], identity(1, 1, 2))
 
     @pytest.mark.parametrize("epochs", [0, -2])
     def test_epochs_below_one_rejected(self, epochs):
         X, y = separable_set()
         with pytest.raises(TrainingError, match="epochs"):
-            train_linear_svm([X], [y], epochs=epochs)
+            train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, 2), epochs=epochs)
 
     def test_objective_decreases(self):
         X, y = separable_set(seed=5)
@@ -117,31 +137,42 @@ class TestTrain:
 
 
 class TestLockstep:
-    """K models stepped together equal K lone runs of the per-sample loop, bit for bit."""
+    """P x F models stepped together equal P x F lone runs of the per-sample loop, bit for bit."""
 
-    @pytest.mark.parametrize("sizes", [(7, 10, 13), (12,)])
+    @pytest.mark.parametrize("sizes", [(7, 10, 13), (12,), (10, 10)])
     @pytest.mark.parametrize("dim", [11, 44])
     @pytest.mark.parametrize("epochs,seed", [(1, 0), (3, 42), (20, 7)])
     def test_ragged_sets_match_reference(self, sizes, dim, epochs, seed):
         rng = np.random.default_rng(dim * 100 + epochs)
-        X_sets, y_sets = [], []
-        for n in sizes:
-            X_sets.append(rng.normal(size=(n, dim)) * rng.uniform(0.5, 3.0, size=dim))
-            y = np.where(rng.random(n) < 0.5, 1, -1)
-            y[:2] = (1, -1)
-            y_sets.append(y)
-        W, b = train_linear_svm(X_sets, y_sets, C=0.8, epochs=epochs, seed=seed)
-        assert W.shape == (len(sizes), dim) and b.shape == (len(sizes),)
-        for k, (X, y) in enumerate(zip(X_sets, y_sets)):
-            w_ref, b_ref = reference_train(X, y, C=0.8, epochs=epochs, seed=seed)
-            # Compare the bit patterns, so even the sign of a zero must agree.
-            assert W[k].tobytes() == w_ref.tobytes()
-            assert b[k].tobytes() == np.float64(b_ref).tobytes()
+        n = 16
+        # Two raw matrices over the same rows, with different column scales and offsets.
+        X = rng.normal(size=(2, n, dim)) * rng.uniform(0.5, 3.0, size=(2, 1, dim))
+        X += rng.normal(size=(2, 1, dim))
+        y = np.where(rng.random(n) < 0.5, 1, -1)
+        y[:2] = (1, -1)
+        # Every set holds rows 0 and 1, so both classes, plus random others.
+        rows = [
+            np.sort(np.r_[0, 1, rng.choice(np.arange(2, n), size - 2, replace=False)])
+            for size in sizes
+        ]
+        if sizes == (10, 10):
+            # Equal sizes share one permutation draw but must still visit different rows.
+            assert not np.array_equal(rows[0], rows[1])
+        fits = [standardize_fit(X[:, r]) for r in rows]
+        W, b = train_linear_svm(X, y, rows, stack_fits(fits), C=0.8, epochs=epochs, seed=seed)
+        assert W.shape == (2, len(sizes), dim) and b.shape == (2, len(sizes))
+        for p in range(2):
+            for f, (r, fitted) in enumerate(zip(rows, fits)):
+                Xs = StandardizationParams(fitted.means[p], fitted.scales[p]).transform(X[p, r])
+                w_ref, b_ref = reference_train(Xs, y[r], C=0.8, epochs=epochs, seed=seed)
+                # Compare the bit patterns, so even the sign of a zero must agree.
+                assert W[p, f].tobytes() == w_ref.tobytes()
+                assert b[p, f].tobytes() == np.float64(b_ref).tobytes()
 
     def test_width_mismatch_rejected(self):
         X, y = separable_set()
         with pytest.raises(TrainingError):
-            train_linear_svm([X, X[:, :1]], [y, y])
+            train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, 1))
 
 
 class TestPredict:
@@ -188,7 +219,7 @@ class TestF1:
 class TestCrossValidate:
     def test_stratified_fold_sizes(self):
         X, y = separable_set(per_class=20)
-        metrics = cross_validate(X, y, folds=10, seed=42, epochs=20)
+        metrics = cross_validate(X[None], y, folds=10, seed=42, epochs=20)[0]
         assignment = np.array(metrics.fold_assignment)
         for k in range(10):
             fold = assignment == k
@@ -197,24 +228,50 @@ class TestCrossValidate:
 
     def test_separable_high_f1(self):
         X, y = separable_set(per_class=20)
-        metrics = cross_validate(X, y, folds=10, seed=42, epochs=50)
+        metrics = cross_validate(X[None], y, folds=10, seed=42, epochs=50)[0]
         assert metrics.f1 >= 0.95
 
     def test_confusion_sums_to_corpus_size(self):
         X, y = separable_set(per_class=15)
-        metrics = cross_validate(X, y, folds=5, seed=1, epochs=20)
+        metrics = cross_validate(X[None], y, folds=5, seed=1, epochs=20)[0]
         assert sum(metrics.confusion) == len(y)
 
     def test_deterministic(self):
         X, y = separable_set(per_class=12)
-        a = cross_validate(X, y, folds=4, seed=9, epochs=30)
-        b = cross_validate(X, y, folds=4, seed=9, epochs=30)
+        a = cross_validate(X[None], y, folds=4, seed=9, epochs=30)[0]
+        b = cross_validate(X[None], y, folds=4, seed=9, epochs=30)[0]
         assert a == b
 
     def test_class_smaller_than_folds_rejected(self):
         X, y = separable_set(per_class=4)
         with pytest.raises(TrainingError):
-            cross_validate(X, y, folds=5)
+            cross_validate(X[None], y, folds=5)
+
+    def test_single_matrix_must_be_stacked(self):
+        X, y = separable_set()
+        with pytest.raises(TrainingError, match="stack"):
+            cross_validate(X, y, folds=5, epochs=1)
+
+    def test_stack_shares_one_fold_assignment(self):
+        X, y = separable_set(per_class=15)
+        stack = np.stack([X, X * 3.0 + 1.0, X[:, ::-1]])
+        batched = cross_validate(stack, y, folds=5, seed=3, epochs=10)
+        assert batched == tuple(cross_validate(m[None], y, folds=5, seed=3, epochs=10)[0] for m in stack)
+
+    def test_traced_peak_stays_near_the_stack_size(self):
+        # A sweep-sized stack: 37 points x 212 novels x 11 features, 690 KB.
+        # Measured peak: 2.04 x the stack (one fold's gathered training rows
+        # and the std temporary). Materializing each epoch's standardized
+        # (steps, P, F, dim) rows and updates instead peaks at about 31 MB, 45 x.
+        X = np.random.default_rng(0).normal(size=(37, 212, 11))
+        y = np.where(np.arange(212) % 2 == 0, 1, -1)
+        tracemalloc.start()
+        try:
+            cross_validate(X, y, folds=10, seed=42, epochs=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * X.nbytes
 
     def test_no_leakage_from_held_out_rows(self):
         # Perturbing rows held out of fold 0 must not change the params
