@@ -44,8 +44,7 @@ for fsid, f1, acc in ladder.rows:
 (out_dir / "ladder.csv").write_text(ladder_csv(ladder))
 
 print("\npartition sweep (final section length 1..20):")
-fractions = [(75 - fl) / 75 for fl in range(1, 21)]
-curve = run_partition_sweep(inputs, fractions, feature_set_id=3, config=config)
+curve = run_partition_sweep(inputs, final_lens=range(20, 0, -1), feature_set_id=3, config=config)
 best = curve.argmax_point
 print(f"  best F1 {best.f1:.3f} at final section length {best.final_len} "
       f"(planted boundary was 4)")

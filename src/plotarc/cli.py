@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
         )
         (out_dir / "periods.svg").write_text(render_periods(report), encoding="utf-8")
         for group in report.groups:
-            if group.skipped:
+            if group.curve is None:
                 print(f"period {group.label}: skipped ({group.novel_count} novels)")
             else:
                 best = group.curve.argmax_point

@@ -174,47 +174,38 @@ class SweepCurve:
         return max(self.points, key=lambda p: (p.f1, p.main_fraction))
 
 
-def default_fractions(n_segments: int = 75) -> list[float]:
-    """One sweep point per whole segment, final_len from n_segments//2 down to 1."""
-    return [
-        (n_segments - final_len) / n_segments
-        for final_len in range(n_segments // 2, 0, -1)
-    ]
-
-
-def fraction_to_final_len(fraction: float, n_segments: int) -> int:
-    final_len = n_segments - round(fraction * n_segments)
-    if final_len < 1:
-        raise ValueError(f"main fraction {fraction} leaves no final segment")
-    return final_len
-
-
 def run_partition_sweep(
     inputs: RunInputs,
-    fractions=None,
+    final_lens=None,
     feature_set_id: int = 3,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> SweepCurve:
-    """One cross-validated F1 per main-section fraction; one CV call, shared folds."""
-    fractions = sorted(default_fractions(inputs.n_segments) if fractions is None else fractions)
-    partitions = []
-    for fraction in fractions:
-        final_len = fraction_to_final_len(fraction, inputs.n_segments)
-        # One degree of freedom per point: the late-main section mirrors the
-        # final section whenever the feature set consumes it.
-        late_len = final_len if feature_set_id in (5, 6) else 0
-        partitions.append(SectionPartition(inputs.n_segments, final_len, late_len))
+    """One cross-validated F1 per final-section length; one CV call, shared folds.
+
+    The default grid is every whole segment from ``n_segments // 2`` down
+    to 1. Points run from the longest final section (smallest main
+    fraction) to the shortest, and each main fraction is
+    ``(n_segments - final_len) / n_segments``.
+    """
+    n = inputs.n_segments
+    final_lens = sorted(range(n // 2, 0, -1) if final_lens is None else final_lens, reverse=True)
+    # One degree of freedom per point: the late-main section mirrors the
+    # final section whenever the feature set consumes it.
+    partitions = [
+        SectionPartition(n, final_len, final_len if feature_set_id in (5, 6) else 0)
+        for final_len in final_lens
+    ]
     metrics = ()
     if partitions:
         X = np.stack([feature_matrix(inputs, p, feature_set_id) for p in partitions])
         metrics = cross_validate(X, inputs.labels, **_config_dict(config))
     return SweepCurve(
         points=tuple(
-            SweepPoint(fraction, partition.final_len, m.f1)
-            for fraction, partition, m in zip(fractions, partitions, metrics)
+            SweepPoint((n - p.final_len) / n, p.final_len, m.f1)
+            for p, m in zip(partitions, metrics)
         ),
         config={
-            "n_segments": inputs.n_segments,
+            "n_segments": n,
             "feature_set": feature_set_id,
             **_config_dict(config),
         },
@@ -235,7 +226,6 @@ class PeriodGroup:
     novel_count: int
     happy_count: int
     curve: SweepCurve | None  # None when the group was skipped
-    skipped: bool
 
 
 @dataclass(frozen=True)
@@ -279,7 +269,7 @@ def run_period_analysis(
     inputs: RunInputs,
     boundaries=DEFAULT_PERIOD_BOUNDARIES,
     feature_set_id: int = 3,
-    fractions=None,
+    final_lens=None,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> PeriodReport:
     """Per-period partition sweep; undersized groups are flagged, not fatal.
@@ -294,15 +284,15 @@ def run_period_analysis(
         n_happy = int(np.sum(sub_labels == 1))
         n_unhappy = len(idx) - n_happy
         if len(idx) < 2 * config.folds or min(n_happy, n_unhappy) < config.folds:
-            groups.append(PeriodGroup(label, year_range, len(idx), n_happy, None, True))
+            groups.append(PeriodGroup(label, year_range, len(idx), n_happy, None))
             continue
         sub_inputs = RunInputs(
             profiles=tuple(inputs.profiles[i] for i in idx),
             vectors=inputs.vectors[idx],
             labels=sub_labels,
         )
-        curve = run_partition_sweep(sub_inputs, fractions, feature_set_id, config)
-        groups.append(PeriodGroup(label, year_range, len(idx), n_happy, curve, False))
+        curve = run_partition_sweep(sub_inputs, final_lens, feature_set_id, config)
+        groups.append(PeriodGroup(label, year_range, len(idx), n_happy, curve))
     return PeriodReport(
         groups=tuple(groups),
         boundaries=tuple(sorted(boundaries)),
@@ -369,7 +359,7 @@ def sweep_csv(curve: SweepCurve) -> str:
 def periods_csv(report: PeriodReport) -> str:
     lines = ["period,main_fraction,final_len,f1,n_novels"]
     for group in report.groups:
-        if group.skipped:
+        if group.curve is None:
             lines.append(f"{group.label},skipped,skipped,skipped,{group.novel_count}")
             continue
         for p in group.curve.points:

@@ -148,7 +148,7 @@ def render_sweep(curve: SweepCurve, title: str = "Partition sweep") -> str:
 
 def render_periods(report: PeriodReport, title: str = "Partition sweep by period") -> str:
     """One polyline per populated period group, with per-group argmax markers."""
-    populated = [g for g in report.groups if not g.skipped]
+    populated = [g for g in report.groups if g.curve is not None]
     curves = [g.curve for g in populated]
     x_min, x_max = _x_range(curves)
     body = _axes(x_min, x_max)
@@ -163,7 +163,7 @@ def render_periods(report: PeriodReport, title: str = "Partition sweep by period
             body.append(_argmax_marker(group.curve, x_min, x_max, color))
         legend.append((f"{group.label} (n={group.novel_count})", color))
     for group in report.groups:
-        if group.skipped:
+        if group.curve is None:
             legend.append((f"{group.label} (skipped, n={group.novel_count})", "lightgray"))
     body.extend(_legend(legend))
     return _document(body)

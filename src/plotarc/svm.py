@@ -45,13 +45,8 @@ def standardize_fit(X: np.ndarray) -> StandardizationParams:
     return StandardizationParams(means, scales)
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    weights: np.ndarray
-    bias: float
-    standardization: StandardizationParams
-
-
+# A huge C overflows the step size; the finiteness check reports that, not warnings.
+@np.errstate(all="ignore")
 def train_linear_svm(
     X: np.ndarray,
     y: np.ndarray,
@@ -65,18 +60,20 @@ def train_linear_svm(
 
     ``y`` labels the n rows {+1, -1}, ``rows[f]`` indexes set f's rows and
     ``standardization`` is ``(P, F, dim)``. Returns read-only ``(P, F, dim)``
-    weights and ``(P, F)`` biases. Model (p, f) takes exactly the steps of a
-    lone run on its standardized rows: each epoch visits them in
-    ``default_rng(seed).permutation(n_f)`` order (drawn once per distinct
-    size), its step counter reaches ``epochs * n_f``, and steps past ``n_f``
-    are no-ops. Each step standardizes its gathered rows with ``transform``'s
+    weights and ``(P, F)`` biases. ``C`` must be positive and finite, and
+    weights that leave the finite range raise :class:`TrainingError`.
+
+    Model (p, f) takes exactly the steps of a lone run on its standardized
+    rows: each epoch visits them in ``default_rng(seed).permutation(n_f)``
+    order (drawn once per distinct size), its step counter reaches
+    ``epochs * n_f``, and steps past ``n_f`` are no-ops. Each step standardizes its gathered rows with ``transform``'s
     elementwise operations, and the stacked ``matmul`` computes each margin
     exactly as ``x @ w``, so a model's bits do not depend on the others.
     """
     if epochs < 1:
         raise TrainingError(f"epochs must be >= 1, got {epochs}")
-    if C <= 0:
-        raise TrainingError("C must be positive")
+    if not 0.0 < C < np.inf:
+        raise TrainingError(f"C must be positive and finite, got {C}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = (X.shape[0], len(rows), X.shape[-1])
@@ -110,15 +107,21 @@ def train_linear_svm(
             W *= shrink[t, :, None]
             np.add(W, coef[t, :, None] * x, out=W, where=violated[..., None])
             b = np.where(violated, b + coef[t], b)
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise TrainingError(f"training diverged to non-finite weights with C = {C}")
     W.flags.writeable = False
     b.flags.writeable = False
     return W, b
 
 
-def predict_many(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    Xs = model.standardization.transform(X)
-    return np.where(Xs @ model.weights + model.bias >= 0.0, 1, -1)
+def predict(X: np.ndarray, W: np.ndarray, b) -> np.ndarray:
+    """+1 where ``X @ w + b >= 0``, else -1, for each stacked model.
+
+    ``X`` is ``(..., m, dim)``, ``W`` is ``(..., dim)`` and ``b`` is ``(...)``;
+    the result is ``(..., m)``. Each margin has the bits of a lone ``x @ w + b``.
+    """
+    margins = np.matmul(X, W[..., None])[..., 0] + np.asarray(b)[..., None]
+    return np.where(margins >= 0.0, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +201,8 @@ def cross_validate(
     assignment; the P metrics come back in stack order. The aggregate F1
     pools out-of-fold predictions. Standardization is fitted on each fold's
     training split only, so held-out rows never leak into it. All
-    P x ``folds`` models train in one lockstep call.
+    P x ``folds`` models train in one lockstep call, and each fold's
+    held-out rows are scored for all P matrices in one batched product.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -214,9 +218,8 @@ def cross_validate(
     W, b = train_linear_svm(X, y, rows, stacked, C=C, epochs=epochs, seed=seed)
     pooled = np.empty(X.shape[:2], dtype=y.dtype)
     for k, (fit, mask) in enumerate(zip(fits, held)):
-        for p in range(X.shape[0]):
-            params = StandardizationParams(fit.means[p], fit.scales[p])
-            pooled[p, mask] = predict_many(LinearModel(W[p, k], float(b[p, k]), params), X[p, mask])
+        held_out = (X[:, mask] - fit.means[:, None]) / fit.scales[:, None]
+        pooled[:, mask] = predict(held_out, W[:, k], b[:, k])
     return tuple(
         EvalMetrics(
             f1=f1_score(pred, y),

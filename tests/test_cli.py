@@ -133,6 +133,15 @@ class TestRun:
         assert "epochs must be >= 1" in capsys.readouterr().err
         assert not (out / "ladder.csv").exists()
 
+    @pytest.mark.parametrize("experiment", ["ladder", "sweep"])
+    @pytest.mark.parametrize("c", ["nan", "inf", "1e308"])
+    def test_non_finite_c_exits_2(self, experiment, c, synth_corpus, tmp_path, capsys):
+        # 1e308 passes the range check but overflows the step size in training.
+        out = tmp_path / "out"
+        assert main(["run", experiment, *pipeline_args(synth_corpus, out, ["--c", c])]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / f"{experiment}.csv").exists()
+
     def test_dry_run_prints_config_only(self, synth_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "ladder", *pipeline_args(synth_corpus, out, ["--dry-run"])]) == 0

@@ -14,9 +14,7 @@ from plotarc.experiments import (
     SweepCurve,
     SweepPoint,
     corpus_checksum,
-    default_fractions,
     feature_matrix,
-    fraction_to_final_len,
     group_indices,
     ladder_csv,
     lexicon_checksum,
@@ -96,7 +94,7 @@ class TestFeatureLadder:
 class TestPartitionSweep:
     def test_single_fraction_final_len_4(self, planted):
         _, inputs = planted
-        curve = run_partition_sweep(inputs, [0.947], 3, FAST)
+        curve = run_partition_sweep(inputs, [4], 3, FAST)
         assert len(curve.points) == 1
         assert curve.points[0].final_len == 4
 
@@ -109,13 +107,14 @@ class TestPartitionSweep:
     def test_fraction_too_large_rejected(self, planted):
         _, inputs = planted
         with pytest.raises(ValueError):
-            run_partition_sweep(inputs, [1.0], 3, FAST)
+            run_partition_sweep(inputs, [0], 3, FAST)
 
-    def test_default_fraction_grid(self):
-        fractions = default_fractions(75)
-        final_lens = [fraction_to_final_len(f, 75) for f in fractions]
+    def test_default_fraction_grid(self, planted):
+        _, inputs = planted
+        curve = run_partition_sweep(inputs, config=ClassifierConfig(epochs=1))
+        final_lens = [p.final_len for p in curve.points]
         assert final_lens == list(range(37, 0, -1))
-        assert fractions[0] == pytest.approx(38 / 75)
+        assert curve.points[0].main_fraction == pytest.approx(38 / 75)
 
     def test_argmax_tiebreak_prefers_larger_fraction(self):
         curve = SweepCurve(
@@ -173,9 +172,9 @@ class TestPeriodAnalysis:
         corpus = Corpus(novels)
         inputs = prepare_inputs(corpus, toy_lexicon)
         report = run_period_analysis(
-            corpus, inputs, fractions=[(75 - 4) / 75], config=FAST
+            corpus, inputs, final_lens=[4], config=FAST
         )
-        skipped = [g.skipped for g in report.groups]
+        skipped = [g.curve is None for g in report.groups]
         assert skipped == [True, True, True, False]
         assert report.groups[3].novel_count == 40
 
@@ -194,11 +193,10 @@ class TestPeriodAnalysis:
 
         corpus = Corpus(tuple(retag(early, 1820, "a-") + retag(late, 1900, "b-")))
         inputs = prepare_inputs(corpus, toy_lexicon)
-        fractions = [(75 - fl) / 75 for fl in range(1, 16)]
         report = run_period_analysis(
-            corpus, inputs, feature_set_id=3, fractions=fractions, config=FAST
+            corpus, inputs, feature_set_id=3, final_lens=range(1, 16), config=FAST
         )
-        populated = [g for g in report.groups if not g.skipped]
+        populated = [g for g in report.groups if g.curve is not None]
         assert [g.novel_count for g in populated] == [50, 50]
         early_argmax = populated[0].curve.argmax_point.final_len
         late_argmax = populated[1].curve.argmax_point.final_len
@@ -239,14 +237,14 @@ class TestReports:
 
     def test_sweep_csv_shape(self, planted):
         _, inputs = planted
-        curve = run_partition_sweep(inputs, [(75 - 4) / 75], 3, FAST)
+        curve = run_partition_sweep(inputs, [4], 3, FAST)
         lines = sweep_csv(curve).strip().splitlines()
         assert lines[0] == "main_fraction,final_len,f1"
         assert lines[1].split(",")[1] == "4"
 
     def test_periods_csv_marks_skips(self, toy_lexicon, planted):
         corpus, inputs = planted
-        report = run_period_analysis(corpus, inputs, fractions=[0.947], config=FAST)
+        report = run_period_analysis(corpus, inputs, final_lens=[4], config=FAST)
         text = periods_csv(report)
         assert "skipped" in text or text.count("\n") > 1
 

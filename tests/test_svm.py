@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from plotarc.svm import (
-    LinearModel,
     StandardizationParams,
     TrainingError,
+    accuracy_score,
+    confusion_counts,
     cross_validate,
     f1_score,
-    predict_many,
+    predict,
     standardize_fit,
     stratified_folds,
     train_linear_svm,
@@ -39,6 +40,21 @@ def reference_train(X, y, C=1.0, epochs=200, seed=42):
     return w, b
 
 
+def reference_cv_predictions(X, y, folds, seed, C, epochs):
+    """Out-of-fold labels from one prediction per (fold, matrix) model: the batching oracle."""
+    assignment = stratified_folds(y, folds, seed)
+    held = [assignment == k for k in range(folds)]
+    rows = [np.flatnonzero(~mask) for mask in held]
+    fits = [standardize_fit(X[:, r]) for r in rows]
+    W, b = train_linear_svm(X, y, rows, stack_fits(fits), C=C, epochs=epochs, seed=seed)
+    pooled = np.empty(X.shape[:2], dtype=y.dtype)
+    for k, (fitted, mask) in enumerate(zip(fits, held)):
+        for p in range(X.shape[0]):
+            Xs = StandardizationParams(fitted.means[p], fitted.scales[p]).transform(X[p, mask])
+            pooled[p, mask] = np.where(Xs @ W[p, k] + float(b[p, k]) >= 0.0, 1, -1)
+    return pooled, held
+
+
 def hinge_objective(w, b, X, y, lam):
     margins = 1.0 - y * (X @ w + b)
     return float(np.maximum(margins, 0.0).mean() + 0.5 * lam * (w @ w))
@@ -50,11 +66,10 @@ def identity(P, F, dim):
 
 
 def fit(X, y, **kwargs):
-    """One model (P = F = 1) on all rows, unstandardized."""
+    """Weights and bias of one model (P = F = 1) on all rows, unstandardized."""
     X = np.asarray(X, dtype=float)
-    dim = X.shape[1]
-    W, b = train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, dim), **kwargs)
-    return LinearModel(W[0, 0], float(b[0, 0]), StandardizationParams(np.zeros(dim), np.ones(dim)))
+    W, b = train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, X.shape[1]), **kwargs)
+    return W[0, 0], b[0, 0]
 
 
 def stack_fits(fits):
@@ -99,21 +114,21 @@ class TestStandardize:
 class TestTrain:
     def test_separable_perfect_training_accuracy(self):
         X, y = separable_set()
-        model = fit(X, y, seed=7)
-        assert np.array_equal(predict_many(model, X), y)
+        w, b = fit(X, y, seed=7)
+        assert np.array_equal(predict(X, w, b), y)
 
     def test_deterministic(self):
         X, y = separable_set()
-        a = fit(X, y, seed=7)
-        b = fit(X, y, seed=7)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        assert a.bias == b.bias
+        w_a, b_a = fit(X, y, seed=7)
+        w_b, b_b = fit(X, y, seed=7)
+        np.testing.assert_array_equal(w_a, w_b)
+        assert b_a == b_b
 
     def test_flipped_labels_negate_decision(self):
         X, y = separable_set(seed=3)
         a = fit(X, y, seed=7)
         b = fit(X, -y, seed=7)
-        np.testing.assert_array_equal(predict_many(a, X), -predict_many(b, X))
+        np.testing.assert_array_equal(predict(X, *a), -predict(X, *b))
 
     def test_single_class_rejected(self):
         X, _ = separable_set()
@@ -127,12 +142,19 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epochs"):
             train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, 2), epochs=epochs)
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf, 1e308])
+    def test_c_not_positive_and_finite_rejected(self, C):
+        # 1e308 passes the range check but overflows the step size.
+        X, y = separable_set()
+        with pytest.raises(TrainingError, match="finite"):
+            train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, 2), C=C)
+
     def test_objective_decreases(self):
         X, y = separable_set(seed=5)
         lam = 1.0 / X.shape[0]
         initial = hinge_objective(np.zeros(2), 0.0, X, y, lam)
-        model = fit(X, y, C=1.0, epochs=50, seed=1)
-        final = hinge_objective(model.weights, model.bias, X, y, lam)
+        w, b = fit(X, y, C=1.0, epochs=50, seed=1)
+        final = hinge_objective(w, b, X, y, lam)
         assert final < initial
 
 
@@ -176,24 +198,21 @@ class TestLockstep:
 
 
 class TestPredict:
-    def make_model(self, w, b):
-        w = np.asarray(w, dtype=float)
-        return LinearModel(w, b, StandardizationParams(np.zeros(w.shape), np.ones(w.shape)))
+    W = np.array([1.0, 0.0])
 
     def test_positive_side(self):
-        assert predict_many(self.make_model([1.0, 0.0], 0.0), np.array([[3.0, 5.0]]))[0] == 1
+        assert predict(np.array([[3.0, 5.0]]), self.W, 0.0)[0] == 1
 
     def test_negative_side(self):
-        assert predict_many(self.make_model([1.0, 0.0], 0.0), np.array([[-3.0, 5.0]]))[0] == -1
+        assert predict(np.array([[-3.0, 5.0]]), self.W, 0.0)[0] == -1
 
     def test_on_hyperplane_tiebreak_positive(self):
-        assert predict_many(self.make_model([1.0, 0.0], 0.0), np.array([[0.0, 9.0]]))[0] == 1
+        assert predict(np.array([[0.0, 9.0]]), self.W, 0.0)[0] == 1
 
     def test_positive_rescaling_invariance(self):
-        model = self.make_model([1.5, -2.0], 0.7)
-        scaled = self.make_model([1.5 * 13, -2.0 * 13], 0.7 * 13)
+        w = np.array([1.5, -2.0])
         X = np.random.default_rng(2).normal(size=(50, 2))
-        np.testing.assert_array_equal(predict_many(model, X), predict_many(scaled, X))
+        np.testing.assert_array_equal(predict(X, w, 0.7), predict(X, w * 13, 0.7 * 13))
 
 
 class TestF1:
@@ -257,6 +276,26 @@ class TestCrossValidate:
         stack = np.stack([X, X * 3.0 + 1.0, X[:, ::-1]])
         batched = cross_validate(stack, y, folds=5, seed=3, epochs=10)
         assert batched == tuple(cross_validate(m[None], y, folds=5, seed=3, epochs=10)[0] for m in stack)
+
+    def test_batched_prediction_matches_per_model_loop(self):
+        # Three unrelated matrices, so a swapped matrix or fold index changes
+        # the labels; 23 rows in 4 folds give ragged held-out sets (6/6/6/5).
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(3, 23, 5)) * rng.uniform(0.5, 4.0, size=(3, 1, 5))
+        X += rng.normal(size=(3, 1, 5))
+        y = np.where(np.arange(23) < 12, 1, -1)
+        X[:, y == 1] += rng.normal(0.4, 0.3, size=(3, 1, 5))
+        metrics = cross_validate(X, y, folds=4, seed=5, C=0.5, epochs=7)
+        pooled, held = reference_cv_predictions(X, y, folds=4, seed=5, C=0.5, epochs=7)
+        assert sorted(int(m.sum()) for m in held) == [5, 6, 6, 6]
+        assert len({pred.tobytes() for pred in pooled}) == 3
+        for m, pred in zip(metrics, pooled):
+            assert m.f1 == f1_score(pred, y)
+            assert m.accuracy == accuracy_score(pred, y)
+            assert m.confusion == confusion_counts(pred, y)
+            assert m.per_fold == tuple(
+                (f1_score(pred[h], y[h]), accuracy_score(pred[h], y[h])) for h in held
+            )
 
     def test_traced_peak_stays_near_the_stack_size(self):
         # A sweep-sized stack: 37 points x 212 novels x 11 features, 690 KB.
