@@ -84,6 +84,8 @@ def tokenize(text: str) -> list[str]:
     # Punctuation is Unicode category P. Every such character at a token edge
     # occurs in the text, so stripping the text's own punctuation is exact.
     punct = "".join(filter(_is_punct, set(text)))
+    if not punct:
+        return text.split()
     return [token for raw in text.split() if (token := raw.strip(punct))]
 
 
@@ -142,12 +144,15 @@ def load_metadata(metadata_file) -> list[NovelMetadata]:
         if novel_id in seen_ids:
             raise CorpusError(f"{metadata_file}: row {lineno}: duplicate id {novel_id!r}")
         seen_ids.add(novel_id)
+        # int() alone would also take "١٨٣٠", "1_840" and " 1850 ".
+        if not (year_cell.isascii() and year_cell.isdigit()):
+            raise CorpusError(
+                f"{metadata_file}: row {lineno}: year must be ASCII digits, got {year_cell!r}"
+            )
         try:
             year = int(year_cell)
-        except ValueError:
-            raise CorpusError(
-                f"{metadata_file}: row {lineno}: unparseable year {year_cell!r}"
-            ) from None
+        except ValueError:  # more digits than int() converts
+            raise CorpusError(f"{metadata_file}: row {lineno}: unparseable year") from None
         if year <= 0:
             raise CorpusError(f"{metadata_file}: row {lineno}: year must be positive")
         label = _parse_label(label_cell, f"{metadata_file}: row {lineno}")
@@ -156,16 +161,22 @@ def load_metadata(metadata_file) -> list[NovelMetadata]:
 
 
 def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None) -> Corpus:
-    """Load, tokenize, and lemmatize all novels listed in the metadata table."""
+    """Load, tokenize, and lemmatize all novels listed in the metadata table.
+
+    Every token of one surface form shares one lemma string, so a loaded
+    corpus costs a pointer per token plus its distinct forms.
+    """
     text_dir = Path(text_dir)
-    lemma_map = lemma_map or {}
+    # A copy of the map, so the caller's map stays unchanged: each unmapped
+    # surface form is stored as its own lemma on first sight and reused after.
+    lemma_of = dict(lemma_map or {})
     novels = []
     for meta in load_metadata(metadata_file):
         text_path = text_dir / f"{meta.id}.txt"
         if not text_path.is_file():
             raise CorpusError(f"missing text file for novel {meta.id!r}: {text_path}")
         tokens = tokenize(unicodedata.normalize("NFC", _read_text(text_path)))
-        lemmas = tuple(map(lemma_map.get, tokens, tokens))
+        lemmas = tuple(map(lemma_of.setdefault, tokens, tokens))
         if not lemmas:
             raise CorpusError(f"novel {meta.id!r} has no tokens")
         novels.append(Novel(meta, lemmas))

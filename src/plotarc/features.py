@@ -10,6 +10,7 @@ late-main and final sections that the feature sets are built from.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -121,12 +122,21 @@ def compute_profiles(
 # ---------------------------------------------------------------------------
 
 CACHE_HEADER = ["novel_id", "segment_index"] + list(DIMENSIONS) + ["matched_count"]
+# One segment's row after the novel id cell; ".17g" round-trips every float.
+_CACHE_ROW = "%d," + ",".join(["%.17g"] * N_DIMS) + ",%d\n"
+
+
+def _csv_cell(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of several cells."""
+    buf = io.StringIO()
+    # A lone empty cell would be written as '""'; the extra cell avoids that.
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
 
 
 def write_profile_cache(profiles, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CACHE_HEADER)
+    csv.writer(stream, lineterminator="\n").writerow(CACHE_HEADER)
     for profile in profiles:
-        rows = zip(profile.segment_vectors.tolist(), profile.matched_counts.tolist())
-        for i, (vector, count) in enumerate(rows):
-            writer.writerow([profile.novel_id, i, *(format(v, ".17g") for v in vector), count])
+        row = _csv_cell(profile.novel_id).replace("%", "%%") + "," + _CACHE_ROW
+        segments = zip(profile.segment_vectors.tolist(), profile.matched_counts.tolist())
+        stream.write("".join([row % (i, *vector, count) for i, (vector, count) in enumerate(segments)]))

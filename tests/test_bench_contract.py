@@ -83,3 +83,25 @@ def test_counters_non_zero(traces):
         assert trace["counts"], f"{name}: no counters recorded"
         zero = [counter for counter, value in trace["counts"].items() if value <= 0]
         assert not zero, f"{name}: zero counters {zero}"
+
+
+def test_benchmark_inputs_feed_featurize(tmp_path):
+    """``perfbench/inputs.py`` builds ``Novel(meta, tuple_of_str)`` corpora, reads
+    ``novel.lemmas`` and calls ``write_corpus``; ``featurize`` must load what it writes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    work = tmp_path / "work"
+    built = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "inputs.py"), str(work), "1", "4", "300", "1", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert built.returncode == 0, built.stderr
+    corpus_dir = work / "corpus"
+    featurized = subprocess.run(
+        [sys.executable, "-m", "plotarc.cli", "featurize",
+         "--corpus", str(corpus_dir), "--metadata", str(corpus_dir / "metadata.tsv"),
+         "--lexicon", str(work / "lexicon.tsv"), "--lemma-map", str(work / "lemma_map.tsv"),
+         "--segments", "75", "--out", str(tmp_path / "out")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert featurized.returncode == 0, featurized.stderr

@@ -62,6 +62,7 @@ class TestTokenize:
             ("__x__", ["x"]),
             ("Es war ein Zufall", ["Es", "war", "ein", "Zufall"]),
             ("\ufeff„Hallo“ \U0001e95eja\U0001e95e", ["\ufeff„Hallo", "ja"]),
+            ("\ufeffGlück\tund\n  Ende  ", ["\ufeffGlück", "und", "Ende"]),
         ],
     )
     def test_fixed_cases_match_reference(self, text, expected):
@@ -150,6 +151,14 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="row 3"):
             load_corpus(text_dir, metadata)
 
+    @pytest.mark.parametrize("year", ["\u0661\u0668\u0664\u0660", "1_840", " 1840 "])
+    def test_year_must_be_ascii_digits(self, toy_corpus_dir, year):
+        text_dir, metadata = toy_corpus_dir
+        content = metadata.read_text(encoding="utf-8").replace("1840", year)
+        metadata.write_text(content, encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"{metadata.name}: row 3: year must be ASCII digits"):
+            load_corpus(text_dir, metadata)
+
     def test_bad_label_rejected(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir
         content = metadata.read_text(encoding="utf-8").replace("unhappy", "sad")
@@ -186,6 +195,20 @@ class TestLoadCorpus:
         text_dir, metadata = toy_corpus_dir
         corpus = load_corpus(text_dir, metadata, {"war": "sein"})
         assert corpus.novels[0].lemmas[1] == "sein"
+
+    def test_tokens_of_one_surface_form_share_one_lemma(self, toy_corpus_dir):
+        text_dir, metadata = toy_corpus_dir
+        words = ["Freuden", "Kummer", "Segen", "Leiden", "Tode"]
+        for i, novel_id in enumerate(["n1", "n2", "n3", "n4"]):
+            (text_dir / f"{novel_id}.txt").write_text(" ".join(words[i:] * 30), encoding="utf-8")
+        lemma_map = {"Freuden": "freude", "Tode": "tod"}
+        before = dict(lemma_map)
+        corpus = load_corpus(text_dir, metadata, lemma_map)
+        for i, novel in enumerate(corpus.novels):
+            assert novel.lemmas == tuple(lemma_map.get(t, t) for t in words[i:] * 30)
+        distinct = {id(lemma) for novel in corpus.novels for lemma in novel.lemmas}
+        assert len(distinct) <= len(words) + len(lemma_map)
+        assert lemma_map == before
 
     def test_deterministic(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir

@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from plotarc.corpus import CorpusError, Novel, NovelMetadata, segment_bounds
 from plotarc.experiments import FEATURE_SET_DIMS, RunInputs, feature_matrix
 from plotarc.features import (
+    CACHE_HEADER,
+    N_DIMS,
     FeaturizationError,
     SectionPartition,
+    SegmentProfile,
     compute_profile,
     write_profile_cache,
 )
@@ -197,7 +200,30 @@ class TestComputeProfile:
             compute_profile(novel, toy_lexicon)
 
 
+def reference_write_profile_cache(profiles, stream):
+    """The per-cell ``csv.writer`` loop whose bytes ``write_profile_cache`` must match."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CACHE_HEADER)
+    for profile in profiles:
+        rows = zip(profile.segment_vectors.tolist(), profile.matched_counts.tolist())
+        for i, (vector, count) in enumerate(rows):
+            writer.writerow([profile.novel_id, i, *(format(v, ".17g") for v in vector), count])
+
+
 class TestProfileCache:
+    def test_bytes_match_reference_writer(self):
+        values = [0.1, 1 / 3, 0.0, -0.0, -1.0, 5e-324]
+        vectors = np.array([np.roll(np.resize(values, N_DIMS), k) for k in range(len(values))])
+        counts = np.arange(len(values))
+        ids = ["a,b", 'q"x', "n1", "50%", "", "x\ny"]
+        profiles = [SegmentProfile(novel_id, vectors, counts) for novel_id in ids]
+        got, want = io.StringIO(), io.StringIO()
+        write_profile_cache(profiles, got)
+        reference_write_profile_cache(profiles, want)
+        assert got.getvalue() == want.getvalue()
+        assert '"a,b",0,0.10000000000000001,' in got.getvalue()
+        assert '"q""x",' in got.getvalue() and ",-0," in got.getvalue()
+
     def test_roundtrip(self, toy_lexicon):
         rng = random.Random(3)
         profiles = []
