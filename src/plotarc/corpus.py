@@ -13,6 +13,7 @@ metadata is not, because ids name files.
 from __future__ import annotations
 
 import random
+import string
 import unicodedata
 from dataclasses import dataclass
 from itertools import accumulate
@@ -79,11 +80,24 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+# ASCII letters, digits and whitespace: none of them is Unicode category P.
+_NEVER_PUNCT = (string.ascii_letters + string.digits + string.whitespace).encode("ascii")
+
+
 def tokenize(text: str) -> list[str]:
-    """Split on whitespace and strip leading/trailing punctuation per token."""
-    # Punctuation is Unicode category P. Every such character at a token edge
-    # occurs in the text, so stripping the text's own punctuation is exact.
-    punct = "".join(filter(_is_punct, set(text)))
+    """Split on whitespace and strip leading/trailing punctuation per token.
+
+    Punctuation is Unicode category P. Every such character at a token edge
+    occurs in the text, so stripping the text's own punctuation is exact. To
+    find it without a Python step per character, one bytes pass deletes the
+    ASCII letters, digits and whitespace first, and only the distinct
+    leftovers are tested. That is exact too: none of the deleted characters
+    is category P, and deleting single ASCII bytes leaves every multi-byte
+    UTF-8 sequence whole. ``surrogatepass`` round-trips lone surrogates, so
+    ``tokenize`` accepts any ``str``.
+    """
+    rest = text.encode("utf-8", "surrogatepass").translate(None, _NEVER_PUNCT)
+    punct = "".join(filter(_is_punct, set(rest.decode("utf-8", "surrogatepass"))))
     if not punct:
         return text.split()
     return [token for raw in text.split() if (token := raw.strip(punct))]
@@ -198,6 +212,7 @@ _ENDING_MATCH_RATE = 0.40
 _ENDING_SIGNAL_SHARE = 0.25
 
 _N_SEGMENTS_PLANTED = 75
+_N_FILLERS = 5000
 
 
 def generate_synthetic_corpus(
@@ -228,6 +243,10 @@ def generate_synthetic_corpus(
         raise CorpusError("lexicon must contain at least one positive and one negative entry")
 
     rng = random.Random(seed)
+    # choice() and randrange() both draw one _randbelow(len), so choosing from
+    # the prebuilt fillers consumes the same stream as formatting one per token.
+    random_, choice = rng.random, rng.choice
+    fillers = [f"filler{k}" for k in range(_N_FILLERS)]
     bounds = segment_bounds(tokens_per_novel, _N_SEGMENTS_PLANTED)
     ending_start = bounds[_N_SEGMENTS_PLANTED - ending_len_segments]
 
@@ -235,21 +254,18 @@ def generate_synthetic_corpus(
     for i in range(n_novels):
         happy = i % 2 == 0
         signed_pool = positives if happy else negatives
-        tokens = []
-        for pos in range(tokens_per_novel):
-            if pos < ending_start:
-                if rng.random() < _BODY_MATCH_RATE:
-                    tokens.append(rng.choice(all_lemmas))
-                else:
-                    tokens.append(f"filler{rng.randrange(5000)}")
-            else:
-                if rng.random() < _ENDING_MATCH_RATE:
-                    if rng.random() < _ENDING_SIGNAL_SHARE:
-                        tokens.append(rng.choice(signed_pool))
-                    else:
-                        tokens.append(rng.choice(all_lemmas))
-                else:
-                    tokens.append(f"filler{rng.randrange(5000)}")
+        body = [
+            choice(all_lemmas) if random_() < _BODY_MATCH_RATE else choice(fillers)
+            for _ in range(ending_start)
+        ]
+        ending = [
+            (
+                (choice(signed_pool) if random_() < _ENDING_SIGNAL_SHARE else choice(all_lemmas))
+                if random_() < _ENDING_MATCH_RATE
+                else choice(fillers)
+            )
+            for _ in range(tokens_per_novel - ending_start)
+        ]
         meta = NovelMetadata(
             id=f"synth-{i:04d}",
             title=f"Synthetic Novel {i}",
@@ -257,7 +273,7 @@ def generate_synthetic_corpus(
             year=1790 + (i * 13) % 120,
             label=happy,
         )
-        novels.append(Novel(meta, tuple(tokens)))
+        novels.append(Novel(meta, tuple(body + ending)))
     return Corpus(tuple(novels))
 
 

@@ -7,8 +7,6 @@ diff cleanly.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from plotarc.experiments import PeriodReport, SweepCurve
 
 WIDTH, HEIGHT = 800, 500
@@ -22,6 +20,15 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 # Expected F1 of a fair coin on balanced classes, drawn as the dashed baseline.
 CHANCE_F1 = 0.5
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data.
+
+    The same output as ``xml.sax.saxutils.escape``, whose import pulls in
+    ``urllib.request`` and ``http.client`` on every command.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fx(x: float) -> str:

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import plotarc
 from plotarc.cli import main
 from plotarc.corpus import demo_lexicon
 from plotarc.lexicon import write_lexicon
@@ -147,3 +154,23 @@ class TestRun:
         assert main(["run", "ladder", *pipeline_args(synth_corpus, out, ["--dry-run"])]) == 0
         assert "resolved configuration" in capsys.readouterr().out
         assert not out.exists()
+
+
+def test_cli_import_pulls_in_no_xml_or_http_stack():
+    # A snapshot of sys.modules before the import ignores whatever site loads.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import plotarc.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(plotarc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    new = json.loads(done.stdout)
+    assert "plotarc.cli" in new
+    heavy = [m for m in new if m.split(".")[0] in ("xml", "http", "email") or m == "urllib.request"]
+    assert heavy == []

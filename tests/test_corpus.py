@@ -1,3 +1,4 @@
+import random
 import unicodedata
 
 import numpy as np
@@ -5,10 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plotarc.corpus import (
+    Corpus,
     CorpusError,
+    Novel,
+    NovelMetadata,
+    demo_lexicon,
     generate_synthetic_corpus,
     load_corpus,
     load_lemma_map,
+    segment_bounds,
     tokenize,
     write_corpus,
 )
@@ -30,12 +36,13 @@ def reference_tokenize(text):
     return tokens
 
 
-# Letters, punctuation and separators, plus whitespace, "_" (connector
-# punctuation), a byte-order mark (a format character, not punctuation)
-# and an astral punctuation mark (U+1E95E ADLAM INITIAL EXCLAMATION MARK).
+# Letters, punctuation, separators, decimal digits, marks and symbols, plus
+# whitespace, "_" (connector punctuation), a byte-order mark (a format
+# character, not punctuation) and an astral punctuation mark (U+1E95E ADLAM
+# INITIAL EXCLAMATION MARK).
 TOKENIZER_TEXT = st.text(
     st.one_of(
-        st.characters(whitelist_categories=("L", "P", "Z")),
+        st.characters(whitelist_categories=("L", "P", "Z", "Nd", "M", "S")),
         st.sampled_from([" ", "\n", "\t", "_", "\ufeff", "\U0001e95e"]),
     ),
     max_size=200,
@@ -63,6 +70,18 @@ class TestTokenize:
             ("Es war ein Zufall", ["Es", "war", "ein", "Zufall"]),
             ("\ufeff„Hallo“ \U0001e95eja\U0001e95e", ["\ufeff„Hallo", "ja"]),
             ("\ufeffGlück\tund\n  Ende  ", ["\ufeffGlück", "und", "Ende"]),
+            # ASCII symbols are category S, not P: they stay on the token.
+            ("$5 +x <y> =z ^a| ~b", ["$5", "+x", "<y>", "=z", "^a|", "~b"]),
+            ("($5) [+x]!", ["$5", "+x"]),
+            # U+037E GREEK QUESTION MARK and U+0387 GREEK ANO TELEIA are
+            # category Po; NFC maps them to ";" and "·".
+            ("\u037ejα\u037e \u0387β\u0387", ["jα", "β"]),
+            # NBSP, EM SPACE and the information separators U+001C-U+001F split.
+            ("a\xa0b\u2003c\x1cd\x1de\x1ef\x1fg", ["a", "b", "c", "d", "e", "f", "g"]),
+            # A combining mark is category M: it stays, also after punctuation.
+            (".\u0301a\u0308. e\u0301!", ["\u0301a\u0308", "e\u0301"]),
+            # A lone surrogate is not punctuation and must not raise.
+            ("\ud800 .\ud800. x\udfff", ["\ud800", "\ud800", "x\udfff"]),
         ],
     )
     def test_fixed_cases_match_reference(self, text, expected):
@@ -225,7 +244,68 @@ class TestLoadCorpus:
         assert profile.matched_counts.sum() == 80
 
 
+def reference_generate(seed, n_novels, tokens_per_novel, ending_len_segments, lexicon):
+    """The per-token generator loop that ``generate_synthetic_corpus`` must match."""
+    positives = sorted(lexicon.lemmas_by_polarity(+1))
+    negatives = sorted(lexicon.lemmas_by_polarity(-1))
+    all_lemmas = sorted(lexicon.entries)
+    rng = random.Random(seed)
+    ending_start = segment_bounds(tokens_per_novel, 75)[75 - ending_len_segments]
+    novels = []
+    for i in range(n_novels):
+        happy = i % 2 == 0
+        signed_pool = positives if happy else negatives
+        tokens = []
+        for pos in range(tokens_per_novel):
+            if pos < ending_start:
+                if rng.random() < 0.30:
+                    tokens.append(rng.choice(all_lemmas))
+                else:
+                    tokens.append(f"filler{rng.randrange(5000)}")
+            else:
+                if rng.random() < 0.40:
+                    if rng.random() < 0.25:
+                        tokens.append(rng.choice(signed_pool))
+                    else:
+                        tokens.append(rng.choice(all_lemmas))
+                else:
+                    tokens.append(f"filler{rng.randrange(5000)}")
+        meta = NovelMetadata(
+            id=f"synth-{i:04d}",
+            title=f"Synthetic Novel {i}",
+            author="Generator",
+            year=1790 + (i * 13) % 120,
+            label=happy,
+        )
+        novels.append(Novel(meta, tuple(tokens)))
+    return Corpus(tuple(novels))
+
+
 class TestSyntheticCorpus:
+    @pytest.mark.parametrize(
+        "seed, n_novels, tokens_per_novel, ending_len",
+        [
+            (1, 4, 1500, 4),
+            (7, 6, 1000, 1),
+            (42, 2, 3001, 10),
+            (3, 4, 75, 1),
+            (9, 2, 151, 10),
+            (5, 2, 149, 10),
+        ],
+    )
+    def test_writes_same_bytes_as_reference(
+        self, tmp_path, seed, n_novels, tokens_per_novel, ending_len
+    ):
+        lexicon = demo_lexicon()
+        fast = generate_synthetic_corpus(seed, n_novels, tokens_per_novel, ending_len, lexicon)
+        slow = reference_generate(seed, n_novels, tokens_per_novel, ending_len, lexicon)
+        write_corpus(fast, tmp_path / "fast")
+        write_corpus(slow, tmp_path / "slow")
+        names = sorted(p.name for p in (tmp_path / "slow").iterdir())
+        assert sorted(p.name for p in (tmp_path / "fast").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()
+
     def test_same_seed_identical(self, toy_lexicon):
         a = generate_synthetic_corpus(1, 40, 1500, 4, toy_lexicon)
         b = generate_synthetic_corpus(1, 40, 1500, 4, toy_lexicon)

@@ -4,7 +4,11 @@ from plotarc.experiments import (
     SweepCurve,
     SweepPoint,
 )
-from plotarc.svgplot import render_periods, render_sweep
+from xml.sax.saxutils import escape as sax_escape
+
+import pytest
+
+from plotarc.svgplot import escape, render_periods, render_sweep
 
 
 def make_curve():
@@ -45,3 +49,10 @@ def test_periods_svg_one_polyline_per_group():
     assert svg.count("<polyline") == 2
     assert "skipped" in svg
     assert "&lt;=1830" in svg  # group labels are XML-escaped
+
+
+@pytest.mark.parametrize(
+    "text", ["", "a & b", "<=1830", "x > y", 'say "hi"', "it's", "&amp;", "<&>&lt;\"'"]
+)
+def test_escape_matches_saxutils(text):
+    assert escape(text) == sax_escape(text)
