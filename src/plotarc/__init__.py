@@ -33,7 +33,6 @@ from plotarc.features import (
     FeaturizationError,
     SectionPartition,
     SegmentProfile,
-    compute_profile,
 )
 from plotarc.svm import EvalMetrics, TrainingError, cross_validate, f1_score
 from plotarc.experiments import (

@@ -118,6 +118,14 @@ def cmd_featurize(args) -> int:
     return 0
 
 
+def _write_report(out_dir: Path, stem: str, csv_text: str, meta: str, svg: str | None = None) -> None:
+    """``<stem>.csv``, ``<stem>.meta.txt`` and, when given, ``<stem>.svg``."""
+    (out_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
+    (out_dir / f"{stem}.meta.txt").write_text(meta, encoding="utf-8")
+    if svg is not None:
+        (out_dir / f"{stem}.svg").write_text(svg, encoding="utf-8")
+
+
 def cmd_run(args) -> int:
     corpus, lexicon = _load_pipeline(args)
     out_dir = Path(args.out)
@@ -126,12 +134,10 @@ def cmd_run(args) -> int:
 
     if args.experiment == "baselines":
         random_exp, majority = run_baselines(corpus)
-        (out_dir / "baselines.csv").write_text(
+        _write_report(
+            out_dir, "baselines",
             f"baseline,accuracy\nrandom_expectation,{random_exp:.6f}\nmajority_vote,{majority:.6f}\n",
-            encoding="utf-8",
-        )
-        (out_dir / "baselines.meta.txt").write_text(
-            meta_text({"experiment": "baselines"}, corpus, lexicon), encoding="utf-8"
+            meta_text({"experiment": "baselines"}, corpus, lexicon),
         )
         print(f"random baseline {random_exp:.3f}, majority vote {majority:.3f}")
         return 0
@@ -140,19 +146,15 @@ def cmd_run(args) -> int:
 
     if args.experiment == "ladder":
         report = run_feature_ladder(inputs, _partition(args), config)
-        (out_dir / "ladder.csv").write_text(ladder_csv(report), encoding="utf-8")
-        (out_dir / "ladder.meta.txt").write_text(
-            meta_text(report.config, corpus, lexicon), encoding="utf-8"
-        )
+        _write_report(out_dir, "ladder", ladder_csv(report), meta_text(report.config, corpus, lexicon))
         for fsid, f1, acc in report.rows:
             print(f"feature set {fsid}: F1 {f1:.3f}, accuracy {acc:.3f}")
     elif args.experiment == "sweep":
         curve = run_partition_sweep(inputs, feature_set_id=args.feature_set, config=config)
-        (out_dir / "sweep.csv").write_text(sweep_csv(curve), encoding="utf-8")
-        (out_dir / "sweep.meta.txt").write_text(
-            meta_text(curve.config, corpus, lexicon), encoding="utf-8"
+        _write_report(
+            out_dir, "sweep", sweep_csv(curve), meta_text(curve.config, corpus, lexicon),
+            render_sweep(curve),
         )
-        (out_dir / "sweep.svg").write_text(render_sweep(curve), encoding="utf-8")
         best = curve.argmax_point
         if best is not None:
             print(f"best F1 {best.f1:.3f} at main fraction {best.main_fraction:.3f} "
@@ -162,16 +164,14 @@ def cmd_run(args) -> int:
             corpus, inputs, DEFAULT_PERIOD_BOUNDARIES,
             feature_set_id=args.feature_set, config=config,
         )
-        (out_dir / "periods.csv").write_text(periods_csv(report), encoding="utf-8")
-        (out_dir / "periods.meta.txt").write_text(
-            meta_text(report.config, corpus, lexicon), encoding="utf-8"
+        _write_report(
+            out_dir, "periods", periods_csv(report), meta_text(report.config, corpus, lexicon),
+            render_periods(report),
         )
-        (out_dir / "periods.svg").write_text(render_periods(report), encoding="utf-8")
         for group in report.groups:
             if group.curve is None:
                 print(f"period {group.label}: skipped ({group.novel_count} novels)")
-            else:
-                best = group.curve.argmax_point
+            elif (best := group.curve.argmax_point) is not None:
                 print(f"period {group.label}: best F1 {best.f1:.3f} "
                       f"at final section {best.final_len} ({group.novel_count} novels)")
     return 0

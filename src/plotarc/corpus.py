@@ -155,6 +155,9 @@ def load_metadata(metadata_file) -> list[NovelMetadata]:
                 f"{metadata_file}: row {lineno}: expected {len(METADATA_COLUMNS)} columns"
             )
         novel_id, title, author, year_cell, label_cell = cells
+        # The id names the file <id>.txt inside the corpus directory.
+        if novel_id in ("", ".", "..") or "/" in novel_id or "\\" in novel_id:
+            raise CorpusError(f"{metadata_file}: row {lineno}: id {novel_id!r} is not a plain file name")
         if novel_id in seen_ids:
             raise CorpusError(f"{metadata_file}: row {lineno}: duplicate id {novel_id!r}")
         seen_ids.add(novel_id)

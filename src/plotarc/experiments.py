@@ -9,7 +9,7 @@ numbers directly comparable.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -117,7 +117,6 @@ def feature_matrix(
 class LadderReport:
     rows: tuple[tuple[int, float, float], ...]  # (feature_set_id, f1, accuracy)
     config: dict
-    fold_assignment: tuple[int, ...]
 
 
 def run_feature_ladder(
@@ -128,14 +127,9 @@ def run_feature_ladder(
 ) -> LadderReport:
     """Cross-validated F1/accuracy for each feature set under shared folds."""
     rows = []
-    fold_assignment = None
     for fsid in feature_sets:
         X = feature_matrix(inputs, partition, fsid)
-        metrics = cross_validate(X[None], inputs.labels, **_config_dict(config))[0]
-        if fold_assignment is None:
-            fold_assignment = metrics.fold_assignment
-        elif metrics.fold_assignment != fold_assignment:
-            raise RuntimeError("fold assignment drifted between ladder rows")
+        metrics = cross_validate(X[None], inputs.labels, **asdict(config))[0]
         rows.append((fsid, metrics.f1, metrics.accuracy))
     return LadderReport(
         rows=tuple(rows),
@@ -143,9 +137,8 @@ def run_feature_ladder(
             "n_segments": partition.n_segments,
             "final_len": partition.final_len,
             "late_len": partition.late_len,
-            **_config_dict(config),
+            **asdict(config),
         },
-        fold_assignment=fold_assignment or (),
     )
 
 
@@ -198,7 +191,7 @@ def run_partition_sweep(
     metrics = ()
     if partitions:
         X = np.stack([feature_matrix(inputs, p, feature_set_id) for p in partitions])
-        metrics = cross_validate(X, inputs.labels, **_config_dict(config))
+        metrics = cross_validate(X, inputs.labels, **asdict(config))
     return SweepCurve(
         points=tuple(
             SweepPoint((n - p.final_len) / n, p.final_len, m.f1)
@@ -207,7 +200,7 @@ def run_partition_sweep(
         config={
             "n_segments": n,
             "feature_set": feature_set_id,
-            **_config_dict(config),
+            **asdict(config),
         },
     )
 
@@ -222,46 +215,34 @@ DEFAULT_PERIOD_BOUNDARIES = (1830, 1848, 1870)
 @dataclass(frozen=True)
 class PeriodGroup:
     label: str
-    year_range: tuple[int | None, int | None]  # inclusive bounds, None = open
     novel_count: int
-    happy_count: int
     curve: SweepCurve | None  # None when the group was skipped
 
 
 @dataclass(frozen=True)
 class PeriodReport:
     groups: tuple[PeriodGroup, ...]
-    boundaries: tuple[int, ...]
     config: dict
 
 
-def period_labels(boundaries) -> list[tuple[str, tuple[int | None, int | None]]]:
-    """Group labels and inclusive year ranges from sorted cut points.
+def period_labels(boundaries) -> list[str]:
+    """Group labels from cut points; a boundary year belongs to the earlier group.
 
-    A boundary year belongs to the earlier group, so cuts (1830, 1848, 1870)
-    give: <=1830, 1831-1848, 1849-1870, >=1871.
+    Cuts (1830, 1848, 1870) give: <=1830, 1831-1848, 1849-1870, >=1871.
     """
-    boundaries = sorted(boundaries)
-    out = []
-    lo: int | None = None
-    for b in boundaries:
-        label = f"<={b}" if lo is None else f"{lo}-{b}"
-        out.append((label, (lo, b)))
-        lo = b + 1
-    out.append((f">={lo}", (lo, None)))
-    return out
+    cuts = sorted(boundaries)
+    if not cuts:
+        raise ValueError("the period analysis needs at least one boundary year")
+    middle = [f"{lo + 1}-{hi}" for lo, hi in zip(cuts, cuts[1:])]
+    return [f"<={cuts[0]}", *middle, f">={cuts[-1] + 1}"]
 
 
 def group_indices(corpus: Corpus, boundaries) -> list[list[int]]:
-    labels = period_labels(boundaries)
-    groups: list[list[int]] = [[] for _ in labels]
-    for i, novel in enumerate(corpus.novels):
-        year = novel.metadata.year
-        for g, (_, (lo, hi)) in enumerate(labels):
-            if (lo is None or year >= lo) and (hi is None or year <= hi):
-                groups[g].append(i)
-                break
-    return groups
+    """Novel indices of each :func:`period_labels` group, in corpus order."""
+    n_groups = len(period_labels(boundaries))
+    # side="left": a year equal to a cut lands before it, in the earlier group.
+    group = np.searchsorted(sorted(boundaries), [n.metadata.year for n in corpus.novels])
+    return [np.flatnonzero(group == g).tolist() for g in range(n_groups)]
 
 
 def run_period_analysis(
@@ -274,29 +255,24 @@ def run_period_analysis(
 ) -> PeriodReport:
     """Per-period partition sweep; undersized groups are flagged, not fatal.
 
-    A group needs at least ``2 * folds`` novels (each class at least
-    ``folds``) to be swept.
+    A group is swept only when each class has at least ``folds`` novels;
+    otherwise its curve is None.
     """
-    labels_ranges = period_labels(boundaries)
     groups = []
-    for (label, year_range), idx in zip(labels_ranges, group_indices(corpus, boundaries)):
+    for label, idx in zip(period_labels(boundaries), group_indices(corpus, boundaries)):
         sub_labels = inputs.labels[idx]
         n_happy = int(np.sum(sub_labels == 1))
-        n_unhappy = len(idx) - n_happy
-        if len(idx) < 2 * config.folds or min(n_happy, n_unhappy) < config.folds:
-            groups.append(PeriodGroup(label, year_range, len(idx), n_happy, None))
-            continue
-        sub_inputs = RunInputs(
-            profiles=tuple(inputs.profiles[i] for i in idx),
-            vectors=inputs.vectors[idx],
-            labels=sub_labels,
-        )
-        curve = run_partition_sweep(sub_inputs, final_lens, feature_set_id, config)
-        groups.append(PeriodGroup(label, year_range, len(idx), n_happy, curve))
+        curve = None
+        if min(n_happy, len(idx) - n_happy) >= config.folds:
+            sub_inputs = RunInputs(
+                profiles=tuple(inputs.profiles[i] for i in idx),
+                vectors=inputs.vectors[idx],
+                labels=sub_labels,
+            )
+            curve = run_partition_sweep(sub_inputs, final_lens, feature_set_id, config)
+        groups.append(PeriodGroup(label, len(idx), curve))
     return PeriodReport(
-        groups=tuple(groups),
-        boundaries=tuple(sorted(boundaries)),
-        config={"feature_set": feature_set_id, **_config_dict(config)},
+        groups=tuple(groups), config={"feature_set": feature_set_id, **asdict(config)}
     )
 
 
@@ -322,10 +298,6 @@ def run_baselines(corpus: Corpus) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _config_dict(config: ClassifierConfig) -> dict:
-    return {"folds": config.folds, "seed": config.seed, "C": config.C, "epochs": config.epochs}
-
-
 def lexicon_checksum(lexicon: SentimentLexicon) -> str:
     return hashlib.sha256(lexicon_to_text(lexicon).encode("utf-8")).hexdigest()
 
@@ -342,34 +314,36 @@ def corpus_checksum(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
+def _csv(header: str, rows) -> str:
+    return "".join(f"{line}\n" for line in (header, *rows))
+
+
+def _point_cells(point: SweepPoint) -> str:
+    return f"{point.main_fraction:.6f},{point.final_len},{point.f1:.6f}"
+
+
 def ladder_csv(report: LadderReport) -> str:
-    lines = ["feature_set,f1,accuracy"]
-    for fsid, f1, acc in report.rows:
-        lines.append(f"{fsid},{f1:.6f},{acc:.6f}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{fsid},{f1:.6f},{acc:.6f}" for fsid, f1, acc in report.rows)
+    return _csv("feature_set,f1,accuracy", rows)
 
 
 def sweep_csv(curve: SweepCurve) -> str:
-    lines = ["main_fraction,final_len,f1"]
-    for p in curve.points:
-        lines.append(f"{p.main_fraction:.6f},{p.final_len},{p.f1:.6f}")
-    return "\n".join(lines) + "\n"
+    return _csv("main_fraction,final_len,f1", map(_point_cells, curve.points))
 
 
 def periods_csv(report: PeriodReport) -> str:
-    lines = ["period,main_fraction,final_len,f1,n_novels"]
+    """One row per sweep point; a skipped group is one row of ``skipped`` cells."""
+    rows = []
     for group in report.groups:
         if group.curve is None:
-            lines.append(f"{group.label},skipped,skipped,skipped,{group.novel_count}")
-            continue
-        for p in group.curve.points:
-            lines.append(
-                f"{group.label},{p.main_fraction:.6f},{p.final_len},{p.f1:.6f},{group.novel_count}"
-            )
-    return "\n".join(lines) + "\n"
+            cells = ["skipped,skipped,skipped"]
+        else:
+            cells = map(_point_cells, group.curve.points)
+        rows.extend(f"{group.label},{c},{group.novel_count}" for c in cells)
+    return _csv("period,main_fraction,final_len,f1,n_novels", rows)
 
 
-def meta_text(config: dict, corpus: Corpus, lexicon: SentimentLexicon, extra: dict | None = None) -> str:
+def meta_text(config: dict, corpus: Corpus, lexicon: SentimentLexicon) -> str:
     """Sidecar capturing everything needed to re-run a report bit-identically."""
     fields = {
         "plotarc_version": _pkg_version,
@@ -379,6 +353,4 @@ def meta_text(config: dict, corpus: Corpus, lexicon: SentimentLexicon, extra: di
         "lexicon_checksum": lexicon_checksum(lexicon),
         "lexicon_entries": lexicon.size,
     }
-    if extra:
-        fields.update(extra)
     return "".join(f"{k} = {v}\n" for k, v in fields.items())

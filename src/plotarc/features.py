@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from plotarc.corpus import Corpus, Novel, segment_bounds
+from plotarc.corpus import Corpus, segment_bounds
 from plotarc.lexicon import DIMENSIONS, SentimentLexicon
 
 N_DIMS = len(DIMENSIONS)
@@ -51,6 +51,8 @@ class SectionPartition:
     def __post_init__(self):
         if self.final_len < 1:
             raise FeaturizationError("final_len must be >= 1")
+        if self.final_len >= self.n_segments:
+            raise FeaturizationError(f"final_len must be < n_segments = {self.n_segments} (empty main section)")
         if self.late_len < 0:
             raise FeaturizationError("late_len must be >= 0")
         if self.final_len + self.late_len > self.n_segments:
@@ -73,22 +75,14 @@ class SectionPartition:
         return slice(self.n_segments - self.final_len, self.n_segments)
 
 
-def compute_profile(novel: Novel, lexicon: SentimentLexicon, n_segments: int = 75) -> SegmentProfile:
-    """Segment a novel and average its lexicon-matched scores per segment.
-
-    A segment without lexicon matches gets the zero vector.
-    """
-    return compute_profiles(Corpus((novel,)), lexicon, np.empty((1, n_segments, N_DIMS)))[0]
-
-
 def compute_profiles(
     corpus: Corpus, lexicon: SentimentLexicon, out: np.ndarray
 ) -> list[SegmentProfile]:
-    """:func:`compute_profile` for every novel, in corpus order, into one array.
+    """Segment each novel and average its lexicon-matched scores per segment.
 
-    ``out`` is a ``(novels, n_segments, 11)`` float array: novel ``i``'s
-    segment vectors are written to ``out[i]``, and its profile holds a
-    read-only view of them.
+    A segment without lexicon matches gets the zero vector. ``out`` is a
+    ``(novels, n_segments, 11)`` float array: novel ``i``'s segment vectors
+    are written to ``out[i]``, and its profile holds a read-only view of them.
     """
     n_segments = out.shape[1]
     # Unknown lemmas index one extra zero row. Every segment holds at least

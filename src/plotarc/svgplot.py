@@ -92,17 +92,8 @@ def _polyline(curve: SweepCurve, x_min: float, x_max: float, color: str) -> str:
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
 
 
-def _baseline() -> str:
-    y = _fx(_y_pos(CHANCE_F1))
-    return (
-        f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{MARGIN_LEFT + PLOT_W}" y2="{y}" '
-        f'stroke="gray" stroke-dasharray="8,4"/>'
-    )
-
-
 def _argmax_marker(curve: SweepCurve, x_min: float, x_max: float, color: str) -> str:
-    p = curve.argmax_point
-    x = _fx(_x_pos(p.main_fraction, x_min, x_max))
+    x = _fx(_x_pos(curve.argmax_point.main_fraction, x_min, x_max))
     return (
         f'<line x1="{x}" y1="{MARGIN_TOP}" x2="{x}" y2="{MARGIN_TOP + PLOT_H}" '
         f'stroke="{color}" stroke-dasharray="2,4"/>'
@@ -119,16 +110,6 @@ def _legend(labels_colors) -> list[str]:
     return parts
 
 
-def _document(body: list[str]) -> str:
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
-    )
-    return head + "\n".join(body) + "\n</svg>\n"
-
-
 def _x_range(curves) -> tuple[float, float]:
     fractions = [p.main_fraction for c in curves for p in c.points]
     if not fractions:
@@ -139,38 +120,47 @@ def _x_range(curves) -> tuple[float, float]:
     return lo, hi
 
 
-def render_sweep(curve: SweepCurve, title: str = "Partition sweep") -> str:
-    """One polyline, a dashed horizontal baseline, and a dotted vertical
-    line at the argmax fraction."""
-    x_min, x_max = _x_range([curve])
+def _chart(title: str, series, legend) -> str:
+    """The one chart body: axes, title, and for ``series`` of (curve, color)
+    a dashed chance baseline plus each curve's polyline and dotted argmax
+    line; curves without points draw nothing."""
+    x_min, x_max = _x_range([curve for curve, _ in series])
     body = _axes(x_min, x_max)
     body.append(f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{escape(title)}</text>')
-    body.append(_baseline())
-    if curve.points:
-        body.append(_polyline(curve, x_min, x_max, PALETTE[0]))
-        body.append(_argmax_marker(curve, x_min, x_max, PALETTE[0]))
-    body.extend(_legend([("F1", PALETTE[0]), ("baseline", "gray")]))
-    return _document(body)
-
-
-def render_periods(report: PeriodReport, title: str = "Partition sweep by period") -> str:
-    """One polyline per populated period group, with per-group argmax markers."""
-    populated = [g for g in report.groups if g.curve is not None]
-    curves = [g.curve for g in populated]
-    x_min, x_max = _x_range(curves)
-    body = _axes(x_min, x_max)
-    body.append(f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{escape(title)}</text>')
-    if curves:
-        body.append(_baseline())
-    legend = [("baseline", "gray")]
-    for i, group in enumerate(populated):
-        color = PALETTE[i % len(PALETTE)]
-        if group.curve.points:
-            body.append(_polyline(group.curve, x_min, x_max, color))
-            body.append(_argmax_marker(group.curve, x_min, x_max, color))
-        legend.append((f"{group.label} (n={group.novel_count})", color))
-    for group in report.groups:
-        if group.curve is None:
-            legend.append((f"{group.label} (skipped, n={group.novel_count})", "lightgray"))
+    if series:
+        y = _fx(_y_pos(CHANCE_F1))
+        body.append(
+            f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{MARGIN_LEFT + PLOT_W}" y2="{y}" '
+            f'stroke="gray" stroke-dasharray="8,4"/>'
+        )
+    for curve, color in series:
+        if curve.points:
+            body.append(_polyline(curve, x_min, x_max, color))
+            body.append(_argmax_marker(curve, x_min, x_max, color))
     body.extend(_legend(legend))
-    return _document(body)
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
+    )
+    return head + "\n".join(body) + "\n</svg>\n"
+
+
+def render_sweep(curve: SweepCurve, title: str = "Partition sweep") -> str:
+    """One curve with its argmax line over the chance baseline."""
+    return _chart(title, [(curve, PALETTE[0])], [("F1", PALETTE[0]), ("baseline", "gray")])
+
+
+def render_periods(report: PeriodReport) -> str:
+    """One curve per swept period group; skipped groups appear in the legend only."""
+    populated = [g for g in report.groups if g.curve is not None]
+    series = [(g.curve, PALETTE[i % len(PALETTE)]) for i, g in enumerate(populated)]
+    legend = [("baseline", "gray")]
+    legend += [(f"{g.label} (n={g.novel_count})", color) for g, (_, color) in zip(populated, series)]
+    legend += [
+        (f"{g.label} (skipped, n={g.novel_count})", "lightgray")
+        for g in report.groups
+        if g.curve is None
+    ]
+    return _chart("Partition sweep by period", series, legend)

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from plotarc.corpus import demo_lexicon
+from plotarc.corpus import Corpus, demo_lexicon
+from plotarc.features import N_DIMS, compute_profiles
 from plotarc.lexicon import parse_lexicon
 
 # The three classic example entries: a strongly negative verb, a strongly
@@ -12,6 +14,11 @@ TABLE1_TSV = (
     "bewundernswert\t0\t0\t0\t0\t1\t0\t1\t0\t0\t1\n"
     "Zufall\t0\t0\t0\t0\t0\t0\t0\t0\t1\t0\n"
 )
+
+
+def profile_of(novel, lexicon, n_segments=75):
+    """One novel's segment profile, computed as part of a one-novel corpus."""
+    return compute_profiles(Corpus((novel,)), lexicon, np.empty((1, n_segments, N_DIMS)))[0]
 
 
 @pytest.fixture

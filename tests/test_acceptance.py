@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import profile_of
 from plotarc.cli import main
 from plotarc.corpus import (
     Corpus,
@@ -27,7 +28,7 @@ from plotarc.experiments import (
     prepare_inputs,
     run_partition_sweep,
 )
-from plotarc.features import SectionPartition, compute_profile
+from plotarc.features import SectionPartition
 from plotarc.lexicon import parse_lexicon
 from plotarc.svm import cross_validate, standardize_fit, stratified_folds
 
@@ -158,7 +159,7 @@ def test_featurization_oracle():
         n_tokens = rng.randint(80, 1000)
         tokens = tuple(rng.choice(vocab) for _ in range(n_tokens))
         novel = Novel(NovelMetadata(f"o{i}", "t", "a", 1850, True), tokens)
-        profile = compute_profile(novel, lexicon)
+        profile = profile_of(novel, lexicon)
         expected = np.array(brute_profile(list(tokens)))
         worst = max(worst, float(np.abs(profile.segment_vectors - expected).max()))
         inputs = RunInputs((profile,), profile.segment_vectors[None], np.array([1]))

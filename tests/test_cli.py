@@ -149,6 +149,24 @@ class TestRun:
         assert "finite" in capsys.readouterr().err
         assert not (out / f"{experiment}.csv").exists()
 
+    def test_final_section_over_every_segment_exits_2(self, synth_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = pipeline_args(synth_corpus, out, ["--final-len", "75", "--late-len", "0"])
+        assert main(["run", "ladder", *args]) == 2
+        assert "final_len" in capsys.readouterr().err
+        assert not (out / "ladder.csv").exists()
+
+    @pytest.mark.parametrize("novel_id", ["", ".", "..", "../outside", "a\\b"])
+    def test_id_that_is_not_a_file_name_exits_2(self, novel_id, synth_corpus, tmp_path, capsys):
+        # The text <id>.txt exists where the id points, so only the id check stops the run.
+        metadata = synth_corpus / "metadata.tsv"
+        header, first, *rest = metadata.read_text(encoding="utf-8").splitlines()
+        old_id, cells = first.split("\t", 1)
+        metadata.write_text("\n".join([header, f"{novel_id}\t{cells}", *rest]) + "\n", encoding="utf-8")
+        (synth_corpus / f"{old_id}.txt").rename(synth_corpus / f"{novel_id}.txt")
+        assert main(["run", "baselines", *pipeline_args(synth_corpus, tmp_path / "out")]) == 2
+        assert f"error: {metadata}: row 2: id {novel_id!r}" in capsys.readouterr().err
+
     def test_dry_run_prints_config_only(self, synth_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "ladder", *pipeline_args(synth_corpus, out, ["--dry-run"])]) == 0

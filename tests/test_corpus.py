@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import profile_of
 from plotarc.corpus import (
     Corpus,
     CorpusError,
@@ -18,7 +19,7 @@ from plotarc.corpus import (
     tokenize,
     write_corpus,
 )
-from plotarc.features import SectionPartition, compute_profile
+from plotarc.features import SectionPartition
 from plotarc.lexicon import parse_lexicon
 
 
@@ -240,7 +241,7 @@ class TestLoadCorpus:
         lexicon = parse_lexicon("glück\t0\t0\t0\t0\t1\t0\t1\t0\t0\t0\n")
         novel = load_corpus(text_dir, metadata).novels[0]
         assert novel.lemmas == ("glück",) * 80
-        profile = compute_profile(novel, lexicon, 4)
+        profile = profile_of(novel, lexicon, 4)
         assert profile.matched_counts.sum() == 80
 
 
@@ -327,7 +328,7 @@ class TestSyntheticCorpus:
         partition = SectionPartition(75, 4, 0)
         happy_means, unhappy_means = [], []
         for novel in corpus.novels:
-            profile = compute_profile(novel, toy_lexicon)
+            profile = profile_of(novel, toy_lexicon)
             final_polarity = profile.segment_vectors[partition.final_slice, 2].mean()
             (happy_means if novel.metadata.label else unhappy_means).append(final_polarity)
         assert np.mean(happy_means) > np.mean(unhappy_means)

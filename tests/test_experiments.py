@@ -29,6 +29,7 @@ from plotarc.experiments import (
     sweep_csv,
 )
 from plotarc.features import SectionPartition
+from plotarc.svm import cross_validate
 
 FAST = ClassifierConfig(folds=10, seed=42, C=1.0, epochs=100)
 
@@ -64,9 +65,16 @@ class TestFeatureLadder:
         assert set3_f1 >= 0.65  # way above the 0.5 random baseline
 
     def test_shared_fold_assignment(self, planted):
+        # The ladder's rows are comparable because the folds depend on the
+        # labels, fold count and seed only, not on the feature width.
         _, inputs = planted
-        report = run_feature_ladder(inputs, SectionPartition(75, 4, 4), FAST)
-        assert len(report.fold_assignment) == 40
+        partition = SectionPartition(75, 4, 4)
+        narrow, wide = (feature_matrix(inputs, partition, fsid)[None] for fsid in (1, 6))
+        assert (narrow.shape[2], wide.shape[2]) == (11, 44)
+        (a,) = cross_validate(narrow, inputs.labels, **dataclasses.asdict(FAST))
+        (b,) = cross_validate(wide, inputs.labels, **dataclasses.asdict(FAST))
+        assert len(a.fold_assignment) == 40
+        assert a.fold_assignment == b.fold_assignment
 
     def test_constant_profiles_score_near_chance(self, toy_lexicon):
         # Identical token streams make every feature degenerate; pooled
@@ -79,8 +87,6 @@ class TestFeatureLadder:
         corpus = Corpus(novels)
         inputs = prepare_inputs(corpus, toy_lexicon)
         X = feature_matrix(inputs, SectionPartition(75, 4, 4), 3)
-        from plotarc.svm import cross_validate
-
         metrics = cross_validate(X[None], inputs.labels, folds=10, seed=42)[0]
         assert 0.35 <= metrics.f1 <= 0.65
 
@@ -159,7 +165,7 @@ class TestPeriodGrouping:
         assert flat == list(range(50))
 
     def test_labels(self):
-        labels = [label for label, _ in period_labels((1830, 1848, 1870))]
+        labels = period_labels((1830, 1848, 1870))
         assert labels == ["<=1830", "1831-1848", "1849-1870", ">=1871"]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import profile_of
 from plotarc.corpus import CorpusError, Novel, NovelMetadata, segment_bounds
 from plotarc.experiments import FEATURE_SET_DIMS, RunInputs, feature_matrix
 from plotarc.features import (
@@ -14,7 +15,6 @@ from plotarc.features import (
     FeaturizationError,
     SectionPartition,
     SegmentProfile,
-    compute_profile,
     write_profile_cache,
 )
 from plotarc.lexicon import DIMENSIONS
@@ -34,7 +34,7 @@ def segment(lemmas, n_segments):
 def one_segment(lemmas, lexicon):
     """Scores (by dimension name) and matched count of a single-segment novel."""
     novel = Novel(NovelMetadata("s", "t", "a", 1850, True), tuple(lemmas))
-    profile = compute_profile(novel, lexicon, n_segments=1)
+    profile = profile_of(novel, lexicon, n_segments=1)
     return dict(zip(DIMENSIONS, profile.segment_vectors[0])), int(profile.matched_counts[0])
 
 
@@ -59,7 +59,7 @@ class TestSegment:
     def test_too_short_raises(self, toy_lexicon):
         novel = Novel(NovelMetadata("short", "t", "a", 1850, True), ("a",) * 74)
         with pytest.raises(FeaturizationError):
-            compute_profile(novel, toy_lexicon, 75)
+            profile_of(novel, toy_lexicon, 75)
 
     @given(
         st.integers(1, 60).flatmap(
@@ -131,6 +131,13 @@ class TestSectionMeans:
         with pytest.raises(FeaturizationError):
             SectionPartition(10, 0, 0)
 
+    @pytest.mark.parametrize("n_segments", [1, 10, 75])
+    def test_empty_main_section_rejected(self, n_segments):
+        # A final section over every segment leaves the main mean as NaN.
+        with pytest.raises(FeaturizationError, match="final_len"):
+            SectionPartition(n_segments, n_segments, 0)
+        SectionPartition(n_segments + 1, n_segments, 0)
+
 
 class TestBuildFeatures:
     """The six feature sets as built by ``feature_matrix``."""
@@ -187,7 +194,7 @@ class TestComputeProfile:
             rng.choice(sorted(toy_lexicon.entries) + ["oov1", "oov2"]) for _ in range(400)
         )
         novel = Novel(NovelMetadata("p", "t", "a", 1850, True), lemmas)
-        profile = compute_profile(novel, toy_lexicon)
+        profile = profile_of(novel, toy_lexicon)
         np.testing.assert_allclose(
             profile.segment_vectors[:, 2],
             profile.segment_vectors[:, 0] - profile.segment_vectors[:, 1],
@@ -197,7 +204,7 @@ class TestComputeProfile:
     def test_error_names_novel(self, toy_lexicon):
         novel = Novel(NovelMetadata("tiny", "t", "a", 1850, True), ("a",) * 10)
         with pytest.raises(FeaturizationError, match="tiny"):
-            compute_profile(novel, toy_lexicon)
+            profile_of(novel, toy_lexicon)
 
 
 def reference_write_profile_cache(profiles, stream):
@@ -232,7 +239,7 @@ class TestProfileCache:
                 rng.choice(sorted(toy_lexicon.entries) + ["oov"]) for _ in range(200)
             )
             novel = Novel(NovelMetadata(f"n{i}", "t", "a", 1850, True), lemmas)
-            profiles.append(compute_profile(novel, toy_lexicon))
+            profiles.append(profile_of(novel, toy_lexicon))
         buf = io.StringIO()
         write_profile_cache(profiles, buf)
         buf.seek(0)

@@ -113,6 +113,8 @@ def test_lexicon_reader(corpus, content):
 @example(content=METADATA_HEADER + "\nn1\tT\tA\t0x7d0\thappy\n")
 @example(content=METADATA_HEADER + "\nn1\tT\tA\t١٨٣٠\thappy\nn2\tT\tA\t1_840\tunhappy\n")
 @example(content=METADATA_HEADER + "\nn1\x00\tT\tA\t1820\thappy\n")
+@example(content=METADATA_HEADER + "\n../x\tT\tA\t1820\thappy\n")
+@example(content=METADATA_HEADER + "\na/b\tT\tA\t1820\thappy\n")
 def test_metadata_reader(corpus, content):
     assert run_with(corpus, "--metadata", content) in (0, 2)
 

@@ -1,0 +1,65 @@
+"""Pinned SHA-256 digests of the report writers' output for fixed reports.
+
+The digests cover the cases the benchmark corpora never reach: an empty
+sweep, a title that needs escaping, a period group whose curve has no
+points and a period report whose groups are all skipped.
+"""
+
+import hashlib
+
+import pytest
+
+from plotarc.experiments import (
+    LadderReport,
+    PeriodGroup,
+    PeriodReport,
+    SweepCurve,
+    SweepPoint,
+    ladder_csv,
+    periods_csv,
+    sweep_csv,
+)
+from plotarc.svgplot import render_periods, render_sweep
+
+CURVE = SweepCurve(tuple(
+    SweepPoint((75 - fl) / 75, fl, 0.5 + 0.01 * (10 - abs(fl - 4)) + fl / 3000)
+    for fl in range(10, 0, -1)
+))
+SINGLE = SweepCurve((SweepPoint(0.8, 15, 2 / 3),))
+EMPTY = SweepCurve(())
+MIXED = PeriodReport((
+    PeriodGroup("<=1830", 50, CURVE),
+    PeriodGroup("1831-1848", 5, None),
+    PeriodGroup("1849-1870", 30, EMPTY),
+    PeriodGroup(">=1871", 41, SINGLE),
+), {})
+ALL_SKIPPED = PeriodReport((PeriodGroup("<=1830", 3, None), PeriodGroup(">=1831", 0, None)), {})
+LADDER = LadderReport(((1, 0.5, 0.55), (3, 2 / 3, 0.7), (6, 1.0, 1 / 3)), {})
+
+OUTPUTS = {
+    "sweep_curve": lambda: render_sweep(CURVE),
+    "sweep_empty": lambda: render_sweep(EMPTY),
+    "sweep_escaped_title": lambda: render_sweep(SINGLE, 'Tom & Jerry <"sweep"> > 0'),
+    "periods_mixed": lambda: render_periods(MIXED),
+    "periods_all_skipped": lambda: render_periods(ALL_SKIPPED),
+    "sweep_csv": lambda: sweep_csv(CURVE),
+    "periods_csv": lambda: periods_csv(MIXED),
+    "ladder_csv": lambda: ladder_csv(LADDER),
+}
+
+DIGESTS = {
+    "sweep_curve": "016dbb915e927b3fb8aff6bf2022193885c736d1db16e70fda906d47f7d565ca",
+    "sweep_empty": "790fee2ec58ecfe419bc13f4d10d01bf2c27671a82c28f45b3e21ac37d74a84e",
+    "sweep_escaped_title": "493af8cefe7f9d4d605a8f3cb24c2056c5a1f35f20be1a439d2dcb00012cd027",
+    "periods_mixed": "a2ef48fa74f5b73460ede965b10b403a3ea169d4654884e15c77236090da8c81",
+    "periods_all_skipped": "7c8955736ee176f4617b590725ee2331a5b6092d87f96eb11fcbdfaf4641cfc6",
+    "sweep_csv": "e9b62ee16ce4727c2c4710628cd8e2e43e2272049f4b524c801d9b88fdb0f150",
+    "periods_csv": "3f2ba65b71a060fbb15aad39573cc0da4ca7bc7c9080f7348838ff7537a1cd1d",
+    "ladder_csv": "b75353df3e1e47ac00b2e98892928ad84549e34bd4fe157159135f231e6b0d66",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_report_bytes_are_pinned(name):
+    assert hashlib.sha256(OUTPUTS[name]().encode("utf-8")).hexdigest() == DIGESTS[name]
+

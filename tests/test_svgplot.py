@@ -40,11 +40,11 @@ def test_empty_curve_renders():
 
 def test_periods_svg_one_polyline_per_group():
     groups = (
-        PeriodGroup("<=1830", (None, 1830), 50, 25, make_curve()),
-        PeriodGroup("1831-1848", (1831, 1848), 5, 2, None),
-        PeriodGroup(">=1871", (1871, None), 50, 25, make_curve()),
+        PeriodGroup("<=1830", 50, make_curve()),
+        PeriodGroup("1831-1848", 5, None),
+        PeriodGroup(">=1871", 50, make_curve()),
     )
-    report = PeriodReport(groups=groups, boundaries=(1830, 1848, 1870), config={})
+    report = PeriodReport(groups=groups, config={})
     svg = render_periods(report)
     assert svg.count("<polyline") == 2
     assert "skipped" in svg
