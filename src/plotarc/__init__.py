@@ -34,7 +34,7 @@ from plotarc.features import (
     SectionPartition,
     SegmentProfile,
 )
-from plotarc.svm import EvalMetrics, TrainingError, cross_validate, f1_score
+from plotarc.svm import TrainingError, cross_validate, f1_accuracy
 from plotarc.experiments import (
     LadderReport,
     PeriodReport,

@@ -23,7 +23,7 @@ from plotarc.features import (
     compute_profiles,
 )
 from plotarc.lexicon import SentimentLexicon, lexicon_to_text
-from plotarc.svm import cross_validate
+from plotarc.svm import cross_validate, f1_accuracy
 
 FEATURE_SET_DIMS = {1: 11, 2: 22, 3: 11, 4: 22, 5: 33, 6: 44}
 
@@ -52,6 +52,11 @@ class RunInputs:
 def prepare_inputs(corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 75) -> RunInputs:
     if n_segments < 1:
         raise FeaturizationError(f"the number of segments must be at least 1, got {n_segments}")
+    # Checked before the stack is allocated, which a huge count would overflow.
+    shortest = min(corpus.novels, key=lambda novel: len(novel.lemmas), default=None)
+    if shortest is not None and len(shortest.lemmas) < n_segments:
+        raise FeaturizationError(f"novel {shortest.metadata.id!r}: cannot split "
+                                 f"{len(shortest.lemmas)} lemmas into {n_segments} non-empty segments")
     vectors = np.empty((corpus.total, n_segments, N_DIMS))
     profiles = tuple(compute_profiles(corpus, lexicon, vectors))
     vectors.flags.writeable = False
@@ -129,8 +134,9 @@ def run_feature_ladder(
     rows = []
     for fsid in feature_sets:
         X = feature_matrix(inputs, partition, fsid)
-        metrics = cross_validate(X[None], inputs.labels, **asdict(config))[0]
-        rows.append((fsid, metrics.f1, metrics.accuracy))
+        (pred,) = cross_validate(X[None], inputs.labels, **asdict(config))
+        f1, accuracy = f1_accuracy(pred, inputs.labels)
+        rows.append((fsid, float(f1), float(accuracy)))
     return LadderReport(
         rows=tuple(rows),
         config={
@@ -188,14 +194,14 @@ def run_partition_sweep(
         SectionPartition(n, final_len, final_len if feature_set_id in (5, 6) else 0)
         for final_len in final_lens
     ]
-    metrics = ()
+    f1s = []
     if partitions:
         X = np.stack([feature_matrix(inputs, p, feature_set_id) for p in partitions])
-        metrics = cross_validate(X, inputs.labels, **asdict(config))
+        pred = cross_validate(X, inputs.labels, **asdict(config))
+        f1s = f1_accuracy(pred, inputs.labels)[0].tolist()
     return SweepCurve(
         points=tuple(
-            SweepPoint((n - p.final_len) / n, p.final_len, m.f1)
-            for p, m in zip(partitions, metrics)
+            SweepPoint((n - p.final_len) / n, p.final_len, f1) for p, f1 in zip(partitions, f1s)
         ),
         config={
             "n_segments": n,
@@ -272,7 +278,13 @@ def run_period_analysis(
             curve = run_partition_sweep(sub_inputs, final_lens, feature_set_id, config)
         groups.append(PeriodGroup(label, len(idx), curve))
     return PeriodReport(
-        groups=tuple(groups), config={"feature_set": feature_set_id, **asdict(config)}
+        groups=tuple(groups),
+        config={
+            "n_segments": inputs.n_segments,
+            "period_cuts": ",".join(map(str, sorted(boundaries))),
+            "feature_set": feature_set_id,
+            **asdict(config),
+        },
     )
 
 

@@ -83,6 +83,7 @@ def compute_profiles(
     A segment without lexicon matches gets the zero vector. ``out`` is a
     ``(novels, n_segments, 11)`` float array: novel ``i``'s segment vectors
     are written to ``out[i]``, and its profile holds a read-only view of them.
+    Every novel must hold ``n_segments`` lemmas or more (``prepare_inputs`` checks).
     """
     n_segments = out.shape[1]
     # Unknown lemmas index one extra zero row. Every segment holds at least
@@ -93,11 +94,6 @@ def compute_profiles(
     profiles = []
     for novel, vectors in zip(corpus.novels, out, strict=True):
         n = len(novel.lemmas)
-        if n < n_segments:
-            raise FeaturizationError(
-                f"novel {novel.metadata.id!r}: cannot split {n} lemmas into "
-                f"{n_segments} non-empty segments"
-            )
         ids = np.fromiter(
             map(lexicon.entries.get, novel.lemmas, repeat(unknown, n)), dtype=np.intp, count=n
         )

@@ -1,5 +1,7 @@
-"""Deterministic linear SVM: standardization, Pegasos-style training,
-stratified cross-validation, and evaluation metrics.
+"""Deterministic linear SVM on arrays: a standardization is ``(means, scales)``,
+``cross_validate`` returns a ``(P, n, dim)`` stack's pooled out-of-fold labels
+as one ``(P, n)`` array, and ``f1_accuracy`` scores every row of it at once
+(a fold's score is the same call on its columns).
 
 The trainer runs primal subgradient descent on
 
@@ -14,7 +16,6 @@ are bit-identical.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,52 +24,41 @@ class TrainingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StandardizationParams:
-    means: np.ndarray
-    scales: np.ndarray  # population std; 1.0 substituted for constant columns
+def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column ``(means, scales)`` over the rows (axis -2) of each stacked matrix.
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.means) / self.scales
-
-
-def standardize_fit(X: np.ndarray) -> StandardizationParams:
-    """Per-column mean and population std over the rows (axis -2) of each stacked matrix."""
+    A scale is the population std, with 1.0 for a constant column; a row
+    is standardized as ``(x - means) / scales``.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-2] < 2:
         raise TrainingError("standardization needs a matrix with at least 2 rows")
     means = X.mean(axis=-2)
     scales = X.std(axis=-2)
     scales = np.where(scales > 0.0, scales, 1.0)
-    means.flags.writeable = False
-    scales.flags.writeable = False
-    return StandardizationParams(means, scales)
+    return means, scales
 
 
 # A huge C overflows the step size; the finiteness check reports that, not warnings.
 @np.errstate(all="ignore")
 def train_linear_svm(
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: Sequence[np.ndarray],
-    standardization: StandardizationParams,
-    C: float = 1.0,
-    epochs: int = 200,
-    seed: int = 42,
+    X: np.ndarray, y: np.ndarray, rows: Sequence[np.ndarray], means: np.ndarray, scales: np.ndarray,
+    C: float = 1.0, epochs: int = 200, seed: int = 42,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train each of P raw ``(P, n, dim)`` matrices on each of F row sets, in lockstep.
 
     ``y`` labels the n rows {+1, -1}, ``rows[f]`` indexes set f's rows and
-    ``standardization`` is ``(P, F, dim)``. Returns read-only ``(P, F, dim)``
+    ``means`` and ``scales`` are ``(P, F, dim)``. Returns read-only ``(P, F, dim)``
     weights and ``(P, F)`` biases. ``C`` must be positive and finite, and
     weights that leave the finite range raise :class:`TrainingError`.
 
     Model (p, f) takes exactly the steps of a lone run on its standardized
     rows: each epoch visits them in ``default_rng(seed).permutation(n_f)``
     order (drawn once per distinct size), its step counter reaches
-    ``epochs * n_f``, and steps past ``n_f`` are no-ops. Each step standardizes its gathered rows with ``transform``'s
-    elementwise operations, and the stacked ``matmul`` computes each margin
-    exactly as ``x @ w``, so a model's bits do not depend on the others.
+    ``epochs * n_f``, and steps past ``n_f`` are no-ops. Each step
+    standardizes its gathered rows as ``(x - means) / scales``, and the
+    stacked ``matmul`` computes each margin exactly as ``x @ w``, so a
+    model's bits do not depend on the others.
     """
     if epochs < 1:
         raise TrainingError(f"epochs must be >= 1, got {epochs}")
@@ -77,8 +67,8 @@ def train_linear_svm(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     shape = (X.shape[0], len(rows), X.shape[-1])
-    if X.ndim != 3 or X.shape[1] != y.shape[0] or standardization.means.shape != shape:
-        raise TrainingError("X must be (P, n, dim) with n labels, standardization (P, F, dim)")
+    if X.ndim != 3 or X.shape[1] != y.shape[0] or not means.shape == scales.shape == shape:
+        raise TrainingError("X must be (P, n, dim) with n labels, means and scales (P, F, dim)")
     for r in rows:
         if not (np.any(y[r] > 0) and np.any(y[r] < 0)):
             raise TrainingError("training needs at least one example of each class")
@@ -101,7 +91,7 @@ def train_linear_svm(
         shrink = np.where(active, 1.0 - eta * lam, 1.0)
         coef = eta * y_epoch
         for t in range(n_max):
-            x = standardization.transform(X[:, order[t]])
+            x = (X[:, order[t]] - means) / scales
             margin = np.matmul(x[..., None, :], W[..., :, None])[..., 0, 0]
             violated = (y_epoch[t] * (margin + b) < 1.0) & active[t]
             W *= shrink[t, :, None]
@@ -124,50 +114,27 @@ def predict(X: np.ndarray, W: np.ndarray, b) -> np.ndarray:
     return np.where(margins >= 0.0, 1, -1)
 
 
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
+def _ratio(num, den) -> np.ndarray:
+    """``num / den``, and 0.0 where ``den`` is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
 
 
-def confusion_counts(predictions, gold) -> tuple[int, int, int, int]:
-    predictions = np.asarray(predictions)
-    gold = np.asarray(gold)
-    if predictions.shape != gold.shape:
-        raise ValueError("prediction/gold length mismatch")
-    tp = int(np.sum((predictions == 1) & (gold == 1)))
-    fp = int(np.sum((predictions == 1) & (gold == -1)))
-    tn = int(np.sum((predictions == -1) & (gold == -1)))
-    fn = int(np.sum((predictions == -1) & (gold == 1)))
-    return tp, fp, tn, fn
+def f1_accuracy(predictions, gold) -> tuple[np.ndarray, np.ndarray]:
+    """F1 of the +1 (happy) class and accuracy of each ``(..., n)`` row against n ``gold`` labels.
 
-
-def f1_score(predictions, gold) -> float:
-    """F1 for the positive (+1 = happy) class; 0.0 when undefined."""
-    predictions = np.asarray(predictions)
-    gold = np.asarray(gold)
-    if predictions.shape != gold.shape or predictions.size == 0:
-        raise ValueError("predictions and gold must be equal-length and non-empty")
-    tp, fp, _, fn = confusion_counts(predictions, gold)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def accuracy_score(predictions, gold) -> float:
-    predictions = np.asarray(predictions)
-    gold = np.asarray(gold)
-    return float(np.mean(predictions == gold))
-
-
-@dataclass(frozen=True)
-class EvalMetrics:
-    f1: float
-    accuracy: float
-    per_fold: tuple[tuple[float, float], ...]  # (f1, accuracy) per fold
-    confusion: tuple[int, int, int, int]  # tp, fp, tn, fn
-    fold_assignment: tuple[int, ...] = field(default=())
+    F1 is 0.0 where undefined. Precision and recall are quotients of counts,
+    then F1 is ``2 p r / (p + r)``: the bits of the same arithmetic on floats.
+    """
+    predictions, gold = np.asarray(predictions), np.asarray(gold)
+    if gold.ndim == 0 or gold.shape[-1] == 0 or predictions.shape[-1:] != gold.shape[-1:]:
+        raise ValueError("predictions and gold must be non-empty rows of equal length")
+    called, actual = predictions == 1, gold == 1
+    tp = np.sum(called & actual, axis=-1)
+    n_called = tp + np.sum(called & (gold == -1), axis=-1)
+    n_actual = tp + np.sum((predictions == -1) & actual, axis=-1)
+    precision, recall = _ratio(tp, n_called), _ratio(tp, n_actual)
+    f1 = _ratio(2.0 * precision * recall, precision + recall)
+    return f1, np.mean(predictions == gold, axis=-1)
 
 
 def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -180,29 +147,22 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     for cls in (1, -1):
         idx = np.flatnonzero(y == cls)
         if idx.size < folds:
-            raise TrainingError(
-                f"class {cls:+d} has {idx.size} members, fewer than {folds} folds"
-            )
+            raise TrainingError(f"class {cls:+d} has {idx.size} members, fewer than {folds} folds")
         assignment[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % folds
     return assignment
 
 
 def cross_validate(
-    X: np.ndarray,
-    y: np.ndarray,
-    folds: int = 10,
-    seed: int = 42,
-    C: float = 1.0,
-    epochs: int = 200,
-) -> tuple[EvalMetrics, ...]:
-    """Stratified k-fold CV of each matrix in a ``(P, n, dim)`` stack (one matrix: ``X[None]``).
+    X: np.ndarray, y: np.ndarray, folds: int = 10, seed: int = 42, C: float = 1.0, epochs: int = 200
+) -> np.ndarray:
+    """Pooled out-of-fold labels of each matrix in a ``(P, n, dim)`` stack (one matrix: ``X[None]``).
 
-    The P matrices share the n rows labelled by ``y`` and one fold
-    assignment; the P metrics come back in stack order. The aggregate F1
-    pools out-of-fold predictions. Standardization is fitted on each fold's
-    training split only, so held-out rows never leak into it. All
-    P x ``folds`` models train in one lockstep call, and each fold's
-    held-out rows are scored for all P matrices in one batched product.
+    The P matrices share the n rows labelled by ``y`` and one stratified
+    fold assignment; row p of the ``(P, n)`` result holds matrix p's
+    held-out predictions. Standardization is fitted on each fold's training
+    split only, so held-out rows never leak into it. All P x ``folds``
+    models train in one lockstep call, and each fold's held-out rows are
+    scored for all P matrices in one batched product.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -211,22 +171,11 @@ def cross_validate(
     assignment = stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]
     rows = [np.flatnonzero(~mask) for mask in held]
-    fits = [standardize_fit(X[:, r]) for r in rows]
-    stacked = StandardizationParams(
-        np.stack([fit.means for fit in fits], axis=1), np.stack([fit.scales for fit in fits], axis=1)
-    )
-    W, b = train_linear_svm(X, y, rows, stacked, C=C, epochs=epochs, seed=seed)
+    fits = zip(*(standardize_fit(X[:, r]) for r in rows))
+    means, scales = (np.stack(arrays, axis=1) for arrays in fits)
+    W, b = train_linear_svm(X, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
     pooled = np.empty(X.shape[:2], dtype=y.dtype)
-    for k, (fit, mask) in enumerate(zip(fits, held)):
-        held_out = (X[:, mask] - fit.means[:, None]) / fit.scales[:, None]
+    for k, mask in enumerate(held):
+        held_out = (X[:, mask] - means[:, k, None]) / scales[:, k, None]
         pooled[:, mask] = predict(held_out, W[:, k], b[:, k])
-    return tuple(
-        EvalMetrics(
-            f1=f1_score(pred, y),
-            accuracy=accuracy_score(pred, y),
-            per_fold=tuple((f1_score(pred[m], y[m]), accuracy_score(pred[m], y[m])) for m in held),
-            confusion=confusion_counts(pred, y),
-            fold_assignment=tuple(assignment.tolist()),
-        )
-        for pred in pooled
-    )
+    return pooled

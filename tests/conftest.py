@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from plotarc.corpus import Corpus, demo_lexicon
-from plotarc.features import N_DIMS, compute_profiles
+from plotarc.experiments import prepare_inputs
 from plotarc.lexicon import parse_lexicon
 
 # The three classic example entries: a strongly negative verb, a strongly
@@ -18,7 +17,7 @@ TABLE1_TSV = (
 
 def profile_of(novel, lexicon, n_segments=75):
     """One novel's segment profile, computed as part of a one-novel corpus."""
-    return compute_profiles(Corpus((novel,)), lexicon, np.empty((1, n_segments, N_DIMS)))[0]
+    return prepare_inputs(Corpus((novel,)), lexicon, n_segments).profiles[0]
 
 
 @pytest.fixture

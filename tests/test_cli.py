@@ -167,6 +167,29 @@ class TestRun:
         assert main(["run", "baselines", *pipeline_args(synth_corpus, tmp_path / "out")]) == 2
         assert f"error: {metadata}: row 2: id {novel_id!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, segments", [(("run", "sweep"), 10**12), (("featurize",), 10**18)])
+    def test_more_segments_than_the_shortest_novel_exits_2(
+        self, command, segments, synth_corpus, tmp_path, capsys
+    ):
+        # The (novels, segments, 11) stack of these counts cannot be allocated
+        # (10**18 overflows numpy's size limit), so the check must come first.
+        (synth_corpus / "synth-0003.txt").write_text("ein kurzer Text\n", encoding="utf-8")
+        args = pipeline_args(synth_corpus, tmp_path / "out", ["--segments", str(segments)])
+        assert main([*command, *args]) == 2
+        err = capsys.readouterr().err
+        assert f"error: novel 'synth-0003': cannot split 3 lemmas into {segments} non-empty segments" in err
+
+    def test_periods_meta_records_segments_and_cuts(self, synth_corpus, tmp_path):
+        metas = []
+        for segments in ("50", "75"):
+            out = tmp_path / segments
+            assert main(["run", "periods", *pipeline_args(synth_corpus, out, ["--segments", segments])]) == 0
+            metas.append((out / "periods.meta.txt").read_text(encoding="utf-8"))
+        assert metas[0] != metas[1]
+        for segments, meta in zip((50, 75), metas):
+            assert f"n_segments = {segments}\n" in meta
+            assert "period_cuts = 1830,1848,1870\n" in meta
+
     def test_dry_run_prints_config_only(self, synth_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "ladder", *pipeline_args(synth_corpus, out, ["--dry-run"])]) == 0

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from plotarc import svm
 from plotarc.corpus import (
     Corpus,
     Novel,
@@ -28,8 +30,8 @@ from plotarc.experiments import (
     run_period_analysis,
     sweep_csv,
 )
-from plotarc.features import SectionPartition
-from plotarc.svm import cross_validate
+from plotarc.features import FeaturizationError, SectionPartition
+from plotarc.svm import cross_validate, f1_accuracy
 
 FAST = ClassifierConfig(folds=10, seed=42, C=1.0, epochs=100)
 
@@ -55,6 +57,22 @@ class TestPrepareInputs:
         with pytest.raises(ValueError, match="at least 1"):
             prepare_inputs(planted[0], toy_lexicon, n_segments)
 
+    @pytest.mark.parametrize("n_segments", [101, 10**18])
+    def test_segments_beyond_the_shortest_novel_rejected_before_allocating(
+        self, planted, toy_lexicon, n_segments
+    ):
+        novels = list(planted[0].novels)
+        novels[3] = Novel(novels[3].metadata, novels[3].lemmas[:100])
+        tracemalloc.start()
+        try:
+            message = f"novel {novels[3].metadata.id!r}: cannot split 100 lemmas"
+            with pytest.raises(FeaturizationError, match=message):
+                prepare_inputs(Corpus(tuple(novels)), toy_lexicon, n_segments)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 class TestFeatureLadder:
     def test_planted_corpus_rows(self, planted):
@@ -64,17 +82,26 @@ class TestFeatureLadder:
         set3_f1 = report.rows[2][1]
         assert set3_f1 >= 0.65  # way above the 0.5 random baseline
 
-    def test_shared_fold_assignment(self, planted):
+    def test_shared_fold_assignment(self, planted, monkeypatch):
         # The ladder's rows are comparable because the folds depend on the
         # labels, fold count and seed only, not on the feature width.
         _, inputs = planted
         partition = SectionPartition(75, 4, 4)
         narrow, wide = (feature_matrix(inputs, partition, fsid)[None] for fsid in (1, 6))
         assert (narrow.shape[2], wide.shape[2]) == (11, 44)
-        (a,) = cross_validate(narrow, inputs.labels, **dataclasses.asdict(FAST))
-        (b,) = cross_validate(wide, inputs.labels, **dataclasses.asdict(FAST))
-        assert len(a.fold_assignment) == 40
-        assert a.fold_assignment == b.fold_assignment
+        assignments = []
+        stratified_folds = svm.stratified_folds
+
+        def recording(*args):
+            assignments.append(stratified_folds(*args))
+            return assignments[-1]
+
+        monkeypatch.setattr(svm, "stratified_folds", recording)
+        for X in (narrow, wide):
+            cross_validate(X, inputs.labels, **dataclasses.asdict(FAST))
+        a, b = assignments
+        assert len(a) == 40
+        assert a.tobytes() == b.tobytes()
 
     def test_constant_profiles_score_near_chance(self, toy_lexicon):
         # Identical token streams make every feature degenerate; pooled
@@ -87,8 +114,8 @@ class TestFeatureLadder:
         corpus = Corpus(novels)
         inputs = prepare_inputs(corpus, toy_lexicon)
         X = feature_matrix(inputs, SectionPartition(75, 4, 4), 3)
-        metrics = cross_validate(X[None], inputs.labels, folds=10, seed=42)[0]
-        assert 0.35 <= metrics.f1 <= 0.65
+        f1, _ = f1_accuracy(cross_validate(X[None], inputs.labels, folds=10, seed=42), inputs.labels)
+        assert 0.35 <= f1[0] <= 0.65
 
     def test_config_recorded(self, planted):
         _, inputs = planted

@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from plotarc.corpus import demo_lexicon, generate_synthetic_corpus
+from plotarc.experiments import feature_matrix, prepare_inputs
+from plotarc.features import SectionPartition
 from plotarc.svm import (
-    StandardizationParams,
     TrainingError,
-    accuracy_score,
-    confusion_counts,
     cross_validate,
-    f1_score,
+    f1_accuracy,
     predict,
     standardize_fit,
     stratified_folds,
@@ -40,19 +40,76 @@ def reference_train(X, y, C=1.0, epochs=200, seed=42):
     return w, b
 
 
+def reference_dcd(X, y, C=1.0, tol=1e-10, max_epochs=20_000, seed=0):
+    """Dual coordinate descent for the L1-loss linear SVM (Hsieh et al., ICML 2008).
+
+    Solves min 1/2 (||w||^2 + b^2) + C sum_i max(0, 1 - y_i (w . x_i + b)),
+    the bias being a penalized constant feature, as LIBLINEAR does. Stops
+    once the projected gradients span less than ``tol``. Returns ``w``,
+    ``b`` and the dual variables ``alpha``.
+    """
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    alpha = np.zeros(len(y))
+    wa = np.zeros(Xa.shape[1])
+    q_ii = np.einsum("ij,ij->i", Xa, Xa)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_epochs):
+        lo, hi = np.inf, -np.inf
+        for i in rng.permutation(len(y)):
+            g = y[i] * (Xa[i] @ wa) - 1.0
+            pg = min(g, 0.0) if alpha[i] == 0.0 else max(g, 0.0) if alpha[i] == C else g
+            lo, hi = min(lo, pg), max(hi, pg)
+            if pg != 0.0:
+                old = alpha[i]
+                alpha[i] = min(max(old - g / q_ii[i], 0.0), C)
+                wa += (alpha[i] - old) * y[i] * Xa[i]
+        if hi - lo < tol:
+            break
+    return wa[:-1], wa[-1], alpha
+
+
+def primal_objective(w, b, X, y, C=1.0):
+    """1/2 ||w||^2 + C sum of hinge losses, the bias unpenalized: the trainer's
+    objective times C n."""
+    return float(0.5 * (w @ w) + C * np.maximum(0.0, 1.0 - y * (X @ w + b)).sum())
+
+
 def reference_cv_predictions(X, y, folds, seed, C, epochs):
     """Out-of-fold labels from one prediction per (fold, matrix) model: the batching oracle."""
     assignment = stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]
     rows = [np.flatnonzero(~mask) for mask in held]
     fits = [standardize_fit(X[:, r]) for r in rows]
-    W, b = train_linear_svm(X, y, rows, stack_fits(fits), C=C, epochs=epochs, seed=seed)
+    W, b = train_linear_svm(X, y, rows, *stack_fits(fits), C=C, epochs=epochs, seed=seed)
     pooled = np.empty(X.shape[:2], dtype=y.dtype)
-    for k, (fitted, mask) in enumerate(zip(fits, held)):
+    for k, ((means, scales), mask) in enumerate(zip(fits, held)):
         for p in range(X.shape[0]):
-            Xs = StandardizationParams(fitted.means[p], fitted.scales[p]).transform(X[p, mask])
+            Xs = (X[p, mask] - means[p]) / scales[p]
             pooled[p, mask] = np.where(Xs @ W[p, k] + float(b[p, k]) >= 0.0, 1, -1)
     return pooled, held
+
+
+def reference_confusion_counts(predictions, gold):
+    """The scalar counts ``f1_accuracy`` must reproduce."""
+    tp = int(np.sum((predictions == 1) & (gold == 1)))
+    fp = int(np.sum((predictions == 1) & (gold == -1)))
+    tn = int(np.sum((predictions == -1) & (gold == -1)))
+    fn = int(np.sum((predictions == -1) & (gold == 1)))
+    return tp, fp, tn, fn
+
+
+def reference_f1_score(predictions, gold):
+    """F1 of the +1 class on Python numbers, 0.0 when undefined: the scorer's bit-exact oracle."""
+    tp, fp, _, fn = reference_confusion_counts(predictions, gold)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def reference_accuracy_score(predictions, gold):
+    return float(np.mean(predictions == gold))
 
 
 def hinge_objective(w, b, X, y, lam):
@@ -61,22 +118,20 @@ def hinge_objective(w, b, X, y, lam):
 
 
 def identity(P, F, dim):
-    """Standardization that leaves every value's bits unchanged."""
-    return StandardizationParams(np.zeros((P, F, dim)), np.ones((P, F, dim)))
+    """``(means, scales)`` that leave every value's bits unchanged."""
+    return np.zeros((P, F, dim)), np.ones((P, F, dim))
 
 
 def fit(X, y, **kwargs):
     """Weights and bias of one model (P = F = 1) on all rows, unstandardized."""
     X = np.asarray(X, dtype=float)
-    W, b = train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, X.shape[1]), **kwargs)
+    W, b = train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, X.shape[1]), **kwargs)
     return W[0, 0], b[0, 0]
 
 
 def stack_fits(fits):
-    """``(P, F, dim)`` parameters from one ``(P, dim)`` fit per row set."""
-    return StandardizationParams(
-        np.stack([f.means for f in fits], axis=1), np.stack([f.scales for f in fits], axis=1)
-    )
+    """``(P, F, dim)`` means and scales from one ``(P, dim)`` fit per row set."""
+    return tuple(np.stack(arrays, axis=1) for arrays in zip(*fits))
 
 
 def separable_set(seed=0, per_class=20, spread=0.3):
@@ -90,19 +145,19 @@ def separable_set(seed=0, per_class=20, spread=0.3):
 
 class TestStandardize:
     def test_two_point_statistics(self):
-        params = standardize_fit(np.array([[0.0, 5.0], [2.0, 5.0]]))
-        assert params.means[0] == 1.0 and params.scales[0] == 1.0
+        means, scales = standardize_fit(np.array([[0.0, 5.0], [2.0, 5.0]]))
+        assert means[0] == 1.0 and scales[0] == 1.0
 
     def test_constant_column_guarded(self):
-        params = standardize_fit(np.full((4, 2), 5.0))
-        np.testing.assert_array_equal(params.means, [5.0, 5.0])
-        np.testing.assert_array_equal(params.scales, [1.0, 1.0])
+        means, scales = standardize_fit(np.full((4, 2), 5.0))
+        np.testing.assert_array_equal(means, [5.0, 5.0])
+        np.testing.assert_array_equal(scales, [1.0, 1.0])
 
     def test_transformed_training_matrix_centered(self):
         rng = np.random.default_rng(1)
         X = rng.random((30, 5)) * 10
-        params = standardize_fit(X)
-        Xs = params.transform(X)
+        means, scales = standardize_fit(X)
+        Xs = (X - means) / scales
         np.testing.assert_allclose(Xs.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(Xs.std(axis=0), 1.0, atol=1e-9)
 
@@ -134,20 +189,20 @@ class TestTrain:
         X, _ = separable_set()
         n = X.shape[0]
         with pytest.raises(TrainingError):
-            train_linear_svm(X[None], np.ones(n), [np.arange(n)], identity(1, 1, 2))
+            train_linear_svm(X[None], np.ones(n), [np.arange(n)], *identity(1, 1, 2))
 
     @pytest.mark.parametrize("epochs", [0, -2])
     def test_epochs_below_one_rejected(self, epochs):
         X, y = separable_set()
         with pytest.raises(TrainingError, match="epochs"):
-            train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, 2), epochs=epochs)
+            train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, 2), epochs=epochs)
 
     @pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf, 1e308])
     def test_c_not_positive_and_finite_rejected(self, C):
         # 1e308 passes the range check but overflows the step size.
         X, y = separable_set()
         with pytest.raises(TrainingError, match="finite"):
-            train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, 2), C=C)
+            train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, 2), C=C)
 
     def test_objective_decreases(self):
         X, y = separable_set(seed=5)
@@ -181,11 +236,11 @@ class TestLockstep:
             # Equal sizes share one permutation draw but must still visit different rows.
             assert not np.array_equal(rows[0], rows[1])
         fits = [standardize_fit(X[:, r]) for r in rows]
-        W, b = train_linear_svm(X, y, rows, stack_fits(fits), C=0.8, epochs=epochs, seed=seed)
+        W, b = train_linear_svm(X, y, rows, *stack_fits(fits), C=0.8, epochs=epochs, seed=seed)
         assert W.shape == (2, len(sizes), dim) and b.shape == (2, len(sizes))
         for p in range(2):
-            for f, (r, fitted) in enumerate(zip(rows, fits)):
-                Xs = StandardizationParams(fitted.means[p], fitted.scales[p]).transform(X[p, r])
+            for f, (r, (means, scales)) in enumerate(zip(rows, fits)):
+                Xs = (X[p, r] - means[p]) / scales[p]
                 w_ref, b_ref = reference_train(Xs, y[r], C=0.8, epochs=epochs, seed=seed)
                 # Compare the bit patterns, so even the sign of a zero must agree.
                 assert W[p, f].tobytes() == w_ref.tobytes()
@@ -194,7 +249,7 @@ class TestLockstep:
     def test_width_mismatch_rejected(self):
         X, y = separable_set()
         with pytest.raises(TrainingError):
-            train_linear_svm(X[None], y, [np.arange(len(y))], identity(1, 1, 1))
+            train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, 1))
 
 
 class TestPredict:
@@ -218,28 +273,64 @@ class TestPredict:
 class TestF1:
     def test_perfect(self):
         y = np.array([1, -1, 1, -1])
-        assert f1_score(y, y) == 1.0
+        f1, accuracy = f1_accuracy(y, y)
+        assert f1 == 1.0 and accuracy == 1.0
 
     def test_all_positive_half_gold(self):
         gold = np.array([1, 1, -1, -1])
         preds = np.ones(4, dtype=int)
-        assert f1_score(preds, gold) == pytest.approx(2 / 3)
+        assert f1_accuracy(preds, gold)[0] == pytest.approx(2 / 3)
 
     def test_no_predicted_positives(self):
         gold = np.array([1, 1, -1, -1])
         preds = -np.ones(4, dtype=int)
-        assert f1_score(preds, gold) == 0.0
+        assert f1_accuracy(preds, gold)[0] == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            f1_score(np.array([1]), np.array([1, -1]))
+            f1_accuracy(np.array([1]), np.array([1, -1]))
+
+    @pytest.mark.parametrize("gold_kind", ["mixed", "no_positives", "all_positive"])
+    def test_rows_match_scalar_reference_bit_for_bit(self, gold_kind):
+        rng = np.random.default_rng(3)
+        n = 29
+        gold = {
+            "mixed": np.where(rng.random(n) < 0.4, 1, -1),
+            "no_positives": -np.ones(n, dtype=int),
+            "all_positive": np.ones(n, dtype=int),
+        }[gold_kind]
+        rows = np.vstack([
+            np.where(rng.random((20, n)) < rng.random((20, 1)), 1, -1),  # random rows
+            np.ones(n, dtype=int),
+            -np.ones(n, dtype=int),
+            gold,  # perfect
+            -gold,  # every label wrong
+        ])
+        f1, accuracy = f1_accuracy(rows, gold)
+        assert f1.shape == accuracy.shape == (len(rows),)
+        for row, f, a in zip(rows, f1, accuracy):
+            assert f.tobytes() == np.float64(reference_f1_score(row, gold)).tobytes()
+            assert a.tobytes() == np.float64(reference_accuracy_score(row, gold)).tobytes()
+        # Any leading shape: the same rows as a (2, 12, n) stack score the same.
+        stacked = f1_accuracy(rows.reshape(2, -1, n), gold)
+        assert stacked[0].tobytes() == f1.tobytes()
+        assert stacked[1].tobytes() == accuracy.tobytes()
+
+    def test_fold_scores_are_the_same_call_on_fold_columns(self):
+        X, y = separable_set(per_class=15, spread=2.0)
+        pred = cross_validate(X[None], y, folds=5, seed=1, epochs=20)
+        assignment = stratified_folds(y, 5, 1)
+        for k in range(5):
+            mask = assignment == k
+            f1, accuracy = f1_accuracy(pred[:, mask], y[mask])
+            assert f1[0] == reference_f1_score(pred[0, mask], y[mask])
+            assert accuracy[0] == reference_accuracy_score(pred[0, mask], y[mask])
 
 
 class TestCrossValidate:
     def test_stratified_fold_sizes(self):
-        X, y = separable_set(per_class=20)
-        metrics = cross_validate(X[None], y, folds=10, seed=42, epochs=20)[0]
-        assignment = np.array(metrics.fold_assignment)
+        _, y = separable_set(per_class=20)
+        assignment = stratified_folds(y, folds=10, seed=42)
         for k in range(10):
             fold = assignment == k
             assert fold.sum() == 4
@@ -247,19 +338,15 @@ class TestCrossValidate:
 
     def test_separable_high_f1(self):
         X, y = separable_set(per_class=20)
-        metrics = cross_validate(X[None], y, folds=10, seed=42, epochs=50)[0]
-        assert metrics.f1 >= 0.95
-
-    def test_confusion_sums_to_corpus_size(self):
-        X, y = separable_set(per_class=15)
-        metrics = cross_validate(X[None], y, folds=5, seed=1, epochs=20)[0]
-        assert sum(metrics.confusion) == len(y)
+        pred = cross_validate(X[None], y, folds=10, seed=42, epochs=50)
+        assert pred.shape == (1, len(y))
+        assert f1_accuracy(pred, y)[0][0] >= 0.95
 
     def test_deterministic(self):
         X, y = separable_set(per_class=12)
-        a = cross_validate(X[None], y, folds=4, seed=9, epochs=30)[0]
-        b = cross_validate(X[None], y, folds=4, seed=9, epochs=30)[0]
-        assert a == b
+        a = cross_validate(X[None], y, folds=4, seed=9, epochs=30)
+        b = cross_validate(X[None], y, folds=4, seed=9, epochs=30)
+        assert a.tobytes() == b.tobytes()
 
     def test_class_smaller_than_folds_rejected(self):
         X, y = separable_set(per_class=4)
@@ -275,7 +362,9 @@ class TestCrossValidate:
         X, y = separable_set(per_class=15)
         stack = np.stack([X, X * 3.0 + 1.0, X[:, ::-1]])
         batched = cross_validate(stack, y, folds=5, seed=3, epochs=10)
-        assert batched == tuple(cross_validate(m[None], y, folds=5, seed=3, epochs=10)[0] for m in stack)
+        alone = np.concatenate([cross_validate(m[None], y, folds=5, seed=3, epochs=10) for m in stack])
+        assert batched.shape == (3, len(y)) and batched.dtype == alone.dtype
+        assert batched.tobytes() == alone.tobytes()
 
     def test_batched_prediction_matches_per_model_loop(self):
         # Three unrelated matrices, so a swapped matrix or fold index changes
@@ -285,18 +374,12 @@ class TestCrossValidate:
         X += rng.normal(size=(3, 1, 5))
         y = np.where(np.arange(23) < 12, 1, -1)
         X[:, y == 1] += rng.normal(0.4, 0.3, size=(3, 1, 5))
-        metrics = cross_validate(X, y, folds=4, seed=5, C=0.5, epochs=7)
+        pred = cross_validate(X, y, folds=4, seed=5, C=0.5, epochs=7)
         pooled, held = reference_cv_predictions(X, y, folds=4, seed=5, C=0.5, epochs=7)
         assert sorted(int(m.sum()) for m in held) == [5, 6, 6, 6]
-        assert len({pred.tobytes() for pred in pooled}) == 3
-        for m, pred in zip(metrics, pooled):
-            assert m.f1 == f1_score(pred, y)
-            assert m.accuracy == accuracy_score(pred, y)
-            assert m.confusion == confusion_counts(pred, y)
-            assert m.per_fold == tuple(
-                (f1_score(pred[h], y[h]), accuracy_score(pred[h], y[h])) for h in held
-            )
-
+        assert len({row.tobytes() for row in pooled}) == 3
+        assert pred.shape == pooled.shape and pred.dtype == pooled.dtype
+        assert pred.tobytes() == pooled.tobytes()
     def test_traced_peak_stays_near_the_stack_size(self):
         # A sweep-sized stack: 37 points x 212 novels x 11 features, 690 KB.
         # Measured peak: 2.04 x the stack (one fold's gathered training rows
@@ -318,9 +401,49 @@ class TestCrossValidate:
         X, y = separable_set(per_class=10, seed=4)
         assignment = stratified_folds(y, folds=5, seed=42)
         train_mask = assignment != 0
-        params = standardize_fit(X[train_mask])
+        means, scales = standardize_fit(X[train_mask])
         X_perturbed = X.copy()
         X_perturbed[~train_mask] += 1e6
-        params_after = standardize_fit(X_perturbed[train_mask])
-        np.testing.assert_array_equal(params.means, params_after.means)
-        np.testing.assert_array_equal(params.scales, params_after.scales)
+        means_after, scales_after = standardize_fit(X_perturbed[train_mask])
+        np.testing.assert_array_equal(means, means_after)
+        np.testing.assert_array_equal(scales, scales_after)
+
+
+@pytest.fixture(scope="module")
+def separable_fold():
+    """Fold 0's standardized training rows of feature set 3, final_len 4, on a
+    60 x 20 000-token planted corpus: linearly separable after standardization."""
+    lexicon = demo_lexicon()
+    inputs = prepare_inputs(generate_synthetic_corpus(1, 60, 20_000, 4, lexicon), lexicon)
+    X = feature_matrix(inputs, SectionPartition(75, 4, 0), 3)
+    rows = np.flatnonzero(stratified_folds(inputs.labels, 10, 42) != 0)
+    means, scales = standardize_fit(X[rows])
+    return X[rows], inputs.labels[rows], means, scales
+
+
+class TestConvergence:
+    def test_dcd_oracle_closes_its_duality_gap(self, separable_fold):
+        X, y, means, scales = separable_fold
+        Xs = (X - means) / scales
+        w, b, alpha = reference_dcd(Xs, y)
+        penalized = primal_objective(w, b, Xs, y) + 0.5 * b * b
+        dual = alpha.sum() - 0.5 * (w @ w + b * b)
+        assert penalized - dual < 1e-8 * penalized
+        # Separable: every training row is classified correctly.
+        assert np.array_equal(predict(Xs, w, b), y)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: with an unpenalized bias that takes full 1/(lambda t) "
+        "steps, 200 Pegasos epochs end at objective 35.3 where the optimum is at most 0.125",
+    )
+    def test_trainer_reaches_the_optimum(self, separable_fold):
+        # The DCD solution is a feasible point of the trainer's objective, so
+        # its value bounds that objective's optimum from above. A Pegasos
+        # whose bias is a penalized constant column measured 0.128 against
+        # 0.125 here at 200 epochs (2.8 %); 5 % leaves room for that.
+        X, y, means, scales = separable_fold
+        W, b = train_linear_svm(X[None], y, [np.arange(len(y))], means[None, None], scales[None, None])
+        Xs = (X - means) / scales
+        bound = primal_objective(*reference_dcd(Xs, y)[:2], Xs, y)
+        assert primal_objective(W[0, 0], b[0, 0], Xs, y) <= 1.05 * bound
