@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
-from plotarc.lexicon import SentimentLexicon, parse_lexicon
+from plotarc.lexicon import SentimentLexicon, decoding_error, parse_lexicon
 
 LABEL_HAPPY = "happy"
 LABEL_UNHAPPY = "unhappy"
@@ -104,28 +104,36 @@ def tokenize(text: str) -> list[str]:
 
 
 def _read_text(path) -> str:
-    """The file decoded as ``utf-8-sig``; a decoding error names the file."""
+    """The file decoded as ``utf-8-sig``; a decoding error names the file and line."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+        raise CorpusError(decoding_error(path, exc)) from None
 
 
 def load_lemma_map(path) -> dict[str, str]:
-    """Read a ``surface<TAB>lemma`` TSV; duplicate surface forms are an error."""
+    """Read a ``surface<TAB>lemma`` TSV, NFC-normalized line by line. A line without
+    two non-empty cells, or with a duplicate surface form, is an error naming the
+    line. All surface forms of one lemma share one lemma string."""
     mapping: dict[str, str] = {}
-    # Reading in text mode turns "\r\n" and "\r" line ends into "\n".
-    lines = unicodedata.normalize("NFC", _read_text(path)).split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise CorpusError(f"{path}: line {lineno}: expected 2 columns, got {len(cells)}")
-        surface, lemma = cells
-        if surface in mapping:
-            raise CorpusError(f"{path}: line {lineno}: duplicate surface form {surface!r}")
-        mapping[surface] = lemma
+    lemmas: dict[str, str] = {}
+    try:
+        # Text mode turns "\r\n" and "\r" line ends into "\n".
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                cells = unicodedata.normalize("NFC", line.rstrip("\n")).split("\t")
+                if cells == [""]:
+                    continue
+                if len(cells) != 2:
+                    raise CorpusError(f"{path}: line {lineno}: expected 2 columns, got {len(cells)}")
+                surface, lemma = cells
+                if not surface or not lemma:
+                    raise CorpusError(f"{path}: line {lineno}: empty cell")
+                if surface in mapping:
+                    raise CorpusError(f"{path}: line {lineno}: duplicate surface form {surface!r}")
+                mapping[surface] = lemmas.setdefault(lemma, lemma)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(decoding_error(path, exc)) from None
     return mapping
 
 

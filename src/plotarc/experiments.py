@@ -8,7 +8,6 @@ numbers directly comparable.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -311,10 +310,12 @@ def run_baselines(corpus: Corpus) -> tuple[float, float]:
 
 
 def lexicon_checksum(lexicon: SentimentLexicon) -> str:
+    import hashlib  # here, not at the top: hashlib loads OpenSSL, which featurize never needs
     return hashlib.sha256(lexicon_to_text(lexicon).encode("utf-8")).hexdigest()
 
 
 def corpus_checksum(corpus: Corpus) -> str:
+    import hashlib  # here, not at the top: hashlib loads OpenSSL, which featurize never needs
     h = hashlib.sha256()
     for novel in corpus.novels:
         m = novel.metadata

@@ -9,8 +9,10 @@ third column of the lexicon's score matrix.
 from __future__ import annotations
 
 import io
+import re
 import unicodedata
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TextIO
 
 import numpy as np
@@ -90,10 +92,9 @@ class SentimentLexicon:
         return [lemma for lemma, row in self.entries.items() if signs[row] == sign]
 
 
-def _looks_like_header(cells: list[str]) -> bool:
-    # A data row has binary dimension cells; anything else in the
-    # dimension columns marks row 1 as a header.
-    return any(cell not in ("0", "1") for cell in cells[1:])
+# The ten dimension cells of a data row, read from the tab that ends its
+# lemma: each exactly "0" or "1". Line 1 fails this test when it is a header.
+_BINARY_CELLS = re.compile(r"(?:\t[01]){%d}" % len(FILE_DIMENSIONS))
 
 
 def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
@@ -102,13 +103,15 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
     The header row is optional. When present, its cells are mapped onto the
     ten canonical dimensions (case-insensitive, a few aliases accepted), so
     exports with permuted columns parse correctly. Without a header the
-    canonical file-column order is assumed.
+    canonical file-column order is assumed. An empty or duplicate lemma and a
+    cell other than ``0``/``1`` are errors naming the line. One regex match
+    checks each row; one ``np.frombuffer`` turns all rows into scores.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
 
     entries: dict[str, int] = {}
-    rows: list[list[int]] = []
+    tails = bytearray()  # each data row's "\t0\t1..." cells; its digits are the odd bytes
     # The row index each dimension column is written to, in column order.
     targets = [DIMENSIONS.index(name) for name in FILE_DIMENSIONS]
     expected_cols = 1 + len(FILE_DIMENSIONS)
@@ -122,7 +125,8 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
             raise LexiconError(
                 f"line {lineno}: expected {expected_cols} tab-separated columns, got {len(cells)}"
             )
-        if lineno == 1 and _looks_like_header(cells):
+        binary = _BINARY_CELLS.fullmatch(line, len(cells[0]))
+        if lineno == 1 and not binary:
             mapped = []
             for cell in cells[1:]:
                 key = cell.strip().casefold()
@@ -135,19 +139,19 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
             continue
 
         lemma = unicodedata.normalize("NFC", cells[0])
+        if not lemma:
+            raise LexiconError(f"line {lineno}: empty lemma")
         if lemma in entries:
             raise LexiconError(f"line {lineno}: duplicate lemma {lemma!r}")
-        row = [0] * len(DIMENSIONS)
-        for target, cell in zip(targets, cells[1:]):
-            if cell not in ("0", "1"):
-                raise LexiconError(
-                    f"line {lineno}: non-binary value {cell!r} in column {DIMENSIONS[target]!r}"
-                )
-            row[target] = int(cell)
-        entries[lemma] = len(rows)
-        rows.append(row)
+        if not binary:
+            cell, target = next((c, t) for c, t in zip(cells[1:], targets) if c not in ("0", "1"))
+            raise LexiconError(f"line {lineno}: non-binary value {cell!r} in column {DIMENSIONS[target]!r}")
+        entries[lemma] = len(entries)
+        tails += binary.group().encode("ascii")
 
-    scores = np.array(rows, dtype=float).reshape(len(rows), len(DIMENSIONS))
+    digits = np.frombuffer(tails, dtype=np.uint8).reshape(-1, 2 * len(FILE_DIMENSIONS))
+    scores = np.zeros((len(entries), len(DIMENSIONS)))
+    scores[:, targets] = digits[:, 1::2] - ord("0")
     scores[:, POLARITY_INDEX] = (
         scores[:, DIMENSIONS.index("positive")] - scores[:, DIMENSIONS.index("negative")]
     )
@@ -176,5 +180,20 @@ def load_lexicon_file(path) -> SentimentLexicon:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return parse_lexicon(fh)
-        except (LexiconError, UnicodeDecodeError) as exc:
+        except LexiconError as exc:
             raise LexiconError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise LexiconError(decoding_error(path, exc)) from None
+
+
+def decoding_error(path, exc: UnicodeDecodeError) -> str:
+    """``<path>: <exc> (line <n>)`` at the first undecodable byte, its position counted
+    from the start of the file (a streaming decoder counts from its read chunk)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    before = data[: exc.start]  # text mode ends a line at "\n", "\r\n" or "\r"
+    line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+    return f"{path}: {exc} (line {line})"

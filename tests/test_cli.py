@@ -105,6 +105,22 @@ class TestFeaturize:
         assert main(["featurize", *args]) == 2
         assert f"error: {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, name, content",
+        [("--lexicon", "lexicon.tsv", "\t1\t0\t0\t0\t0\t0\t0\t0\t0\t0\n"),
+         ("--lemma-map", "lemmas.tsv", "freude\t\n")],
+    )
+    def test_empty_cell_exits_2_naming_file_and_line(self, flag, name, content, synth_corpus, tmp_path, capsys):
+        args = pipeline_args(synth_corpus, tmp_path / "out")
+        bad = synth_corpus / name
+        if flag == "--lemma-map":
+            args += [flag, str(bad)]
+        with open(bad, "a", encoding="utf-8") as fh:
+            fh.write(content)
+        line = len(bad.read_text(encoding="utf-8").splitlines())
+        assert main(["featurize", *args]) == 2
+        assert f"error: {bad}: line {line}: empty " in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, synth_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["featurize", *pipeline_args(synth_corpus, a)]) == 0
@@ -197,6 +213,17 @@ class TestRun:
         assert not out.exists()
 
 
+def run_python(code, *argv):
+    """Standard output of ``python -c code *argv`` with this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(plotarc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return done.stdout
+
+
 def test_cli_import_pulls_in_no_xml_or_http_stack():
     # A snapshot of sys.modules before the import ignores whatever site loads.
     code = (
@@ -205,13 +232,24 @@ def test_cli_import_pulls_in_no_xml_or_http_stack():
         "import plotarc.cli\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(plotarc.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
-    )
-    new = json.loads(done.stdout)
+    new = json.loads(run_python(code))
     assert "plotarc.cli" in new
     heavy = [m for m in new if m.split(".")[0] in ("xml", "http", "email") or m == "urllib.request"]
     assert heavy == []
+
+
+def test_neither_import_nor_featurize_loads_hashlib(synth_corpus, tmp_path):
+    # hashlib loads OpenSSL, about 4 MB of RSS; only run reports' checksums use it.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import plotarc.cli\n"
+        "imported = set(sys.modules) - before\n"
+        "status = plotarc.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([status, sorted(imported), sorted(set(sys.modules) - before)]))\n"
+    )
+    out = run_python(code, "featurize", *pipeline_args(synth_corpus, tmp_path / "out"))
+    status, imported, after_featurize = json.loads(out.splitlines()[-1])
+    assert status == 0
+    assert "plotarc.cli" in imported
+    assert [m for m in after_featurize if m in ("hashlib", "_hashlib")] == []

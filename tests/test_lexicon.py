@@ -1,18 +1,124 @@
+import io
+import unicodedata
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plotarc.lexicon import (
+    _HEADER_ALIASES,
     DIMENSIONS,
     FILE_DIMENSIONS,
     POLARITY_INDEX,
     LexiconError,
+    SentimentLexicon,
     lexicon_to_text,
     load_lexicon_file,
     parse_lexicon,
 )
 
 from conftest import TABLE1_TSV
+
+
+def reference_parse_lexicon(text: str) -> SentimentLexicon:
+    """The per-cell parser that ``parse_lexicon`` replaced, with its empty-lemma
+    rule: the oracle for entries, score bits and the first error."""
+    entries: dict[str, int] = {}
+    rows: list[list[int]] = []
+    targets = [DIMENSIONS.index(name) for name in FILE_DIMENSIONS]
+    expected_cols = 1 + len(FILE_DIMENSIONS)
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != expected_cols:
+            raise LexiconError(
+                f"line {lineno}: expected {expected_cols} tab-separated columns, got {len(cells)}"
+            )
+        if lineno == 1 and any(cell not in ("0", "1") for cell in cells[1:]):
+            mapped = []
+            for cell in cells[1:]:
+                key = cell.strip().casefold()
+                if key not in _HEADER_ALIASES:
+                    raise LexiconError(f"line 1: unrecognized header column {cell!r}")
+                mapped.append(_HEADER_ALIASES[key])
+            if len(set(mapped)) != len(mapped):
+                raise LexiconError("line 1: duplicate header columns")
+            targets = [DIMENSIONS.index(name) for name in mapped]
+            continue
+        lemma = unicodedata.normalize("NFC", cells[0])
+        if not lemma:
+            raise LexiconError(f"line {lineno}: empty lemma")
+        if lemma in entries:
+            raise LexiconError(f"line {lineno}: duplicate lemma {lemma!r}")
+        row = [0] * len(DIMENSIONS)
+        for target, cell in zip(targets, cells[1:]):
+            if cell not in ("0", "1"):
+                raise LexiconError(
+                    f"line {lineno}: non-binary value {cell!r} in column {DIMENSIONS[target]!r}"
+                )
+            row[target] = int(cell)
+        entries[lemma] = len(rows)
+        rows.append(row)
+    scores = np.array(rows, dtype=float).reshape(len(rows), len(DIMENSIONS))
+    scores[:, POLARITY_INDEX] = (
+        scores[:, DIMENSIONS.index("positive")] - scores[:, DIMENSIONS.index("negative")]
+    )
+    return SentimentLexicon(entries, scores)
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: its entries and score bytes, or its error."""
+    try:
+        lex = parse(text)
+    except LexiconError as exc:
+        return ("error", str(exc))
+    return list(lex.entries.items()), lex.scores.dtype, lex.scores.shape, lex.scores.tobytes()
+
+
+# Lemmas in NFC and NFD, so that NFC-equal spellings can collide as duplicates.
+lemmas = st.sampled_from(["glück", "glu\u0308ck", "Zufall", "über", "u\u0308ber", "a", "tod", "ähm"]) | st.text(
+    st.characters(categories=("Ll", "Lu", "Mn")), min_size=1, max_size=6
+)
+bits = st.lists(st.sampled_from("01"), min_size=10, max_size=10)
+bad_cells = st.sampled_from(["2", "", "00", " 1", "１", "0 ", "x"])
+
+
+@st.composite
+def lexicon_rows(draw):
+    """One data row: mostly valid, else a bad cell, a wrong column count, an
+    empty lemma or ten cells of 0, 1 and tabs that are not one digit each."""
+    lemma, cells = draw(lemmas), draw(bits)
+    kind = draw(st.integers(0, 9))
+    if kind == 6:
+        cells[draw(st.integers(0, 9))] = draw(bad_cells)
+    elif kind == 7:
+        cells = cells[: draw(st.integers(0, 9))] if draw(st.booleans()) else cells + ["0"]
+    elif kind == 8:
+        lemma = ""
+    elif kind == 9:
+        cells = ["00", ""] + cells[2:]
+    return lemma + "".join("\t" + c for c in cells)
+
+
+@st.composite
+def lexicon_texts(draw):
+    """Rows under an optional permuted, aliased or bad header, with blank lines
+    and ``\n`` or ``\r\n`` line ends."""
+    lines = draw(st.lists(lexicon_rows(), max_size=12))
+    lines += [draw(st.sampled_from(lines))] if lines and draw(st.booleans()) else []
+    if draw(st.booleans()):
+        names = draw(st.permutations(FILE_DIMENSIONS))
+        spell = {"positive": ["positive", "pos", "POS", " Positive "], "negative": ["negative", "neg", "Neg"]}
+        header = [draw(st.sampled_from(spell.get(n, [n, n.upper()]))) for n in names]
+        if draw(st.integers(0, 4)) == 0:
+            header[draw(st.integers(0, 9))] = draw(st.sampled_from(["bogus", "", "joy", "1"]))
+        lines.insert(0, "lemma\t" + "\t".join(header))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in lines)
 
 
 def scores_of(lexicon, lemma):
@@ -92,6 +198,20 @@ class TestParse:
         assert table1_lexicon.entries.get("xyzzy") is None
 
 
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lexicon_texts())
+    @example("w\t00\t\t0\t0\t0\t0\t0\t0\t0\t0\n")
+    @example("v\t1\t0\t0\t0\t0\t0\t0\t0\t0\t0\nw\t00\t\t0\t0\t0\t0\t0\t0\t0\t0\n")
+    @example("w\t1\t0\t0\t0\t0\t0\t0\t0\t0\t0\r\n\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\r\n")
+    def test_same_entries_scores_and_first_error(self, text):
+        assert outcome(parse_lexicon, text) == outcome(reference_parse_lexicon, text)
+
+    def test_empty_lemma_rejected(self):
+        with pytest.raises(LexiconError, match="^line 3: empty lemma$"):
+            parse_lexicon(TABLE1_TSV.replace("Zufall", ""))
+
+
 class TestLoadFile:
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "lexicon.tsv"
@@ -104,6 +224,20 @@ class TestLoadFile:
         with pytest.raises(LexiconError) as info:
             load_lexicon_file(path)
         assert str(info.value).startswith(f"{path}: line 1: expected 11")
+
+    def test_decoding_error_counts_from_the_start_of_the_file(self, tmp_path):
+        # The reader decodes 8 KB chunks; the bad byte sits past the first one.
+        path = tmp_path / "lexicon.tsv"
+        good = "".join(f"w{i}\t0\t0\t0\t0\t1\t0\t1\t0\t0\t0\r\n" for i in range(700))
+        data = b"\xef\xbb\xbf" + good.encode("utf-8") + b"w\xff\t" + b"\t".join([b"0"] * 10) + b"\n"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        assert offset > 8192
+        with pytest.raises(LexiconError) as info:
+            load_lexicon_file(path)
+        assert str(info.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte (line 701)"
+        )
 
 
 class TestInvariants:
