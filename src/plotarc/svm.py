@@ -5,12 +5,12 @@ as one ``(P, n)`` array, and ``f1_accuracy`` scores every row of it at once
 
 The trainer runs primal subgradient descent on
 
-    (1/n) sum_i max(0, 1 - y_i (w . x_i + b))  +  (1/(2 C n)) ||w||^2
+    (1/n) sum_i max(0, 1 - y_i w . [x_i, 1])  +  (1/(2 C n)) ||w||^2
 
 with the classic 1/(lambda t) step schedule, lambda = 1/(C n), for every
-model of a cross-validation at once (one numpy update per step). Everything
-is a pure function of its inputs plus an explicit seed, so repeated runs
-are bit-identical.
+model of a cross-validation at once (one numpy update per step). The bias,
+w's last entry, is penalized as in LIBLINEAR; everything is a pure function
+of its inputs plus an explicit seed, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def train_linear_svm(
     X: np.ndarray, y: np.ndarray, rows: Sequence[np.ndarray], means: np.ndarray, scales: np.ndarray,
     C: float = 1.0, epochs: int = 200, seed: int = 42,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Train each of P raw ``(P, n, dim)`` matrices on each of F row sets, in lockstep.
 
     ``y`` labels the n rows {+1, -1}, ``rows[f]`` indexes set f's rows and
     ``means`` and ``scales`` are ``(P, F, dim)``. Returns read-only ``(P, F, dim)``
-    weights and ``(P, F)`` biases. ``C`` must be positive and finite, and
-    weights that leave the finite range raise :class:`TrainingError`.
+    weights. ``C`` must be positive and finite; non-finite weights raise
+    :class:`TrainingError`.
 
     Model (p, f) takes exactly the steps of a lone run on its standardized
     rows: each epoch visits them in ``default_rng(seed).permutation(n_f)``
@@ -81,7 +81,6 @@ def train_linear_svm(
     active = steps <= n  # (n_max, F): False on the padding past a set's size
     order = np.zeros((n_max, len(rows)), dtype=np.intp)  # row of each set's t-th step
     W = np.zeros(shape)
-    b = np.zeros(shape[:2])
     for epoch in range(epochs):
         draws = {size: rng.permutation(size) for size, rng in rngs.items()}
         for f, r in enumerate(rows):
@@ -93,25 +92,22 @@ def train_linear_svm(
         for t in range(n_max):
             x = (X[:, order[t]] - means) / scales
             margin = np.matmul(x[..., None, :], W[..., :, None])[..., 0, 0]
-            violated = (y_epoch[t] * (margin + b) < 1.0) & active[t]
+            violated = (y_epoch[t] * margin < 1.0) & active[t]
             W *= shrink[t, :, None]
             np.add(W, coef[t, :, None] * x, out=W, where=violated[..., None])
-            b = np.where(violated, b + coef[t], b)
-    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+    if not np.isfinite(W).all():
         raise TrainingError(f"training diverged to non-finite weights with C = {C}")
     W.flags.writeable = False
-    b.flags.writeable = False
-    return W, b
+    return W
 
 
-def predict(X: np.ndarray, W: np.ndarray, b) -> np.ndarray:
-    """+1 where ``X @ w + b >= 0``, else -1, for each stacked model.
+def predict(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """+1 where ``X @ w >= 0``, else -1, for each stacked model.
 
-    ``X`` is ``(..., m, dim)``, ``W`` is ``(..., dim)`` and ``b`` is ``(...)``;
-    the result is ``(..., m)``. Each margin has the bits of a lone ``x @ w + b``.
+    ``X`` is ``(..., m, dim)`` and ``W`` is ``(..., dim)``; the result is
+    ``(..., m)``. Each margin has the bits of a lone ``x @ w``.
     """
-    margins = np.matmul(X, W[..., None])[..., 0] + np.asarray(b)[..., None]
-    return np.where(margins >= 0.0, 1, -1)
+    return np.where(np.matmul(X, W[..., None])[..., 0] >= 0.0, 1, -1)
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -160,9 +156,10 @@ def cross_validate(
     The P matrices share the n rows labelled by ``y`` and one stratified
     fold assignment; row p of the ``(P, n)`` result holds matrix p's
     held-out predictions. Standardization is fitted on each fold's training
-    split only, so held-out rows never leak into it. All P x ``folds``
-    models train in one lockstep call, and each fold's held-out rows are
-    scored for all P matrices in one batched product.
+    split only, so held-out rows never leak into it; the bias column of ones
+    appended after it gets mean 0 and scale 1. All P x ``folds`` models train
+    in one lockstep call, and each fold's held-out rows are scored for all
+    P matrices in one batched product.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -173,9 +170,12 @@ def cross_validate(
     rows = [np.flatnonzero(~mask) for mask in held]
     fits = zip(*(standardize_fit(X[:, r]) for r in rows))
     means, scales = (np.stack(arrays, axis=1) for arrays in fits)
-    W, b = train_linear_svm(X, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
+    last = ((0, 0), (0, 0), (0, 1))  # the bias column; padded after the fit, so no copy adds to its peak
+    X, scales = (np.pad(a, last, constant_values=1.0) for a in (X, scales))
+    means = np.pad(means, last)
+    W = train_linear_svm(X, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
     pooled = np.empty(X.shape[:2], dtype=y.dtype)
     for k, mask in enumerate(held):
         held_out = (X[:, mask] - means[:, k, None]) / scales[:, k, None]
-        pooled[:, mask] = predict(held_out, W[:, k], b[:, k])
+        pooled[:, mask] = predict(held_out, W[:, k])
     return pooled
