@@ -64,6 +64,20 @@ class TestSynth:
     def test_odd_count_rejected(self, tmp_path):
         assert main(["synth", "--n-novels", "7", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_two_rejected(self, count, tmp_path, capsys):
+        assert main(["synth", "--n-novels", count, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "n_novels must be a positive even number" in err and f"got {count}\n" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_same_bytes_under_any_hash_seed(self, tmp_path):
+        code = "import sys; from plotarc.cli import main; sys.exit(main(sys.argv[1:]))"
+        args = ["synth", "--seed", "5", "--n-novels", "4", "--tokens-per-novel", "300", "--ending-len", "3"]
+        for hash_seed in ("0", "1"):
+            run_python(code, *args, "--out", str(tmp_path / hash_seed), PYTHONHASHSEED=hash_seed)
+        assert read_dir(tmp_path / "0") == read_dir(tmp_path / "1")
+
 
 class TestFeaturize:
     def test_cache_row_count(self, synth_corpus, tmp_path):
@@ -183,6 +197,15 @@ class TestRun:
         assert main(["run", "baselines", *pipeline_args(synth_corpus, tmp_path / "out")]) == 2
         assert f"error: {metadata}: row 2: id {novel_id!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [("featurize",), ("run", "sweep")])
+    def test_metadata_without_rows_exits_2_naming_file(self, command, synth_corpus, tmp_path, capsys):
+        metadata = synth_corpus / "metadata.tsv"
+        metadata.write_text("id\ttitle\tauthor\tyear\tlabel\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*command, *pipeline_args(synth_corpus, out)]) == 2
+        assert f"error: {metadata}: no novels listed" in capsys.readouterr().err
+        assert not (out / "profiles.csv").exists() and not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("command, segments", [(("run", "sweep"), 10**12), (("featurize",), 10**18)])
     def test_more_segments_than_the_shortest_novel_exits_2(
         self, command, segments, synth_corpus, tmp_path, capsys
@@ -213,9 +236,10 @@ class TestRun:
         assert not out.exists()
 
 
-def run_python(code, *argv):
-    """Standard output of ``python -c code *argv`` with this checkout's package."""
-    env = dict(os.environ)
+def run_python(code, *argv, **env_vars):
+    """Standard output of ``python -c code *argv`` with this checkout's package,
+    ``env_vars`` added to the environment."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(plotarc.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(

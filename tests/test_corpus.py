@@ -395,22 +395,41 @@ def reference_generate(seed, n_novels, tokens_per_novel, ending_len_segments, le
     return Corpus(tuple(novels))
 
 
+def signed_lexicon(n_positive, n_negative, n_lemmas):
+    """``n_lemmas`` lemmas: the first ``n_positive`` positive, the next ``n_negative`` negative."""
+    rows = []
+    for i in range(n_lemmas):
+        negative, positive = int(n_positive <= i < n_positive + n_negative), int(i < n_positive)
+        rows.append(f"w{i:05d}" + "\t0" * 5 + f"\t{negative}\t{positive}" + "\t0" * 3)
+    return parse_lexicon("\n".join(rows) + "\n")
+
+
+# (positives, negatives, lemmas) for pool sizes where choice()'s rejection rule
+# is at its edges: a pool of 1 draws one bit and rejects half; a power of two
+# draws one bit more than it needs and rejects half; 14 182 (NRC size) draws 14.
+POOL_SHAPES = [(1, 3, 5), (2, 8, 16), (2268, 3262, 14182)]
+
+
 class TestSyntheticCorpus:
     @pytest.mark.parametrize(
-        "seed, n_novels, tokens_per_novel, ending_len",
+        "seed, n_novels, tokens_per_novel, ending_len, shape",
         [
-            (1, 4, 1500, 4),
-            (7, 6, 1000, 1),
-            (42, 2, 3001, 10),
-            (3, 4, 75, 1),
-            (9, 2, 151, 10),
-            (5, 2, 149, 10),
-        ],
+            pytest.param(*case, None, id="-".join(map(str, case)))
+            for case in [
+                (1, 4, 1500, 4),
+                (7, 6, 1000, 1),
+                (42, 2, 3001, 10),
+                (3, 4, 75, 1),
+                (9, 2, 151, 10),
+                (5, 2, 149, 10),
+            ]
+        ]
+        + [pytest.param(11, 2, 6000, 10, shape, id="pools-%d-%d-%d" % shape) for shape in POOL_SHAPES],
     )
     def test_writes_same_bytes_as_reference(
-        self, tmp_path, seed, n_novels, tokens_per_novel, ending_len
+        self, tmp_path, seed, n_novels, tokens_per_novel, ending_len, shape
     ):
-        lexicon = demo_lexicon()
+        lexicon = demo_lexicon() if shape is None else signed_lexicon(*shape)
         fast = generate_synthetic_corpus(seed, n_novels, tokens_per_novel, ending_len, lexicon)
         slow = reference_generate(seed, n_novels, tokens_per_novel, ending_len, lexicon)
         write_corpus(fast, tmp_path / "fast")
