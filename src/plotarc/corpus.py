@@ -15,9 +15,12 @@ from __future__ import annotations
 import random
 import string
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+
+import numpy as np
 
 from plotarc.lexicon import SentimentLexicon, decoding_error, parse_lexicon
 
@@ -40,10 +43,49 @@ class NovelMetadata:
     label: bool  # True = happy ending
 
 
+class Lemmas(Sequence):
+    """A read-only sequence of lemma strings held as int32 ids into a vocabulary.
+
+    Indexing gives a lemma, slicing another ``Lemmas``. It equals a tuple, or
+    another ``Lemmas``, of the same strings, and hashes like that tuple.
+    """
+
+    __slots__ = ("vocabulary", "ids")
+
+    def __init__(self, vocabulary: tuple[str, ...], ids: np.ndarray):
+        self.vocabulary = vocabulary
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Lemmas(self.vocabulary, self.ids[index])
+        return self.vocabulary[self.ids[index]]
+
+    def __iter__(self):
+        return map(self.vocabulary.__getitem__, self.ids.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, Lemmas)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Lemmas({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Novel:
+    """A novel's metadata and lemmas: a ``Lemmas`` view when loaded from disk,
+    any sequence of strings (a tuple, say) when built in memory."""
+
     metadata: NovelMetadata
-    lemmas: tuple[str, ...]
+    lemmas: Sequence[str]
 
 
 @dataclass(frozen=True)
@@ -113,8 +155,10 @@ def _read_text(path) -> str:
 
 def load_lemma_map(path) -> dict[str, str]:
     """Read a ``surface<TAB>lemma`` TSV, NFC-normalized line by line. A line without
-    two non-empty cells, or with a duplicate surface form, is an error naming the
-    line. All surface forms of one lemma share one lemma string."""
+    two non-empty cells, with a duplicate surface form, or with a surface form no
+    token can equal (whitespace in it, or punctuation at an edge: ``tokenize``
+    splits and strips those) is an error naming the line. All surface forms of
+    one lemma share one lemma string."""
     mapping: dict[str, str] = {}
     lemmas: dict[str, str] = {}
     try:
@@ -129,6 +173,15 @@ def load_lemma_map(path) -> dict[str, str]:
                 surface, lemma = cells
                 if not surface or not lemma:
                     raise CorpusError(f"{path}: line {lineno}: empty cell")
+                # Exactly the forms with tokenize(surface) != [surface]. Letters and
+                # digits are neither, so isalnum() passes most forms in one C call.
+                if not surface.isalnum() and (
+                    surface.split() != [surface] or _is_punct(surface[0]) or _is_punct(surface[-1])
+                ):
+                    raise CorpusError(
+                        f"{path}: line {lineno}: surface form {surface!r} has whitespace or edge "
+                        "punctuation, so no token can equal it"
+                    )
                 if surface in mapping:
                     raise CorpusError(f"{path}: line {lineno}: duplicate surface form {surface!r}")
                 mapping[surface] = lemmas.setdefault(lemma, lemma)
@@ -187,27 +240,69 @@ def load_metadata(metadata_file) -> list[NovelMetadata]:
     return rows
 
 
+class _Interner(dict):
+    """Surface form -> int id of its lemma in ``vocabulary``, one id per distinct lemma.
+
+    The lemma map's entries are made up front, keyed by the map's own strings,
+    and so is an entry for each of its lemmas that is not itself a surface
+    form: that form is unmapped, so it is its own lemma. Any other form is
+    unmapped and new; it gets its entry on first sight. Each token then
+    costs one dict probe.
+    """
+
+    def __init__(self, lemma_map: dict[str, str]):
+        lemma_ids: dict[str, int] = {}
+        for surface, lemma in lemma_map.items():
+            self[surface] = lemma_ids.setdefault(lemma, len(lemma_ids))
+        for lemma, lemma_id in lemma_ids.items():
+            self.setdefault(lemma, lemma_id)
+        self.vocabulary = list(lemma_ids)
+
+    def __missing__(self, form: str) -> int:
+        self[form] = lemma_id = len(self.vocabulary)
+        self.vocabulary.append(form)
+        return lemma_id
+
+    def ids(self, tokens) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+
+
+def intern_lemmas(corpus: Corpus) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """One vocabulary of lemma strings and each novel's lemma ids into it.
+
+    A loaded corpus holds both already. Otherwise every novel's lemmas are
+    interned as ``load_corpus`` interns tokens, without a lemma map.
+    """
+    lemmas = [novel.lemmas for novel in corpus.novels]
+    if all(isinstance(s, Lemmas) for s in lemmas) and len({id(s.vocabulary) for s in lemmas}) == 1:
+        return lemmas[0].vocabulary, [s.ids for s in lemmas]
+    interner = _Interner({})
+    ids = [interner.ids(s) for s in lemmas]
+    return tuple(interner.vocabulary), ids
+
+
 def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None) -> Corpus:
     """Load, tokenize, and lemmatize all novels listed in the metadata table.
 
-    Every token of one surface form shares one lemma string, so a loaded
-    corpus costs a pointer per token plus its distinct forms.
+    Each token becomes an int32 id into one vocabulary of the corpus's
+    distinct lemmas, so a loaded corpus costs 4 bytes per token plus its
+    distinct forms. The caller's lemma map is read, never changed.
     """
     text_dir = Path(text_dir)
-    # A copy of the map, so the caller's map stays unchanged: each unmapped
-    # surface form is stored as its own lemma on first sight and reused after.
-    lemma_of = dict(lemma_map or {})
-    novels = []
+    interner = _Interner(lemma_map or {})
+    loaded = []
     for meta in load_metadata(metadata_file):
         text_path = text_dir / f"{meta.id}.txt"
         if not text_path.is_file():
             raise CorpusError(f"missing text file for novel {meta.id!r}: {text_path}")
-        tokens = tokenize(unicodedata.normalize("NFC", _read_text(text_path)))
-        lemmas = tuple(map(lemma_of.setdefault, tokens, tokens))
-        if not lemmas:
+        ids = interner.ids(tokenize(unicodedata.normalize("NFC", _read_text(text_path))))
+        if not len(ids):
             raise CorpusError(f"novel {meta.id!r} has no tokens")
-        novels.append(Novel(meta, lemmas))
-    return Corpus(tuple(novels))
+        ids.flags.writeable = False
+        loaded.append((meta, ids))
+    # The views share one vocabulary, which is complete only after the last novel.
+    vocabulary = tuple(interner.vocabulary)
+    return Corpus(tuple(Novel(meta, Lemmas(vocabulary, ids)) for meta, ids in loaded))
 
 
 # ---------------------------------------------------------------------------

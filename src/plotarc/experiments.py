@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from plotarc._version import __version__ as _pkg_version
-from plotarc.corpus import Corpus
+from plotarc.corpus import Corpus, intern_lemmas
 from plotarc.features import (
     N_DIMS,
     FeaturizationError,
@@ -315,14 +315,20 @@ def lexicon_checksum(lexicon: SentimentLexicon) -> str:
 
 
 def corpus_checksum(corpus: Corpus) -> str:
+    """SHA-256 over each novel's metadata row and its lemmas joined by spaces.
+
+    Each distinct lemma is encoded once; a novel's bytes are gathered by id.
+    """
     import hashlib  # here, not at the top: hashlib loads OpenSSL, which featurize never needs
+    vocabulary, ids = intern_lemmas(corpus)
+    encoded = np.array([lemma.encode("utf-8") for lemma in vocabulary], dtype=object)
     h = hashlib.sha256()
-    for novel in corpus.novels:
+    for novel, novel_ids in zip(corpus.novels, ids):
         m = novel.metadata
         h.update(
             f"{m.id}\t{m.title}\t{m.author}\t{m.year}\t{int(m.label)}\n".encode("utf-8")
         )
-        h.update(" ".join(novel.lemmas).encode("utf-8"))
+        h.update(b" ".join(encoded[novel_ids].tolist()))
         h.update(b"\n")
     return h.hexdigest()
 

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from plotarc.corpus import Corpus, segment_bounds
+from plotarc.corpus import Corpus, intern_lemmas, segment_bounds
 from plotarc.lexicon import DIMENSIONS, SentimentLexicon
 
 N_DIMS = len(DIMENSIONS)
@@ -84,23 +84,25 @@ def compute_profiles(
     ``(novels, n_segments, 11)`` float array: novel ``i``'s segment vectors
     are written to ``out[i]``, and its profile holds a read-only view of them.
     Every novel must hold ``n_segments`` lemmas or more (``prepare_inputs`` checks).
+    The lexicon is looked up once per distinct lemma, not once per token.
     """
     n_segments = out.shape[1]
+    vocabulary, ids = intern_lemmas(corpus)
     # Unknown lemmas index one extra zero row. Every segment holds at least
     # one token, which np.add.reduceat needs: it returns the element at the
     # start index, not zero, for an empty slice.
     unknown = lexicon.size
     table = np.vstack([lexicon.scores, np.zeros(N_DIMS)])
+    rows = np.fromiter(
+        map(lexicon.entries.get, vocabulary, repeat(unknown)), dtype=np.intp, count=len(vocabulary)
+    )
     profiles = []
-    for novel, vectors in zip(corpus.novels, out, strict=True):
-        n = len(novel.lemmas)
-        ids = np.fromiter(
-            map(lexicon.entries.get, novel.lemmas, repeat(unknown, n)), dtype=np.intp, count=n
-        )
-        starts = segment_bounds(n, n_segments)[:-1]
-        counts = np.add.reduceat(ids != unknown, starts)
+    for novel, novel_ids, vectors in zip(corpus.novels, ids, out, strict=True):
+        novel_rows = rows[novel_ids]
+        starts = segment_bounds(len(novel_rows), n_segments)[:-1]
+        counts = np.add.reduceat(novel_rows != unknown, starts)
         # A segment without matches sums only zero rows: 0 / 1 keeps it zero.
-        np.divide(np.add.reduceat(table[ids], starts), np.maximum(counts, 1)[:, None], out=vectors)
+        np.divide(np.add.reduceat(table[novel_rows], starts), np.maximum(counts, 1)[:, None], out=vectors)
         vectors.flags.writeable = False
         counts.flags.writeable = False
         profiles.append(SegmentProfile(novel.metadata.id, vectors, counts))

@@ -135,6 +135,25 @@ class TestFeaturize:
         assert main(["featurize", *args]) == 2
         assert f"error: {bad}: line {line}: empty " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "surface", ["Hause ", " Hause", "Zu Hause", "Glück,", "„Glück", "Haus-", "Hause\u00a0", "Hause\x1c"]
+    )
+    def test_lemma_map_surface_no_token_can_equal_exits_2(self, surface, synth_corpus, tmp_path, capsys):
+        # Tokens are split on whitespace and stripped of edge punctuation, so
+        # such a line would never match anything.
+        bad = tmp_path / "lemmas.tsv"
+        bad.write_text(f"Freude\tfreude\n{surface}\thaus\n", encoding="utf-8")
+        args = [*pipeline_args(synth_corpus, tmp_path / "out"), "--lemma-map", str(bad)]
+        assert main(["featurize", *args]) == 2
+        assert f"error: {bad}: line 2: surface form {surface!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("surface", ["geht's", "z.B", "Haus-Tür", "Ärger"])
+    def test_lemma_map_surface_with_inner_punctuation_accepted(self, surface, synth_corpus, tmp_path):
+        good = tmp_path / "lemmas.tsv"
+        good.write_text(f"{surface}\tx\n", encoding="utf-8")
+        args = [*pipeline_args(synth_corpus, tmp_path / "out"), "--lemma-map", str(good)]
+        assert main(["featurize", *args]) == 0
+
     def test_rerun_byte_identical(self, synth_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["featurize", *pipeline_args(synth_corpus, a)]) == 0

@@ -21,7 +21,8 @@ from plotarc.corpus import (
     tokenize,
     write_corpus,
 )
-from plotarc.features import SectionPartition
+from plotarc.experiments import prepare_inputs
+from plotarc.features import N_DIMS, SectionPartition
 from plotarc.lexicon import load_lexicon_file, parse_lexicon
 
 
@@ -261,6 +262,24 @@ class TestReaderMemory:
         assert result
         assert peak - current < 1_000_000
 
+    def test_loaded_corpus_keeps_about_4_bytes_per_token(self, toy_corpus_dir):
+        # A token is an int32 id; only its distinct form is stored as a string.
+        # Measured: 0.86 MB retained for 200 000 tokens of 500 forms; a tuple
+        # of lemma strings per novel retained 1.65 MB.
+        text_dir, metadata = toy_corpus_dir
+        forms = [f"w{i}" for i in range(500)]
+        rng = random.Random(0)
+        for novel_id in ("n1", "n2", "n3", "n4"):
+            (text_dir / f"{novel_id}.txt").write_text(" ".join(rng.choices(forms, k=50_000)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(text_dir, metadata)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, (n.lemmas for n in corpus.novels))) == 200_000
+        assert current < 5 * 200_000 + 200 * len(forms) + 2_000 * corpus.total
+
 
 class TestLoadCorpus:
     def test_loads_four_novels(self, toy_corpus_dir):
@@ -356,6 +375,85 @@ class TestLoadCorpus:
         assert novel.lemmas == ("glück",) * 80
         profile = profile_of(novel, lexicon, 4)
         assert profile.matched_counts.sum() == 80
+
+
+def reference_profiles(corpus, lexicon, n_segments):
+    """Segment vectors and matched counts from one ``lexicon.entries.get`` per
+    token over ``tuple(novel.lemmas)``: the lookup that interning replaced."""
+    unknown = lexicon.size
+    table = np.vstack([lexicon.scores, np.zeros(N_DIMS)])
+    vectors, counts = [], []
+    for novel in corpus.novels:
+        rows = np.array([lexicon.entries.get(lemma, unknown) for lemma in tuple(novel.lemmas)])
+        starts = segment_bounds(len(rows), n_segments)[:-1]
+        matched = np.add.reduceat(rows != unknown, starts)
+        vectors.append(np.add.reduceat(table[rows], starts) / np.maximum(matched, 1)[:, None])
+        counts.append(matched)
+    return np.array(vectors), np.array(counts)
+
+
+# A -> B -> C is not chained: token A gets lemma B, token B gets C. Token C
+# equals a mapped lemma; "Glücks" maps to the NFC lemma "glück".
+CHAIN_MAP = {"A": "B", "B": "C", "Freuden": "freude", "Glücks": "glück"}
+ORACLE_LEXICON = (
+    "A\t1\t0\t0\t0\t0\t1\t0\t0\t0\t0\n"
+    "B\t0\t1\t0\t0\t0\t0\t1\t0\t0\t0\n"
+    "C\t0\t0\t1\t1\t0\t1\t0\t0\t0\t0\n"
+    "freude\t0\t0\t0\t0\t1\t0\t1\t0\t0\t1\n"
+    "glück\t0\t1\t0\t0\t1\t0\t1\t0\t0\t0\n"
+)
+
+
+class TestInterning:
+    """Loaded novels hold ids into one vocabulary; profiles must equal the per-token lookup."""
+
+    @pytest.fixture
+    def oracle_corpus_dir(self, toy_corpus_dir):
+        text_dir, metadata = toy_corpus_dir
+        words = ["A", "B", "C", "Freuden", "freude", "Glücks", "glück", "filler1", "filler2", "Zufall"]
+        rng = random.Random(5)
+        for i, novel_id in enumerate(("n1", "n2", "n3", "n4")):
+            text = " ".join(rng.choice(words) + rng.choice(["", "", ",", "."]) for _ in range(300 + i))
+            if i % 2:
+                text = unicodedata.normalize("NFD", text)
+            (text_dir / f"{novel_id}.txt").write_text(text, encoding="utf-8")
+        return text_dir, metadata
+
+    @pytest.mark.parametrize("lemma_map", [CHAIN_MAP, None], ids=["chain-map", "no-map"])
+    def test_profiles_equal_per_token_lookup(self, oracle_corpus_dir, lemma_map):
+        text_dir, metadata = oracle_corpus_dir
+        lexicon = parse_lexicon(ORACLE_LEXICON)
+        corpus = load_corpus(text_dir, metadata, lemma_map)
+        for novel in corpus.novels:
+            text = unicodedata.normalize("NFC", (text_dir / f"{novel.metadata.id}.txt").read_text(encoding="utf-8"))
+            assert tuple(novel.lemmas) == tuple((lemma_map or {}).get(t, t) for t in tokenize(text))
+        inputs = prepare_inputs(corpus, lexicon, 7)
+        vectors, counts = reference_profiles(corpus, lexicon, 7)
+        assert inputs.vectors.tobytes() == vectors.tobytes()
+        assert np.array_equal([p.matched_counts for p in inputs.profiles], counts)
+        vocabulary = corpus.novels[0].lemmas.vocabulary
+        assert all(novel.lemmas.vocabulary is vocabulary for novel in corpus.novels)
+        assert len(set(vocabulary)) == len(vocabulary)  # one id per distinct lemma
+        if lemma_map:
+            lemmas = {lemma for novel in corpus.novels for lemma in novel.lemmas}
+            assert {"B", "C", "freude", "glück"} <= lemmas and not lemmas & {"A", "Freuden", "Glücks"}
+
+    def test_tuple_backed_novels_equal_loaded_ones(self, oracle_corpus_dir):
+        text_dir, metadata = oracle_corpus_dir
+        lexicon = parse_lexicon(ORACLE_LEXICON)
+        loaded = load_corpus(text_dir, metadata, CHAIN_MAP)
+        in_memory = Corpus(tuple(Novel(n.metadata, tuple(n.lemmas)) for n in loaded.novels))
+        assert in_memory == loaded and loaded == in_memory
+        assert loaded.novels[0].lemmas[2:5] == tuple(loaded.novels[0].lemmas)[2:5]
+        assert hash(loaded.novels[0]) == hash(in_memory.novels[0])
+        a, b = prepare_inputs(loaded, lexicon, 7), prepare_inputs(in_memory, lexicon, 7)
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert all(np.array_equal(p.matched_counts, q.matched_counts) for p, q in zip(a.profiles, b.profiles))
+        # Novels from two loads (two vocabularies), alone and with a tuple-backed one.
+        other = load_corpus(text_dir, metadata)
+        for novels in [(loaded.novels[0], other.novels[1]), (loaded.novels[0], other.novels[1], in_memory.novels[2])]:
+            vectors, _ = reference_profiles(Corpus(novels), lexicon, 7)
+            assert prepare_inputs(Corpus(novels), lexicon, 7).vectors.tobytes() == vectors.tobytes()
 
 
 def reference_generate(seed, n_novels, tokens_per_novel, ending_len_segments, lexicon):

@@ -4,12 +4,14 @@ Whatever a user file holds, ``plotarc run baselines`` must exit 0 or 2 and
 never raise: every reader error is a message, not a traceback.
 """
 
+import unicodedata
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plotarc.cli import main
-from plotarc.corpus import METADATA_COLUMNS, demo_lexicon
+from plotarc.corpus import METADATA_COLUMNS, demo_lexicon, tokenize
 from plotarc.lexicon import FILE_DIMENSIONS, write_lexicon
 
 FUZZ = settings(
@@ -125,3 +127,17 @@ def test_metadata_reader(corpus, content):
 @example(content="\x00\t\x00\r\n")
 def test_lemma_map_reader(corpus, content):
     assert run_with(corpus, "--lemma-map", content) in (0, 2)
+
+
+@FUZZ
+@given(surface=cell.filter(bool))
+@example(surface="Hause ")
+@example(surface="Glück,")
+@example(surface="„Glück“")
+@example(surface="Zu\u2028Hause")
+@example(surface="geht's")
+def test_lemma_map_accepts_exactly_the_surface_forms_a_token_can_equal(corpus, surface):
+    # The blank first line keeps a leading U+FEFF from being read as a byte-order mark.
+    form = unicodedata.normalize("NFC", surface)
+    status = run_with(corpus, "--lemma-map", f"\n{surface}\tlemma\n")
+    assert status == (0 if tokenize(form) == [form] else 2)
