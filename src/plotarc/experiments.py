@@ -309,9 +309,24 @@ def run_baselines(corpus: Corpus) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _sha256(data: bytes = b""):
+    """A SHA-256 hash of ``data`` from CPython's built-in: ``_sha2`` from 3.12, ``_sha256`` before.
+
+    hashlib would load OpenSSL, about 3 MB of RSS. Imported on first use,
+    since ``featurize`` hashes nothing.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
+
+
 def lexicon_checksum(lexicon: SentimentLexicon) -> str:
-    import hashlib  # here, not at the top: hashlib loads OpenSSL, which featurize never needs
-    return hashlib.sha256(lexicon_to_text(lexicon).encode("utf-8")).hexdigest()
+    return _sha256(lexicon_to_text(lexicon).encode("utf-8")).hexdigest()
 
 
 def corpus_checksum(corpus: Corpus) -> str:
@@ -319,10 +334,9 @@ def corpus_checksum(corpus: Corpus) -> str:
 
     Each distinct lemma is encoded once; a novel's bytes are gathered by id.
     """
-    import hashlib  # here, not at the top: hashlib loads OpenSSL, which featurize never needs
     vocabulary, ids = intern_lemmas(corpus)
     encoded = np.array([lemma.encode("utf-8") for lemma in vocabulary], dtype=object)
-    h = hashlib.sha256()
+    h = _sha256()
     for novel, novel_ids in zip(corpus.novels, ids):
         m = novel.metadata
         h.update(

@@ -255,14 +255,20 @@ class TestRun:
         assert not out.exists()
 
 
-def run_python(code, *argv, **env_vars):
-    """Standard output of ``python -c code *argv`` with this checkout's package,
-    ``env_vars`` added to the environment."""
+def checkout_env(**env_vars):
+    """The environment with this checkout's package first on the path, ``env_vars`` added."""
     env = dict(os.environ, **env_vars)
     src = str(Path(plotarc.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(code, *argv, **env_vars):
+    """Standard output of ``python -c code *argv`` with this checkout's package,
+    ``env_vars`` added to the environment."""
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", code, *argv], env=checkout_env(**env_vars),
+        capture_output=True, text=True, timeout=60, check=True,
     )
     return done.stdout
 
@@ -281,8 +287,9 @@ def test_cli_import_pulls_in_no_xml_or_http_stack():
     assert heavy == []
 
 
-def test_neither_import_nor_featurize_loads_hashlib(synth_corpus, tmp_path):
-    # hashlib loads OpenSSL, about 4 MB of RSS; only run reports' checksums use it.
+def modules_loaded_by(*argv):
+    """Exit status of ``plotarc *argv`` in a fresh interpreter, the modules that
+    importing ``plotarc.cli`` loaded, and those loaded once the command ended."""
     code = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -291,8 +298,38 @@ def test_neither_import_nor_featurize_loads_hashlib(synth_corpus, tmp_path):
         "status = plotarc.cli.main(sys.argv[1:])\n"
         "print(json.dumps([status, sorted(imported), sorted(set(sys.modules) - before)]))\n"
     )
-    out = run_python(code, "featurize", *pipeline_args(synth_corpus, tmp_path / "out"))
-    status, imported, after_featurize = json.loads(out.splitlines()[-1])
+    return json.loads(run_python(code, *argv).splitlines()[-1])
+
+
+def test_neither_import_nor_featurize_loads_hashlib(synth_corpus, tmp_path):
+    # hashlib loads OpenSSL, about 3 MB of RSS; checksums use the built-in SHA-256.
+    status, imported, after_featurize = modules_loaded_by(
+        "featurize", *pipeline_args(synth_corpus, tmp_path / "out")
+    )
     assert status == 0
     assert "plotarc.cli" in imported
     assert [m for m in after_featurize if m in ("hashlib", "_hashlib")] == []
+
+
+@pytest.mark.parametrize("experiment", ["sweep", "periods"])
+def test_run_loads_neither_numpy_random_nor_openssl(experiment, synth_corpus, tmp_path):
+    # numpy.random's extensions and secrets -> hashlib -> OpenSSL are about
+    # 5.6 MB of a run's peak RSS; its shuffles and checksums need neither.
+    status, _, after_run = modules_loaded_by(
+        "run", experiment, *pipeline_args(synth_corpus, tmp_path / "out")
+    )
+    assert status == 0
+    assert (tmp_path / "out" / f"{experiment}.meta.txt").exists()
+    loaded = [m for m in after_run if m.startswith("numpy.random") or m in ("secrets", "_hashlib")]
+    assert loaded == []
+
+
+def test_negative_seed_exits_2(synth_corpus, tmp_path):
+    # A seed is split into 32-bit words; a negative one must be refused, not looped over.
+    done = subprocess.run(
+        [sys.executable, "-m", "plotarc.cli", "run", "sweep",
+         *pipeline_args(synth_corpus, tmp_path / "out", ["--seed", "-1"])],
+        env=checkout_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.endswith("error: seed must be a non-negative integer, got -1\n")

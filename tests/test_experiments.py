@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from plotarc.experiments import (
     sweep_csv,
 )
 from plotarc.features import FeaturizationError, SectionPartition
+from plotarc.lexicon import lexicon_to_text
 from plotarc.svm import cross_validate, f1_accuracy
 
 FAST = ClassifierConfig(folds=10, seed=42, C=1.0, epochs=100)
@@ -293,3 +295,14 @@ class TestReports:
         assert lexicon_checksum(toy_lexicon) == lexicon_checksum(toy_lexicon)
         other = Corpus(corpus.novels[:-1])
         assert corpus_checksum(other) != corpus_checksum(corpus)
+
+    def test_checksums_are_hashlib_sha256_of_the_same_bytes(self, toy_lexicon, planted):
+        corpus, _ = planted
+        lexicon_bytes = lexicon_to_text(toy_lexicon).encode("utf-8")
+        assert lexicon_checksum(toy_lexicon) == hashlib.sha256(lexicon_bytes).hexdigest()
+        corpus_text = "".join(
+            f"{m.id}\t{m.title}\t{m.author}\t{m.year}\t{int(m.label)}\n" + " ".join(novel.lemmas) + "\n"
+            for novel in corpus.novels
+            for m in [novel.metadata]
+        )
+        assert corpus_checksum(corpus) == hashlib.sha256(corpus_text.encode("utf-8")).hexdigest()

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus
 from plotarc.experiments import feature_matrix, prepare_inputs
 from plotarc.features import SectionPartition
 from plotarc.svm import (
     TrainingError,
+    _ShuffleStream,
     cross_validate,
     f1_accuracy,
     predict,
@@ -41,6 +43,23 @@ def reference_train(X, y, C=1.0, epochs=200, seed=42):
             else:
                 w = (1.0 - eta * lam) * w
     return w
+
+
+def reference_standardize_fit(X):
+    """``np.mean`` and ``np.std`` over axis -2, with 1.0 for a zero std: the standardization's bit oracle."""
+    X = np.asarray(X, dtype=float)
+    scales = X.std(axis=-2)
+    return X.mean(axis=-2), np.where(scales > 0.0, scales, 1.0)
+
+
+def reference_stratified_folds(y, folds, seed):
+    """``stratified_folds`` drawing from ``np.random.default_rng``: the shuffle-stream oracle."""
+    assignment = np.empty(len(y), dtype=int)
+    rng = np.random.default_rng(seed)
+    for cls in (1, -1):
+        idx = np.flatnonzero(y == cls)
+        assignment[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % folds
+    return assignment
 
 
 def reference_dcd(X, y, C=1.0, tol=1e-10, max_epochs=20_000, seed=0):
@@ -176,6 +195,71 @@ class TestStandardize:
     def test_too_few_rows(self):
         with pytest.raises(TrainingError):
             standardize_fit(np.zeros((1, 3)))
+        with pytest.raises(TrainingError):
+            standardize_fit(np.zeros((2, 4, 3)), np.array([2]))
+
+    @pytest.mark.parametrize("feature_set", [3, 6])
+    def test_fold_fits_of_a_sweep_stack_have_mean_and_std_bits(self, feature_set):
+        # One gathered copy, its deviations squared in place, against
+        # np.mean and np.std on each fold's training rows of a 37-point stack.
+        lexicon = demo_lexicon()
+        inputs = prepare_inputs(generate_synthetic_corpus(1, 212, 600, 4, lexicon), lexicon)
+        late = feature_set in (5, 6)
+        X = np.stack([
+            feature_matrix(inputs, SectionPartition(75, k, k if late else 0), feature_set)
+            for k in range(37, 0, -1)
+        ])
+        before = X.copy()
+        assignment = stratified_folds(inputs.labels, 10, 42)
+        for k in range(10):
+            rows = np.flatnonzero(assignment != k)
+            expected = [a.tobytes() for a in reference_standardize_fit(X[:, rows])]
+            assert [a.tobytes() for a in standardize_fit(X, rows)] == expected
+            assert [a.tobytes() for a in standardize_fit(X[:, rows])] == expected
+        assert X.tobytes() == before.tobytes()  # the caller's stack is left as it was
+
+
+# Seeds of one 32-bit word, two, three (2**64 + k) and more than the
+# SeedSequence pool's four (past 2**128).
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32]),
+    st.integers(0, 2**20).map(lambda k: 2**64 + k),
+    st.integers(2**128, 2**200),
+    st.integers(0, 2**64),
+)
+
+
+class TestShuffleStream:
+    """The pure-Python stream against ``np.random.default_rng``, its reference."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=SEEDS, sizes=st.lists(st.one_of(st.integers(0, 2), st.integers(3, 300)), max_size=6))
+    @example(seed=0, sizes=[0, 1, 2, 300, 1, 190, 191])
+    @example(seed=2**32 - 1, sizes=[2, 3, 2, 257])
+    @example(seed=2**32, sizes=[300, 0, 5])
+    @example(seed=2**64 + 7, sizes=[190, 190])
+    @example(seed=2**128 + 1, sizes=[1, 2, 3, 4, 5])
+    def test_consecutive_permutations_match_default_rng(self, seed, sizes):
+        ours, numpy_rng = _ShuffleStream(seed), np.random.default_rng(seed)
+        for n in sizes:
+            got, expected = ours.permutation(n), numpy_rng.permutation(n)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_pos,n_neg,folds,seed", [
+        (106, 106, 10, 42), (20, 31, 5, 0), (3, 40, 3, 2**40), (50, 7, 7, 2**64 + 1),
+    ])
+    def test_stratified_folds_match_default_rng(self, n_pos, n_neg, folds, seed):
+        y = np.random.default_rng(n_pos).permutation(np.r_[np.ones(n_pos, int), -np.ones(n_neg, int)])
+        got = stratified_folds(y, folds, seed)
+        assert got.tobytes() == reference_stratified_folds(y, folds, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64)])
+    def test_negative_seed_rejected(self, seed):
+        X, y = separable_set()
+        with pytest.raises(TrainingError, match=f"seed must be a non-negative integer, got {seed}$"):
+            cross_validate(X[None], y, folds=5, seed=seed, epochs=1)
+        with pytest.raises(TrainingError, match="seed"):
+            train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, 2), seed=seed)
 
 
 class TestTrain:
@@ -398,9 +482,11 @@ class TestCrossValidate:
         assert pred.tobytes() == pooled.tobytes()
     def test_traced_peak_stays_near_the_stack_size(self):
         # A sweep-sized stack: 37 points x 212 novels x 11 features, 690 KB.
-        # Measured peak: 2.04 x the stack (one fold's gathered training rows
-        # and the std temporary). Materializing each epoch's standardized
-        # (steps, P, F, dim) rows and updates instead peaks at about 31 MB, 45 x.
+        # Measured peak: 1.91 x the stack (its copy padded with the bias
+        # column, plus one fold's held-out rows while they are scored); a
+        # fold's standardization fit adds 1.0 x. Materializing each epoch's
+        # standardized (steps, P, F, dim) rows and updates instead peaks at
+        # about 31 MB, 45 x.
         X = np.random.default_rng(0).normal(size=(37, 212, 11))
         y = np.where(np.arange(212) % 2 == 0, 1, -1)
         tracemalloc.start()
