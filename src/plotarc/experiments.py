@@ -127,11 +127,10 @@ def run_feature_ladder(
     inputs: RunInputs,
     partition: SectionPartition,
     config: ClassifierConfig = ClassifierConfig(),
-    feature_sets=tuple(FEATURE_SET_DIMS),
 ) -> LadderReport:
-    """Cross-validated F1/accuracy for each feature set under shared folds."""
+    """Cross-validated F1/accuracy for each of the six feature sets under shared folds."""
     rows = []
-    for fsid in feature_sets:
+    for fsid in FEATURE_SET_DIMS:
         X = feature_matrix(inputs, partition, fsid)
         (pred,) = cross_validate(X[None], inputs.labels, **asdict(config))
         f1, accuracy = f1_accuracy(pred, inputs.labels)
@@ -172,6 +171,32 @@ class SweepCurve:
         return max(self.points, key=lambda p: (p.f1, p.main_fraction))
 
 
+def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
+                  config: ClassifierConfig) -> list[SweepCurve]:
+    """One curve per group of novel rows (a slice or an index list), each from its own
+    CV call; all are cut from one stack, since a feature row reads only its own novel."""
+    n = inputs.n_segments
+    final_lens = sorted(range(n // 2, 0, -1) if final_lens is None else final_lens, reverse=True)
+    # One degree of freedom per point: the late-main section mirrors the
+    # final section whenever the feature set consumes it.
+    partitions = [
+        SectionPartition(n, final_len, final_len if feature_set_id in (5, 6) else 0)
+        for final_len in final_lens
+    ]
+    fields = {"n_segments": n, "feature_set": feature_set_id, **asdict(config)}
+    if partitions and groups:
+        X = np.stack([feature_matrix(inputs, p, feature_set_id) for p in partitions])
+    curves = []
+    for rows in groups:
+        f1s = []
+        if partitions:
+            y = inputs.labels[rows]
+            f1s = f1_accuracy(cross_validate(X[:, rows], y, **asdict(config)), y)[0].tolist()
+        points = (SweepPoint((n - p.final_len) / n, p.final_len, f1) for p, f1 in zip(partitions, f1s))
+        curves.append(SweepCurve(tuple(points), dict(fields)))
+    return curves
+
+
 def run_partition_sweep(
     inputs: RunInputs,
     final_lens=None,
@@ -185,29 +210,8 @@ def run_partition_sweep(
     fraction) to the shortest, and each main fraction is
     ``(n_segments - final_len) / n_segments``.
     """
-    n = inputs.n_segments
-    final_lens = sorted(range(n // 2, 0, -1) if final_lens is None else final_lens, reverse=True)
-    # One degree of freedom per point: the late-main section mirrors the
-    # final section whenever the feature set consumes it.
-    partitions = [
-        SectionPartition(n, final_len, final_len if feature_set_id in (5, 6) else 0)
-        for final_len in final_lens
-    ]
-    f1s = []
-    if partitions:
-        X = np.stack([feature_matrix(inputs, p, feature_set_id) for p in partitions])
-        pred = cross_validate(X, inputs.labels, **asdict(config))
-        f1s = f1_accuracy(pred, inputs.labels)[0].tolist()
-    return SweepCurve(
-        points=tuple(
-            SweepPoint((n - p.final_len) / n, p.final_len, f1) for p, f1 in zip(partitions, f1s)
-        ),
-        config={
-            "n_segments": n,
-            "feature_set": feature_set_id,
-            **asdict(config),
-        },
-    )
+    (curve,) = _sweep_curves(inputs, [slice(None)], final_lens, feature_set_id, config)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +267,15 @@ def run_period_analysis(
     A group is swept only when each class has at least ``folds`` novels;
     otherwise its curve is None.
     """
-    groups = []
-    for label, idx in zip(period_labels(boundaries), group_indices(corpus, boundaries)):
-        sub_labels = inputs.labels[idx]
-        n_happy = int(np.sum(sub_labels == 1))
-        curve = None
-        if min(n_happy, len(idx) - n_happy) >= config.folds:
-            sub_inputs = RunInputs(
-                profiles=tuple(inputs.profiles[i] for i in idx),
-                vectors=inputs.vectors[idx],
-                labels=sub_labels,
-            )
-            curve = run_partition_sweep(sub_inputs, final_lens, feature_set_id, config)
-        groups.append(PeriodGroup(label, len(idx), curve))
+    indices = group_indices(corpus, boundaries)
+    happy = [int(np.sum(inputs.labels[idx] == 1)) for idx in indices]
+    swept = [g for g, idx in enumerate(indices) if min(happy[g], len(idx) - happy[g]) >= config.folds]
+    curves = _sweep_curves(inputs, [indices[g] for g in swept], final_lens, feature_set_id, config)
+    curve_of = dict(zip(swept, curves))
+    groups = [
+        PeriodGroup(label, len(idx), curve_of.get(g))
+        for g, (label, idx) in enumerate(zip(period_labels(boundaries), indices))
+    ]
     return PeriodReport(
         groups=tuple(groups),
         config={

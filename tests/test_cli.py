@@ -287,6 +287,18 @@ def test_cli_import_pulls_in_no_xml_or_http_stack():
     assert heavy == []
 
 
+def test_package_import_loads_only_its_version():
+    # The package re-exports nothing but __version__; every name lives in its module.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import plotarc\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    new = json.loads(run_python(code))
+    assert [m for m in new if m.split(".")[0] in ("numpy", "plotarc")] == ["plotarc", "plotarc._version"]
+
+
 def modules_loaded_by(*argv):
     """Exit status of ``plotarc *argv`` in a fresh interpreter, the modules that
     importing ``plotarc.cli`` loaded, and those loaded once the command ended."""

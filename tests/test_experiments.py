@@ -13,7 +13,9 @@ from plotarc.corpus import (
     generate_synthetic_corpus,
 )
 from plotarc.experiments import (
+    DEFAULT_PERIOD_BOUNDARIES,
     ClassifierConfig,
+    RunInputs,
     SweepCurve,
     SweepPoint,
     corpus_checksum,
@@ -238,6 +240,22 @@ class TestPeriodAnalysis:
         assert abs(early_argmax - 4) <= 2
         assert abs(late_argmax - 8) <= 2
 
+    def test_group_curves_equal_sweeps_over_each_groups_own_inputs(self, toy_lexicon):
+        # Groups are cut from the corpus-wide feature stack; each curve must
+        # equal, float for float, a sweep over inputs holding only its rows.
+        corpus = generate_synthetic_corpus(5, 120, 600, 4, toy_lexicon)
+        inputs = prepare_inputs(corpus, toy_lexicon)
+        config = ClassifierConfig(epochs=20)
+        report = run_period_analysis(corpus, inputs, final_lens=[9, 4, 1], config=config)
+        assert [g.novel_count for g in report.groups] == [41, 18, 22, 39]
+        assert [g.curve is None for g in report.groups] == [False, True, False, False]
+        for group, idx in zip(report.groups, group_indices(corpus, DEFAULT_PERIOD_BOUNDARIES)):
+            if group.curve is not None:
+                own = RunInputs(
+                    tuple(inputs.profiles[i] for i in idx), inputs.vectors[idx], inputs.labels[idx]
+                )
+                assert group.curve == run_partition_sweep(own, [9, 4, 1], 3, config)
+
 
 class TestBaselines:
     def make_corpus(self, n_happy, n_unhappy):
@@ -265,10 +283,10 @@ class TestBaselines:
 class TestReports:
     def test_ladder_csv_shape(self, planted):
         _, inputs = planted
-        report = run_feature_ladder(inputs, SectionPartition(75, 4, 4), FAST, feature_sets=(1, 3))
+        report = run_feature_ladder(inputs, SectionPartition(75, 4, 4), FAST)
         lines = ladder_csv(report).strip().splitlines()
         assert lines[0] == "feature_set,f1,accuracy"
-        assert len(lines) == 3
+        assert len(lines) == 7
 
     def test_sweep_csv_shape(self, planted):
         _, inputs = planted
