@@ -44,7 +44,7 @@ class NovelMetadata:
 
 
 class Lemmas(Sequence):
-    """A read-only sequence of lemma strings held as int32 ids into a vocabulary.
+    """A read-only sequence of lemma strings held as unsigned integer ids into a vocabulary.
 
     Indexing gives a lemma, slicing another ``Lemmas``. It equals a tuple, or
     another ``Lemmas``, of the same strings, and hashes like that tuple.
@@ -264,7 +264,10 @@ class _Interner(dict):
         return lemma_id
 
     def ids(self, tokens) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+        """The tokens' ids in the narrowest unsigned type that holds every id so far
+        (uint8 up to 256 forms, uint16 up to 65 536): later novels may get wider ones."""
+        ids = np.fromiter(map(self.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+        return ids.astype(np.min_scalar_type(len(self.vocabulary) - 1))
 
 
 def intern_lemmas(corpus: Corpus) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -284,9 +287,9 @@ def intern_lemmas(corpus: Corpus) -> tuple[tuple[str, ...], list[np.ndarray]]:
 def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None) -> Corpus:
     """Load, tokenize, and lemmatize all novels listed in the metadata table.
 
-    Each token becomes an int32 id into one vocabulary of the corpus's
-    distinct lemmas, so a loaded corpus costs 4 bytes per token plus its
-    distinct forms. The caller's lemma map is read, never changed.
+    Each token becomes an id into one vocabulary of the corpus's distinct lemmas
+    (see ``_Interner.ids``), so a loaded corpus costs 2 bytes per token up to
+    65 536 forms, plus its distinct forms. The caller's lemma map is read, never changed.
     """
     text_dir = Path(text_dir)
     interner = _Interner(lemma_map or {})

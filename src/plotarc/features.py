@@ -84,15 +84,18 @@ def compute_profiles(
     ``(novels, n_segments, 11)`` float array: novel ``i``'s segment vectors
     are written to ``out[i]``, and its profile holds a read-only view of them.
     Every novel must hold ``n_segments`` lemmas or more (``prepare_inputs`` checks).
-    The lexicon is looked up once per distinct lemma, not once per token.
+    The lexicon is looked up once per distinct lemma, not once per token. The
+    int8 scores are summed in int64, so each sum is exact and each mean is
+    the float64 quotient of two integers.
     """
     n_segments = out.shape[1]
     vocabulary, ids = intern_lemmas(corpus)
-    # Unknown lemmas index one extra zero row. Every segment holds at least
-    # one token, which np.add.reduceat needs: it returns the element at the
-    # start index, not zero, for an empty slice.
+    # Unknown lemmas index one extra zero row, int8 like the scores (a float
+    # row would widen the table). Every segment holds at least one token,
+    # which np.add.reduceat needs: it returns the element at the start index,
+    # not zero, for an empty slice.
     unknown = lexicon.size
-    table = np.vstack([lexicon.scores, np.zeros(N_DIMS)])
+    table = np.vstack([lexicon.scores, np.zeros(N_DIMS, dtype=np.int8)])
     rows = np.fromiter(
         map(lexicon.entries.get, vocabulary, repeat(unknown)), dtype=np.intp, count=len(vocabulary)
     )
@@ -101,8 +104,9 @@ def compute_profiles(
         novel_rows = rows[novel_ids]
         starts = segment_bounds(len(novel_rows), n_segments)[:-1]
         counts = np.add.reduceat(novel_rows != unknown, starts)
+        sums = np.add.reduceat(table[novel_rows], starts, dtype=np.int64)
         # A segment without matches sums only zero rows: 0 / 1 keeps it zero.
-        np.divide(np.add.reduceat(table[novel_rows], starts), np.maximum(counts, 1)[:, None], out=vectors)
+        np.divide(sums, np.maximum(counts, 1)[:, None], out=vectors)
         vectors.flags.writeable = False
         counts.flags.writeable = False
         profiles.append(SegmentProfile(novel.metadata.id, vectors, counts))

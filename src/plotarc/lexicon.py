@@ -73,10 +73,11 @@ class LexiconError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SentimentLexicon:
-    """Lemma -> row map over a read-only ``(V, 11)`` score matrix.
+    """Lemma -> row map over a read-only int8 ``(V, 11)`` score matrix.
 
     Keys are exact and case-sensitive; ``entries`` keeps file order and maps
-    each lemma to its row of ``scores`` (canonical dimension order).
+    each lemma to its row of ``scores`` (canonical dimension order). Each
+    score is 0 or 1, and polarity -1, 0 or 1.
     """
 
     entries: dict[str, int]
@@ -150,7 +151,7 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
         tails += binary.group().encode("ascii")
 
     digits = np.frombuffer(tails, dtype=np.uint8).reshape(-1, 2 * len(FILE_DIMENSIONS))
-    scores = np.zeros((len(entries), len(DIMENSIONS)))
+    scores = np.zeros((len(entries), len(DIMENSIONS)), dtype=np.int8)
     scores[:, targets] = digits[:, 1::2] - ord("0")
     scores[:, POLARITY_INDEX] = (
         scores[:, DIMENSIONS.index("positive")] - scores[:, DIMENSIONS.index("negative")]
@@ -179,11 +180,14 @@ def load_lexicon_file(path) -> SentimentLexicon:
     # in the first lemma and keep it from ever matching.
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            return parse_lexicon(fh)
+            lexicon = parse_lexicon(fh)
         except LexiconError as exc:
             raise LexiconError(f"{path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise LexiconError(decoding_error(path, exc)) from None
+    if not lexicon.size:
+        raise LexiconError(f"{path}: no lexicon entries")
+    return lexicon
 
 
 def decoding_error(path, exc: UnicodeDecodeError) -> str:

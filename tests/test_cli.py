@@ -225,6 +225,18 @@ class TestRun:
         assert f"error: {metadata}: no novels listed" in capsys.readouterr().err
         assert not (out / "profiles.csv").exists() and not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("header_only", [False, True], ids=["empty", "header-only"])
+    @pytest.mark.parametrize("command", [("featurize",), ("run", "sweep")])
+    def test_lexicon_without_entries_exits_2_naming_file(self, command, header_only, synth_corpus, tmp_path, capsys):
+        lexicon = synth_corpus / "lexicon.tsv"
+        header = lexicon.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        assert header.startswith("lemma\t")
+        lexicon.write_text(header if header_only else "", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*command, *pipeline_args(synth_corpus, out)]) == 2
+        assert f"error: {lexicon}: no lexicon entries" in capsys.readouterr().err
+        assert not (out / "profiles.csv").exists() and not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("command, segments", [(("run", "sweep"), 10**12), (("featurize",), 10**18)])
     def test_more_segments_than_the_shortest_novel_exits_2(
         self, command, segments, synth_corpus, tmp_path, capsys

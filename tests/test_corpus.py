@@ -21,7 +21,7 @@ from plotarc.corpus import (
     tokenize,
     write_corpus,
 )
-from plotarc.experiments import prepare_inputs
+from plotarc.experiments import corpus_checksum, prepare_inputs
 from plotarc.features import N_DIMS, SectionPartition
 from plotarc.lexicon import load_lexicon_file, parse_lexicon
 
@@ -262,10 +262,10 @@ class TestReaderMemory:
         assert result
         assert peak - current < 1_000_000
 
-    def test_loaded_corpus_keeps_about_4_bytes_per_token(self, toy_corpus_dir):
-        # A token is an int32 id; only its distinct form is stored as a string.
-        # Measured: 0.86 MB retained for 200 000 tokens of 500 forms; a tuple
-        # of lemma strings per novel retained 1.65 MB.
+    def test_loaded_corpus_keeps_about_2_bytes_per_token(self, toy_corpus_dir):
+        # A token is a uint16 id (500 forms); only its distinct form is stored
+        # as a string. Measured: 0.46 MB retained for 200 000 tokens of 500
+        # forms; int32 ids retained 0.86 MB, a tuple of lemma strings per novel 1.65 MB.
         text_dir, metadata = toy_corpus_dir
         forms = [f"w{i}" for i in range(500)]
         rng = random.Random(0)
@@ -278,7 +278,7 @@ class TestReaderMemory:
         finally:
             tracemalloc.stop()
         assert sum(map(len, (n.lemmas for n in corpus.novels))) == 200_000
-        assert current < 5 * 200_000 + 200 * len(forms) + 2_000 * corpus.total
+        assert current < 3 * 200_000 + 200 * len(forms) + 2_000 * corpus.total
 
 
 class TestLoadCorpus:
@@ -454,6 +454,36 @@ class TestInterning:
         for novels in [(loaded.novels[0], other.novels[1]), (loaded.novels[0], other.novels[1], in_memory.novels[2])]:
             vectors, _ = reference_profiles(Corpus(novels), lexicon, 7)
             assert prepare_inputs(Corpus(novels), lexicon, 7).vectors.tobytes() == vectors.tobytes()
+
+
+class TestIdWidth:
+    def test_vocabulary_past_65536_forms_widens_later_ids(self, toy_corpus_dir):
+        # Each novel brings 17 500 new forms and repeats every 7th older one,
+        # so the fourth takes the vocabulary to 70 000 forms. Ids wrapped to
+        # 16 bits would name other forms, several of them lexicon lemmas.
+        text_dir, metadata = toy_corpus_dir
+        rng = random.Random(3)
+        texts = []
+        for i, novel_id in enumerate(("n1", "n2", "n3", "n4")):
+            tokens = [f"w{k}" for k in range(17_500 * i, 17_500 * (i + 1))]
+            tokens += rng.sample([f"w{k}" for k in range(0, 17_500 * i, 7)], 2_500 * i)
+            texts.append(tuple(tokens))
+            (text_dir / f"{novel_id}.txt").write_text(" ".join(tokens), encoding="utf-8")
+        lexicon = parse_lexicon("".join(
+            f"w{k}" + "".join(f"\t{(k >> bit) & 1}" for bit in range(10)) + "\n" for k in range(0, 70_000, 61)
+        ))
+        corpus = load_corpus(text_dir, metadata)
+        assert [novel.lemmas.ids.dtype for novel in corpus.novels] == [np.uint16] * 3 + [np.uint32]
+        assert [novel.lemmas for novel in corpus.novels] == texts
+        for novel, text in zip(corpus.novels, texts):  # index and slice across the newest forms
+            assert novel.lemmas[17_499] == text[17_499] and novel.lemmas[17_490:17_510] == text[17_490:17_510]
+        in_memory = Corpus(tuple(Novel(n.metadata, text) for n, text in zip(corpus.novels, texts)))
+        vectors, counts = reference_profiles(in_memory, lexicon, 75)
+        for backed in (corpus, in_memory):
+            inputs = prepare_inputs(backed, lexicon, 75)
+            assert inputs.vectors.tobytes() == vectors.tobytes()
+            assert np.array_equal([p.matched_counts for p in inputs.profiles], counts)
+        assert corpus_checksum(corpus) == corpus_checksum(in_memory)
 
 
 def reference_generate(seed, n_novels, tokens_per_novel, ending_len_segments, lexicon):

@@ -99,6 +99,16 @@ class TestSegmentSentiment:
         assert matched == 0
         assert not any(vec.values())
 
+    def test_segment_with_more_matches_than_8_bits_hold(self, table1_lexicon):
+        # 300 copies of a polarity -1 lemma: its sums (300 and -300) overflow
+        # any int8 or uint8 accumulator, so the mean must be its row exactly.
+        novel = Novel(NovelMetadata("s", "t", "a", 1850, True), ("verabscheuen",) * 300 + ("und",) * 300)
+        profile = profile_of(novel, table1_lexicon, n_segments=2)
+        row = table1_lexicon.scores[table1_lexicon.entries["verabscheuen"]]
+        assert row[DIMENSIONS.index("polarity")] == -1
+        assert profile.segment_vectors[0].tobytes() == row.astype(float).tobytes()
+        assert profile.matched_counts.tolist() == [300, 0]
+
 
 class TestSectionMeans:
     def test_standard_partition_slices(self):

@@ -61,7 +61,7 @@ def reference_parse_lexicon(text: str) -> SentimentLexicon:
             row[target] = int(cell)
         entries[lemma] = len(rows)
         rows.append(row)
-    scores = np.array(rows, dtype=float).reshape(len(rows), len(DIMENSIONS))
+    scores = np.array(rows, dtype=np.int8).reshape(len(rows), len(DIMENSIONS))
     scores[:, POLARITY_INDEX] = (
         scores[:, DIMENSIONS.index("positive")] - scores[:, DIMENSIONS.index("negative")]
     )

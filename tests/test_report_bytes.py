@@ -2,13 +2,18 @@
 
 The digests cover the cases the benchmark corpora never reach: an empty
 sweep, a title that needs escaping, a period group whose curve has no
-points and a period report whose groups are all skipped.
+points and a period report whose groups are all skipped. The profile cache
+is pinned for a synthetic corpus and for a loaded one, so that no change of
+id or score width can move one bit of ``profiles.csv``.
 """
 
 import hashlib
+import io
+import random
 
 import pytest
 
+from plotarc.corpus import demo_lexicon, generate_synthetic_corpus, load_corpus
 from plotarc.experiments import (
     LadderReport,
     PeriodGroup,
@@ -17,8 +22,10 @@ from plotarc.experiments import (
     SweepPoint,
     ladder_csv,
     periods_csv,
+    prepare_inputs,
     sweep_csv,
 )
+from plotarc.features import write_profile_cache
 from plotarc.svgplot import render_periods, render_sweep
 
 CURVE = SweepCurve(tuple(
@@ -63,3 +70,38 @@ DIGESTS = {
 def test_report_bytes_are_pinned(name):
     assert hashlib.sha256(OUTPUTS[name]().encode("utf-8")).hexdigest() == DIGESTS[name]
 
+
+def profile_cache_bytes(corpus):
+    buf = io.StringIO()
+    write_profile_cache(prepare_inputs(corpus, demo_lexicon(), 75).profiles, buf)
+    return buf.getvalue().encode("utf-8")
+
+
+def loaded_corpus(tmp_path):
+    """Six punctuated novels on disk, read with a lemma map onto demo-lexicon lemmas."""
+    lemma_map = {"Freuden": "freude", "Tode": "tod", "Liebe": "liebe", "Qualen": "qual", "bittere": "bitter"}
+    words = [*sorted(demo_lexicon().entries), *lemma_map, "und", "die", "Zeit", "Haus", "ging"]
+    rng = random.Random(11)
+    rows = ["id\ttitle\tauthor\tyear\tlabel"]
+    for i, novel_id in enumerate(["n1", "n,2", 'n"3', "n4", "n5", "n6"]):
+        marks = ["", "", "", ",", ".", "!", "\u00bb"]
+        text = " ".join(rng.choice(words) + rng.choice(marks) for _ in range(300 + 37 * i))
+        (tmp_path / f"{novel_id}.txt").write_text(text, encoding="utf-8")
+        rows.append(f"{novel_id}\tTitle {i}\tAuthor\t{1800 + 20 * i}\t{'happy' if i % 2 else 'unhappy'}")
+    (tmp_path / "metadata.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return load_corpus(tmp_path, tmp_path / "metadata.tsv", lemma_map)
+
+
+PROFILE_CACHE_DIGESTS = {
+    "synthetic": "8603a5aefefff22e61365c5013b8d98e3c45c2348dab8ad053aadcda83467c6b",
+    "loaded": "8808db0f501f6e9be22c7e5d4f3362740fbd0dcd499e746f8431207e4cab4cda",
+}
+
+
+def test_profile_cache_bytes_are_pinned(tmp_path):
+    synthetic = generate_synthetic_corpus(3, 10, 900, 4, demo_lexicon())
+    digests = {
+        "synthetic": hashlib.sha256(profile_cache_bytes(synthetic)).hexdigest(),
+        "loaded": hashlib.sha256(profile_cache_bytes(loaded_corpus(tmp_path))).hexdigest(),
+    }
+    assert digests == PROFILE_CACHE_DIGESTS
