@@ -21,7 +21,6 @@ from plotarc.corpus import (
 )
 from plotarc.experiments import (
     ClassifierConfig,
-    DEFAULT_PERIOD_BOUNDARIES,
     ladder_csv,
     meta_text,
     periods_csv,
@@ -160,10 +159,7 @@ def cmd_run(args) -> int:
             print(f"best F1 {best.f1:.3f} at main fraction {best.main_fraction:.3f} "
                   f"(final section {best.final_len} segments)")
     else:  # periods
-        report = run_period_analysis(
-            corpus, inputs, DEFAULT_PERIOD_BOUNDARIES,
-            feature_set_id=args.feature_set, config=config,
-        )
+        report = run_period_analysis(inputs, feature_set_id=args.feature_set, config=config)
         _write_report(
             out_dir, "periods", periods_csv(report), meta_text(report.config, corpus, lexicon),
             render_periods(report),

@@ -37,11 +37,12 @@ class ClassifierConfig:
 
 @dataclass(frozen=True)
 class RunInputs:
-    """Profiles plus labels, the common starting point of every experiment."""
+    """Profiles, labels and years, the common starting point of every experiment."""
 
     profiles: tuple[SegmentProfile, ...]
     vectors: np.ndarray  # (novels, n_segments, 11): the profiles' segment vectors, stacked
     labels: np.ndarray  # +1 happy, -1 unhappy
+    years: np.ndarray  # publication years, in corpus order
 
     @property
     def n_segments(self) -> int:
@@ -60,8 +61,9 @@ def prepare_inputs(corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 
     profiles = tuple(compute_profiles(corpus, lexicon, vectors))
     vectors.flags.writeable = False
     labels = np.array([1 if n.metadata.label else -1 for n in corpus.novels])
-    labels.flags.writeable = False
-    return RunInputs(profiles, vectors, labels)
+    years = np.array([n.metadata.year for n in corpus.novels])
+    labels.flags.writeable = years.flags.writeable = False
+    return RunInputs(profiles, vectors, labels, years)
 
 
 def feature_matrix(
@@ -176,6 +178,8 @@ def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
     """One curve per group of novel rows (a slice or an index list), each from its own
     CV call; all are cut from one stack, since a feature row reads only its own novel."""
     n = inputs.n_segments
+    if final_lens is None and n < 2:
+        raise FeaturizationError(f"a partition sweep needs at least 2 segments, got {n}")
     final_lens = sorted(range(n // 2, 0, -1) if final_lens is None else final_lens, reverse=True)
     # One degree of freedom per point: the late-main section mirrors the
     # final section whenever the feature set consumes it.
@@ -218,7 +222,8 @@ def run_partition_sweep(
 # Publication-period analysis
 # ---------------------------------------------------------------------------
 
-DEFAULT_PERIOD_BOUNDARIES = (1830, 1848, 1870)
+PERIOD_CUTS = (1830, 1848, 1870)
+PERIOD_LABELS = ("<=1830", "1831-1848", "1849-1870", ">=1871")
 
 
 @dataclass(frozen=True)
@@ -234,30 +239,15 @@ class PeriodReport:
     config: dict
 
 
-def period_labels(boundaries) -> list[str]:
-    """Group labels from cut points; a boundary year belongs to the earlier group.
-
-    Cuts (1830, 1848, 1870) give: <=1830, 1831-1848, 1849-1870, >=1871.
-    """
-    cuts = sorted(boundaries)
-    if not cuts:
-        raise ValueError("the period analysis needs at least one boundary year")
-    middle = [f"{lo + 1}-{hi}" for lo, hi in zip(cuts, cuts[1:])]
-    return [f"<={cuts[0]}", *middle, f">={cuts[-1] + 1}"]
-
-
-def group_indices(corpus: Corpus, boundaries) -> list[list[int]]:
-    """Novel indices of each :func:`period_labels` group, in corpus order."""
-    n_groups = len(period_labels(boundaries))
+def group_indices(years) -> list[list[int]]:
+    """Indices of the years in each :data:`PERIOD_LABELS` group, in input order."""
     # side="left": a year equal to a cut lands before it, in the earlier group.
-    group = np.searchsorted(sorted(boundaries), [n.metadata.year for n in corpus.novels])
-    return [np.flatnonzero(group == g).tolist() for g in range(n_groups)]
+    group = np.searchsorted(PERIOD_CUTS, years)
+    return [np.flatnonzero(group == g).tolist() for g in range(len(PERIOD_LABELS))]
 
 
 def run_period_analysis(
-    corpus: Corpus,
     inputs: RunInputs,
-    boundaries=DEFAULT_PERIOD_BOUNDARIES,
     feature_set_id: int = 3,
     final_lens=None,
     config: ClassifierConfig = ClassifierConfig(),
@@ -267,20 +257,20 @@ def run_period_analysis(
     A group is swept only when each class has at least ``folds`` novels;
     otherwise its curve is None.
     """
-    indices = group_indices(corpus, boundaries)
+    indices = group_indices(inputs.years)
     happy = [int(np.sum(inputs.labels[idx] == 1)) for idx in indices]
     swept = [g for g, idx in enumerate(indices) if min(happy[g], len(idx) - happy[g]) >= config.folds]
     curves = _sweep_curves(inputs, [indices[g] for g in swept], final_lens, feature_set_id, config)
     curve_of = dict(zip(swept, curves))
     groups = [
         PeriodGroup(label, len(idx), curve_of.get(g))
-        for g, (label, idx) in enumerate(zip(period_labels(boundaries), indices))
+        for g, (label, idx) in enumerate(zip(PERIOD_LABELS, indices))
     ]
     return PeriodReport(
         groups=tuple(groups),
         config={
             "n_segments": inputs.n_segments,
-            "period_cuts": ",".join(map(str, sorted(boundaries))),
+            "period_cuts": ",".join(map(str, PERIOD_CUTS)),
             "feature_set": feature_set_id,
             **asdict(config),
         },

@@ -13,7 +13,6 @@ import pytest
 from conftest import profile_of
 from plotarc.cli import main
 from plotarc.corpus import (
-    Corpus,
     Novel,
     NovelMetadata,
     demo_lexicon,
@@ -162,7 +161,7 @@ def test_featurization_oracle():
         profile = profile_of(novel, lexicon)
         expected = np.array(brute_profile(list(tokens)))
         worst = max(worst, float(np.abs(profile.segment_vectors - expected).max()))
-        inputs = RunInputs((profile,), profile.segment_vectors[None], np.array([1]))
+        inputs = RunInputs((profile,), profile.segment_vectors[None], np.array([1]), np.array([1850]))
         for fsid in range(1, 7):
             row = feature_matrix(inputs, partition, fsid)[0]
             brute = np.array(brute_features(brute_profile(list(tokens)), 4, 4, fsid))
@@ -260,11 +259,7 @@ def test_period_grouping_rule():
         + [1849 + i % 22 for i in range(29)]    # 1849..1870
         + [1871 + i % 60 for i in range(87)]    # >= 1871
     )
-    novels = tuple(
-        Novel(NovelMetadata(f"n{i}", "t", "a", y, i % 2 == 0), ("x",) * 80)
-        for i, y in enumerate(years)
-    )
-    sizes = [len(g) for g in group_indices(Corpus(novels), (1830, 1848, 1870))]
+    sizes = [len(g) for g in group_indices(np.array(years))]
     check("period group sizes exactly (65, 31, 29, 87)",
           sizes == [65, 31, 29, 87], f"got {sizes}")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -260,6 +261,14 @@ class TestRun:
             assert f"n_segments = {segments}\n" in meta
             assert "period_cuts = 1830,1848,1870\n" in meta
 
+    @pytest.mark.parametrize("experiment", ["sweep", "periods"])
+    def test_one_segment_sweep_exits_2(self, experiment, synth_corpus, tmp_path, capsys):
+        # The default grid, every final length from n // 2 down to 1, is empty for one segment.
+        out = tmp_path / "out"
+        assert main(["run", experiment, *pipeline_args(synth_corpus, out, ["--segments", "1"])]) == 2
+        assert "error: a partition sweep needs at least 2 segments, got 1\n" in capsys.readouterr().err
+        assert not (out / f"{experiment}.csv").exists()
+
     def test_dry_run_prints_config_only(self, synth_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "ladder", *pipeline_args(synth_corpus, out, ["--dry-run"])]) == 0
@@ -357,3 +366,53 @@ def test_negative_seed_exits_2(synth_corpus, tmp_path):
     )
     assert done.returncode == 2
     assert done.stderr.endswith("error: seed must be a non-negative integer, got -1\n")
+
+
+# SHA-256 of every file each command writes for a 60-novel synth corpus
+# (seed 2, 600 tokens per novel) at --folds 5 --epochs 20. The periods run
+# sweeps three groups and skips 1831-1848 (8 novels).
+COMMAND_BYTES = {
+    "featurize": {
+        "profiles.csv": "7cf7e7d4878a143c467f0c17ae1fe0863f1f3d1ad4b01ca9906f38661eb89569",
+    },
+    "run sweep": {
+        "sweep.csv": "2a8b915c3a284f748bb09d6d9d935498e07858dc3d0793a6860cc5783ba1d893",
+        "sweep.meta.txt": "4d9f9288a088288f9fbd38d91a13324da9897eaac16334aa7e4c57aa019ca0b4",
+        "sweep.svg": "5d4324b29bd1fc37b7b81574016fcb32e00b43e17199872e20651b49d2eea1b2",
+    },
+    "run periods": {
+        "periods.csv": "a14466711ffcbff7eda939145005d78d82f5f5813340e9c4ad007cbbb88c0844",
+        "periods.meta.txt": "fac3243d7528e4f43cb716f86b800a4e26698342408cf6f1c9da9c225c1b4972",
+        "periods.svg": "9384e6604f6ef62e56ed797034b05c075a9d9a626d55e90defb822ef26276923",
+    },
+    "run ladder": {
+        "ladder.csv": "296415235f84bb1907121bb5cb80f62dcd68dbd0cf4622229964d9f6cb6a4010",
+        "ladder.meta.txt": "eb2ae9abd21d0e683a1f9c12eae4f61b762f9b61e3f31b612a81ad7617e490aa",
+    },
+    "run baselines": {
+        "baselines.csv": "12c3e73575d840cce381bd6e167bc3ffa0c03439bf7a11a1086970f1ecf0a790",
+        "baselines.meta.txt": "9f5171256b4c80d74f445458ba68a6ceab8d4933086dd1548865c60f287a41a8",
+    },
+}
+
+
+def run_plotarc(*argv):
+    subprocess.run([sys.executable, "-m", "plotarc.cli", *argv], env=checkout_env(),
+                   capture_output=True, timeout=60, check=True)
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pinned") / "corpus"
+    run_plotarc("synth", "--seed", "2", "--n-novels", "60", "--tokens-per-novel", "600", "--out", str(out))
+    return out
+
+
+@pytest.mark.parametrize("command", COMMAND_BYTES)
+def test_command_output_bytes_are_pinned(command, pinned_corpus, tmp_path):
+    out = tmp_path / "out"
+    args = pipeline_args(pinned_corpus, out)
+    args[args.index("--epochs") + 1] = "20"
+    run_plotarc(*command.split(), *args)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in read_dir(out).items()}
+    assert digests == COMMAND_BYTES[command]

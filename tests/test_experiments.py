@@ -13,7 +13,8 @@ from plotarc.corpus import (
     generate_synthetic_corpus,
 )
 from plotarc.experiments import (
-    DEFAULT_PERIOD_BOUNDARIES,
+    PERIOD_CUTS,
+    PERIOD_LABELS,
     ClassifierConfig,
     RunInputs,
     SweepCurve,
@@ -24,7 +25,6 @@ from plotarc.experiments import (
     ladder_csv,
     lexicon_checksum,
     meta_text,
-    period_labels,
     periods_csv,
     prepare_inputs,
     run_baselines,
@@ -173,31 +173,38 @@ class TestPeriodGrouping:
             + [1849 + i % 22 for i in range(29)]
             + [1871 + i % 60 for i in range(87)]
         )
-        novels = tuple(
-            Novel(NovelMetadata(f"n{i}", "t", "a", y, i % 2 == 0), ("x",) * 80)
-            for i, y in enumerate(years)
-        )
-        corpus = Corpus(novels)
-        groups = group_indices(corpus, (1830, 1848, 1870))
+        groups = group_indices(np.array(years))
         assert [len(g) for g in groups] == [65, 31, 29, 87]
 
     def test_boundary_year_goes_to_earlier_group(self):
-        novels = (Novel(NovelMetadata("n", "t", "a", 1830, True), ("x",) * 80),)
-        groups = group_indices(Corpus(novels), (1830, 1848, 1870))
+        groups = group_indices(np.array([1830]))
         assert [len(g) for g in groups] == [1, 0, 0, 0]
 
     def test_partition_is_exhaustive_and_disjoint(self):
-        novels = tuple(
-            Novel(NovelMetadata(f"n{i}", "t", "a", 1700 + i * 7, i % 2 == 0), ("x",) * 80)
-            for i in range(50)
-        )
-        groups = group_indices(Corpus(novels), (1830, 1848, 1870))
+        groups = group_indices(np.array([1700 + i * 7 for i in range(50)]))
         flat = sorted(i for g in groups for i in g)
         assert flat == list(range(50))
 
     def test_labels(self):
-        labels = period_labels((1830, 1848, 1870))
-        assert labels == ["<=1830", "1831-1848", "1849-1870", ">=1871"]
+        assert PERIOD_LABELS == ("<=1830", "1831-1848", "1849-1870", ">=1871")
+
+    def test_each_cut_year_ends_its_group_and_labels_name_the_cuts(self):
+        for g, cut in enumerate(PERIOD_CUTS):
+            groups = group_indices(np.array([cut, cut + 1]))
+            assert groups[g] == [0] and groups[g + 1] == [1]
+        cuts = PERIOD_CUTS
+        middle = [f"{lo + 1}-{hi}" for lo, hi in zip(cuts, cuts[1:])]
+        assert list(PERIOD_LABELS) == [f"<={cuts[0]}", *middle, f">={cuts[-1] + 1}"]
+
+    def test_year_beyond_int64_lands_in_the_last_group(self):
+        years = np.array([99999999999999999999])
+        assert years.dtype == object
+        assert group_indices(years) == [[], [], [], [0]]
+
+    def test_prepare_inputs_years_follow_corpus_order_read_only(self, planted):
+        corpus, inputs = planted
+        np.testing.assert_array_equal(inputs.years, [n.metadata.year for n in corpus.novels])
+        assert not inputs.years.flags.writeable
 
 
 class TestPeriodAnalysis:
@@ -208,9 +215,7 @@ class TestPeriodAnalysis:
         )
         corpus = Corpus(novels)
         inputs = prepare_inputs(corpus, toy_lexicon)
-        report = run_period_analysis(
-            corpus, inputs, final_lens=[4], config=FAST
-        )
+        report = run_period_analysis(inputs, final_lens=[4], config=FAST)
         skipped = [g.curve is None for g in report.groups]
         assert skipped == [True, True, True, False]
         assert report.groups[3].novel_count == 40
@@ -230,9 +235,7 @@ class TestPeriodAnalysis:
 
         corpus = Corpus(tuple(retag(early, 1820, "a-") + retag(late, 1900, "b-")))
         inputs = prepare_inputs(corpus, toy_lexicon)
-        report = run_period_analysis(
-            corpus, inputs, feature_set_id=3, final_lens=range(1, 16), config=FAST
-        )
+        report = run_period_analysis(inputs, feature_set_id=3, final_lens=range(1, 16), config=FAST)
         populated = [g for g in report.groups if g.curve is not None]
         assert [g.novel_count for g in populated] == [50, 50]
         early_argmax = populated[0].curve.argmax_point.final_len
@@ -246,13 +249,14 @@ class TestPeriodAnalysis:
         corpus = generate_synthetic_corpus(5, 120, 600, 4, toy_lexicon)
         inputs = prepare_inputs(corpus, toy_lexicon)
         config = ClassifierConfig(epochs=20)
-        report = run_period_analysis(corpus, inputs, final_lens=[9, 4, 1], config=config)
+        report = run_period_analysis(inputs, final_lens=[9, 4, 1], config=config)
         assert [g.novel_count for g in report.groups] == [41, 18, 22, 39]
         assert [g.curve is None for g in report.groups] == [False, True, False, False]
-        for group, idx in zip(report.groups, group_indices(corpus, DEFAULT_PERIOD_BOUNDARIES)):
+        for group, idx in zip(report.groups, group_indices(inputs.years)):
             if group.curve is not None:
                 own = RunInputs(
-                    tuple(inputs.profiles[i] for i in idx), inputs.vectors[idx], inputs.labels[idx]
+                    tuple(inputs.profiles[i] for i in idx), inputs.vectors[idx], inputs.labels[idx],
+                    inputs.years[idx],
                 )
                 assert group.curve == run_partition_sweep(own, [9, 4, 1], 3, config)
 
@@ -296,8 +300,8 @@ class TestReports:
         assert lines[1].split(",")[1] == "4"
 
     def test_periods_csv_marks_skips(self, toy_lexicon, planted):
-        corpus, inputs = planted
-        report = run_period_analysis(corpus, inputs, final_lens=[4], config=FAST)
+        _, inputs = planted
+        report = run_period_analysis(inputs, final_lens=[4], config=FAST)
         text = periods_csv(report)
         assert "skipped" in text or text.count("\n") > 1
 

@@ -23,7 +23,7 @@ from plotarc.lexicon import DIMENSIONS
 def make_inputs(vectors):
     """Run inputs holding one novel with the given (n_segments, 11) profile."""
     arr = np.array(vectors, dtype=float)
-    return RunInputs((), arr[None], np.array([1]))
+    return RunInputs((), arr[None], np.array([1]), np.array([1900]))
 
 
 def segment(lemmas, n_segments):
