@@ -89,26 +89,25 @@ def feature_matrix(
             f"partition expects {partition.n_segments} segments, "
             f"profiles have {inputs.n_segments}"
         )
+    if feature_set_id >= 5 and partition.late_len < 1:
+        raise FeaturizationError(f"feature set {feature_set_id} needs late_len >= 1 in the partition")
     vectors = inputs.vectors
-    main = vectors[:, partition.main_slice].mean(axis=1)
-    final = vectors[:, partition.final_slice].mean(axis=1)
     final_segment = vectors[:, -1]
+
+    def mean(section: slice) -> np.ndarray:  # taken only for the sections the set reads
+        return vectors[:, section].mean(axis=1)
 
     if feature_set_id == 1:
         blocks = [final_segment]
     elif feature_set_id == 2:
-        blocks = [final_segment, final_segment - main]
+        blocks = [final_segment, final_segment - mean(partition.main_slice)]
     elif feature_set_id == 3:
-        blocks = [final]
-    elif feature_set_id == 4:
-        blocks = [final, final - main]
+        blocks = [mean(partition.final_slice)]
     else:
-        if partition.late_len < 1:
-            raise FeaturizationError(
-                f"feature set {feature_set_id} needs late_len >= 1 in the partition"
-            )
-        late = vectors[:, partition.late_slice].mean(axis=1)
-        blocks = [final, final - main, final - late]
+        final = mean(partition.final_slice)
+        blocks = [final, final - mean(partition.main_slice)]
+        if feature_set_id >= 5:
+            blocks.append(final - mean(partition.late_slice))
         if feature_set_id == 6:
             blocks.append(final_segment)
     return np.hstack(blocks)

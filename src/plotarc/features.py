@@ -5,6 +5,12 @@ tokens go to the earliest blocks, see :func:`plotarc.corpus.segment_bounds`).
 Per segment we average the 11 sentiment scores of the lexicon-matched
 tokens. A :class:`SectionPartition` splits the segment axis into the main,
 late-main and final sections that the feature sets are built from.
+
+The profile cache (:func:`write_profile_cache`, ``plotarc featurize``'s
+``profiles.csv``) has one row per novel segment, in corpus order:
+``novel_id,segment_index,<11 scores>,matched_count``. Scores are written as
+``%.17g``: every finite score reads back bit for bit, ``-0`` included;
+infinities are written ``inf`` and ``-inf``, and every NaN ``nan``.
 """
 
 from __future__ import annotations
@@ -118,8 +124,6 @@ def compute_profiles(
 # ---------------------------------------------------------------------------
 
 CACHE_HEADER = ["novel_id", "segment_index"] + list(DIMENSIONS) + ["matched_count"]
-# One segment's row after the novel id cell; ".17g" round-trips every float.
-_CACHE_ROW = "%d," + ",".join(["%.17g"] * N_DIMS) + ",%d\n"
 
 
 def _csv_cell(value: str) -> str:
@@ -131,8 +135,20 @@ def _csv_cell(value: str) -> str:
 
 
 def write_profile_cache(profiles, stream) -> None:
+    """Write the profile cache (see the module docstring) to ``stream``.
+
+    A novel's means, quotients of small integers, hold few distinct values
+    (about 120 of 825 on a 75-segment novel of 5 000 tokens): each distinct bit
+    pattern (so ``-0.0`` is not ``0.0``) is formatted once per novel and
+    gathered into its cells.
+    """
     csv.writer(stream, lineterminator="\n").writerow(CACHE_HEADER)
     for profile in profiles:
-        row = _csv_cell(profile.novel_id).replace("%", "%%") + "," + _CACHE_ROW
-        segments = zip(profile.segment_vectors.tolist(), profile.matched_counts.tolist())
-        stream.write("".join([row % (i, *vector, count) for i, (vector, count) in enumerate(segments)]))
+        vectors = profile.segment_vectors
+        bits, inverse = np.unique(vectors.view(np.int64), return_inverse=True)
+        cells = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
+        rows = cells[inverse.reshape(vectors.shape)].tolist()
+        head = _csv_cell(profile.novel_id) + ","
+        counts = profile.matched_counts.tolist()
+        stream.write("".join([f"{head}{i},{','.join(row)},{count}\n"
+                              for i, (row, count) in enumerate(zip(rows, counts))]))

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,32 @@ class TestBuildFeatures:
         with pytest.raises(FeaturizationError):
             feature_matrix(random_inputs, SectionPartition(75, 4, 4), 7)
 
+    @pytest.mark.parametrize("final_len,late_len", [(1, 1), (4, 4), (3, 9), (20, 1), (37, 37), (74, 1)])
+    @pytest.mark.parametrize("fsid", sorted(FEATURE_SET_DIMS))
+    def test_equals_explicit_block_formula(self, fsid, final_len, late_len):
+        """Every set is its blocks, each section mean written as a sum over its
+        segments divided by their number, bit for bit."""
+        vectors = np.random.default_rng(final_len * 100 + late_len).normal(size=(9, 75, 11))
+        n, f, k = 75, final_len, late_len
+        last = vectors[:, n - 1]
+        final = vectors[:, n - f :].sum(axis=1) / f
+        main = vectors[:, : n - f].sum(axis=1) / (n - f)
+        late = vectors[:, n - f - k : n - f].sum(axis=1) / k
+        blocks = {
+            1: [last],
+            2: [last, last - main],
+            3: [final],
+            4: [final, final - main],
+            5: [final, final - main, final - late],
+            6: [final, final - main, final - late, last],
+        }[fsid]
+        inputs = RunInputs((), vectors, np.ones(9, dtype=int), np.full(9, 1900))
+        # Sets 1-4 ignore the late-main section, so they are checked without one too.
+        for late in (k, 0) if fsid <= 4 else (k,):
+            X = feature_matrix(inputs, SectionPartition(n, f, late), fsid)
+            assert X.shape == (9, FEATURE_SET_DIMS[fsid])
+            assert X.tobytes() == np.hstack(blocks).tobytes()
+
     def test_pure_function(self, random_inputs):
         partition = SectionPartition(75, 4, 4)
         a = feature_matrix(random_inputs, partition, 6)
@@ -227,19 +254,61 @@ def reference_write_profile_cache(profiles, stream):
             writer.writerow([profile.novel_id, i, *(format(v, ".17g") for v in vector), count])
 
 
+class _Sink:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
 class TestProfileCache:
+    # Every special float in one novel: both zeros, NaN with either sign and
+    # with a payload, both infinities, the smallest subnormal and a huge value.
+    SPECIAL = [0.1, 1 / 3, 0.0, -0.0, -1.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, -np.nan,
+               np.array(0x7FF8_0000_0000_0001).view(np.float64)]
+
     def test_bytes_match_reference_writer(self):
-        values = [0.1, 1 / 3, 0.0, -0.0, -1.0, 5e-324]
-        vectors = np.array([np.roll(np.resize(values, N_DIMS), k) for k in range(len(values))])
+        values = np.array(self.SPECIAL)
+        # Each novel holds the same values in other cells, and one novel holds
+        # nothing but 0.0 and -0.0.
+        novels = [np.array([np.roll(np.resize(np.roll(values, j), N_DIMS), k) for k in range(len(values))])
+                  for j in range(4)]
+        novels.append(np.where(np.arange(len(values) * N_DIMS).reshape(-1, N_DIMS) % 3, 0.0, -0.0))
         counts = np.arange(len(values))
         ids = ["a,b", 'q"x', "n1", "50%", "", "x\ny"]
-        profiles = [SegmentProfile(novel_id, vectors, counts) for novel_id in ids]
+        profiles = [SegmentProfile(novel_id, novels[i % len(novels)], counts) for i, novel_id in enumerate(ids)]
         got, want = io.StringIO(), io.StringIO()
         write_profile_cache(profiles, got)
         reference_write_profile_cache(profiles, want)
         assert got.getvalue() == want.getvalue()
-        assert '"a,b",0,0.10000000000000001,' in got.getvalue()
-        assert '"q""x",' in got.getvalue() and ",-0," in got.getvalue()
+        text = got.getvalue()
+        assert '"a,b",0,0.10000000000000001,' in text
+        assert '\n"q""x",0,nan,0.10000000000000001,' in text
+        assert "\n50%,0," in text and "%%" not in text
+        for cell in ("-0", "4.9406564584124654e-324", "1e+308", "inf", "-inf", "nan"):
+            assert f",{cell}," in text
+        assert "-nan" not in text
+
+    def test_peak_memory_is_per_novel(self):
+        """Formatting state lives one novel at a time: ~200 novels' worth of
+        distinct values (a global ``np.unique`` over the stack peaks at several
+        MB) stays within a bound of a few novels' rows."""
+        rng = np.random.default_rng(5)
+        counts = rng.integers(1, 60, size=(200, 75))
+        vectors = rng.integers(0, 40, size=(200, 75, N_DIMS)) / counts[..., None]
+        profiles = [SegmentProfile(f"n{i}", v, c) for i, (v, c) in enumerate(zip(vectors, counts))]
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            write_profile_cache(profiles, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 200 * 75 * N_DIMS * 10
+        assert peak < 512 * 1024, f"writer peak {peak / 1024:.0f} KB"
 
     def test_roundtrip(self, toy_lexicon):
         rng = random.Random(3)

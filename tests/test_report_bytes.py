@@ -4,15 +4,21 @@ The digests cover the cases the benchmark corpora never reach: an empty
 sweep, a title that needs escaping, a period group whose curve has no
 points and a period report whose groups are all skipped. The profile cache
 is pinned for a synthetic corpus and for a loaded one, so that no change of
-id or score width can move one bit of ``profiles.csv``.
+id or score width can move one bit of ``profiles.csv``, and for a small
+corpus built like the benchmark's ``ingest`` inputs (NRC-sized lexicon,
+lemma map, punctuated text), as ``plotarc featurize`` writes it.
 """
 
 import hashlib
+import importlib.util
 import io
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from plotarc.cli import main
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus, load_corpus
 from plotarc.experiments import (
     LadderReport,
@@ -105,3 +111,23 @@ def test_profile_cache_bytes_are_pinned(tmp_path):
         "loaded": hashlib.sha256(profile_cache_bytes(loaded_corpus(tmp_path))).hexdigest(),
     }
     assert digests == PROFILE_CACHE_DIGESTS
+
+
+INGEST_SHAPED_DIGEST = "7baf84560674b12f3f6331bc3b5324bd635105a7721ae86c22f76bf81d126ec3"
+
+
+def test_ingest_shaped_profile_cache_is_pinned(tmp_path, monkeypatch):
+    """20 novels x 600 tokens from the benchmark's own ``ingest`` builders."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    builders = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, builders)  # its dataclasses look themselves up there
+    spec.loader.exec_module(builders)
+    inputs = builders.build(tmp_path / "work", 7, 20, 600, True, 1)
+    out = tmp_path / "out"
+    assert main([
+        "featurize", "--corpus", inputs.corpus_dir, "--metadata", inputs.metadata,
+        "--lexicon", inputs.lexicon, "--lemma-map", inputs.lemma_map,
+        "--segments", "75", "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256((out / "profiles.csv").read_bytes()).hexdigest() == INGEST_SHAPED_DIGEST
