@@ -298,41 +298,49 @@ def run_baselines(corpus: Corpus) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _sha256(data: bytes = b""):
-    """A SHA-256 hash of ``data`` from CPython's built-in: ``_sha2`` from 3.12, ``_sha256`` before.
+def _blake2b(data: bytes = b""):
+    """A 32-byte BLAKE2b hash of ``data`` from CPython's built-in ``_blake2``.
 
     hashlib would load OpenSSL, about 3 MB of RSS. Imported on first use,
     since ``featurize`` hashes nothing.
     """
     try:
-        from _sha2 import sha256
+        from _blake2 import blake2b
     except ImportError:
-        try:
-            from _sha256 import sha256
-        except ImportError:
-            from hashlib import sha256
-    return sha256(data)
+        from hashlib import blake2b
+    return blake2b(data, digest_size=32)
+
+
+def _prefixed(text: str) -> bytes:
+    data = text.encode("utf-8")
+    return len(data).to_bytes(4, "little") + data
 
 
 def lexicon_checksum(lexicon: SentimentLexicon) -> str:
-    return _sha256(lexicon_to_text(lexicon).encode("utf-8")).hexdigest()
+    return _blake2b(lexicon_to_text(lexicon).encode("utf-8")).hexdigest()
 
 
 def corpus_checksum(corpus: Corpus) -> str:
-    """SHA-256 over each novel's metadata row and its lemmas joined by spaces.
-
-    Each distinct lemma is encoded once; a novel's bytes are gathered by id.
+    """BLAKE2b-256 of the used lemmas' count, then each in sorted order as length-prefixed
+    UTF-8; then per novel, its five metadata cells, length-prefixed, its token count
+    and each token's rank among the used lemmas. Integers are little-endian uint32,
+    so ids' width, load order and a lemma map's unused lemmas do not count.
     """
     vocabulary, ids = intern_lemmas(corpus)
-    encoded = np.array([lemma.encode("utf-8") for lemma in vocabulary], dtype=object)
-    h = _sha256()
+    used = np.zeros(len(vocabulary), dtype=bool)
+    for novel_ids in ids:
+        used[novel_ids] = True
+    lemma_ids = sorted(np.flatnonzero(used).tolist(), key=vocabulary.__getitem__)
+    rank = np.zeros(len(vocabulary), dtype="<u4")
+    rank[lemma_ids] = np.arange(len(lemma_ids))
+    h = _blake2b(len(lemma_ids).to_bytes(4, "little"))
+    for i in lemma_ids:  # one short bytes object at a time: a join would hold them all
+        h.update(_prefixed(vocabulary[i]))
     for novel, novel_ids in zip(corpus.novels, ids):
         m = novel.metadata
-        h.update(
-            f"{m.id}\t{m.title}\t{m.author}\t{m.year}\t{int(m.label)}\n".encode("utf-8")
-        )
-        h.update(b" ".join(encoded[novel_ids].tolist()))
-        h.update(b"\n")
+        h.update(b"".join(map(_prefixed, (m.id, m.title, m.author, str(m.year), str(int(m.label))))))
+        h.update(len(novel_ids).to_bytes(4, "little"))
+        h.update(rank.take(novel_ids))
     return h.hexdigest()
 
 
@@ -370,6 +378,7 @@ def meta_text(config: dict, corpus: Corpus, lexicon: SentimentLexicon) -> str:
     fields = {
         "plotarc_version": _pkg_version,
         **config,
+        "checksum_algorithm": "blake2b-256",
         "corpus_checksum": corpus_checksum(corpus),
         "corpus_novels": corpus.total,
         "lexicon_checksum": lexicon_checksum(lexicon),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -335,13 +336,15 @@ def modules_loaded_by(*argv):
 
 
 def test_neither_import_nor_featurize_loads_hashlib(synth_corpus, tmp_path):
-    # hashlib loads OpenSSL, about 3 MB of RSS; checksums use the built-in SHA-256.
+    # hashlib loads OpenSSL, about 3 MB of RSS; checksums use the built-in
+    # BLAKE2b, and featurize writes no checksum, so it loads no hash module.
     status, imported, after_featurize = modules_loaded_by(
         "featurize", *pipeline_args(synth_corpus, tmp_path / "out")
     )
     assert status == 0
     assert "plotarc.cli" in imported
-    assert [m for m in after_featurize if m in ("hashlib", "_hashlib")] == []
+    hash_modules = ("_blake2", "_sha2", "_sha256", "hashlib", "_hashlib")
+    assert [m for m in after_featurize if m in hash_modules] == []
 
 
 @pytest.mark.parametrize("experiment", ["sweep", "periods"])
@@ -377,21 +380,21 @@ COMMAND_BYTES = {
     },
     "run sweep": {
         "sweep.csv": "2a8b915c3a284f748bb09d6d9d935498e07858dc3d0793a6860cc5783ba1d893",
-        "sweep.meta.txt": "4d9f9288a088288f9fbd38d91a13324da9897eaac16334aa7e4c57aa019ca0b4",
+        "sweep.meta.txt": "7c1c160313887b0b49714999d1dd341892285faaff38af6ee0a0470cefd70a08",
         "sweep.svg": "5d4324b29bd1fc37b7b81574016fcb32e00b43e17199872e20651b49d2eea1b2",
     },
     "run periods": {
         "periods.csv": "a14466711ffcbff7eda939145005d78d82f5f5813340e9c4ad007cbbb88c0844",
-        "periods.meta.txt": "fac3243d7528e4f43cb716f86b800a4e26698342408cf6f1c9da9c225c1b4972",
+        "periods.meta.txt": "0704bb033642ef17381ade5953b9941b26743afb9e403bc0798658da93b30467",
         "periods.svg": "9384e6604f6ef62e56ed797034b05c075a9d9a626d55e90defb822ef26276923",
     },
     "run ladder": {
         "ladder.csv": "296415235f84bb1907121bb5cb80f62dcd68dbd0cf4622229964d9f6cb6a4010",
-        "ladder.meta.txt": "eb2ae9abd21d0e683a1f9c12eae4f61b762f9b61e3f31b612a81ad7617e490aa",
+        "ladder.meta.txt": "bea46e8143cfdc6ada876c77618311b300fcb6efe195f919210176371d1164a7",
     },
     "run baselines": {
         "baselines.csv": "12c3e73575d840cce381bd6e167bc3ffa0c03439bf7a11a1086970f1ecf0a790",
-        "baselines.meta.txt": "9f5171256b4c80d74f445458ba68a6ceab8d4933086dd1548865c60f287a41a8",
+        "baselines.meta.txt": "c5c2b408369e2310ebe15ed760651b334fe798e74120ee4e4e65a1b93e7a2c69",
     },
 }
 
@@ -408,11 +411,37 @@ def pinned_corpus(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def command_outputs(pinned_corpus, tmp_path_factory):
+    """The bytes of every file each command in ``COMMAND_BYTES`` writes, by command."""
+    outputs = {}
+    for command in COMMAND_BYTES:
+        out = tmp_path_factory.mktemp("out")
+        args = pipeline_args(pinned_corpus, out)
+        args[args.index("--epochs") + 1] = "20"
+        run_plotarc(*command.split(), *args)
+        outputs[command] = read_dir(out)
+    return outputs
+
+
 @pytest.mark.parametrize("command", COMMAND_BYTES)
-def test_command_output_bytes_are_pinned(command, pinned_corpus, tmp_path):
-    out = tmp_path / "out"
-    args = pipeline_args(pinned_corpus, out)
-    args[args.index("--epochs") + 1] = "20"
-    run_plotarc(*command.split(), *args)
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in read_dir(out).items()}
+def test_command_output_bytes_are_pinned(command, command_outputs):
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in command_outputs[command].items()}
     assert digests == COMMAND_BYTES[command]
+
+
+def test_meta_lines_are_key_value_pairs_with_hex_checksums(command_outputs):
+    # Readers of a meta file take each line as one "key = value" pair and
+    # expect both checksums as bare 64-digit lowercase hex; the algorithm
+    # has its own line.
+    metas = [data for files in command_outputs.values()
+             for name, data in files.items() if name.endswith(".meta.txt")]
+    assert len(metas) == 4
+    for data in metas:
+        pairs = [line.split(" = ") for line in data.decode("utf-8").splitlines()]
+        assert all(len(pair) == 2 for pair in pairs)
+        meta = dict(pairs)
+        assert len(meta) == len(pairs)
+        assert meta["checksum_algorithm"] == "blake2b-256"
+        assert re.fullmatch("[0-9a-f]{64}", meta["corpus_checksum"])
+        assert re.fullmatch("[0-9a-f]{64}", meta["lexicon_checksum"])

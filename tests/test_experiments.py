@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,9 @@ from plotarc.corpus import (
     Novel,
     NovelMetadata,
     generate_synthetic_corpus,
+    load_corpus,
+    load_lemma_map,
+    write_corpus,
 )
 from plotarc.experiments import (
     PERIOD_CUTS,
@@ -318,13 +322,89 @@ class TestReports:
         other = Corpus(corpus.novels[:-1])
         assert corpus_checksum(other) != corpus_checksum(corpus)
 
-    def test_checksums_are_hashlib_sha256_of_the_same_bytes(self, toy_lexicon, planted):
-        corpus, _ = planted
+
+def reference_corpus_checksum(corpus):
+    """The documented corpus encoding, built from each novel's lemma strings."""
+
+    def prefixed(text):
+        data = text.encode("utf-8")
+        return struct.pack("<I", len(data)) + data
+
+    texts = [tuple(novel.lemmas) for novel in corpus.novels]
+    used = sorted(set().union(*texts))
+    rank = {lemma: r for r, lemma in enumerate(used)}
+    parts = [struct.pack("<I", len(used)), *map(prefixed, used)]
+    for novel, text in zip(corpus.novels, texts):
+        m = novel.metadata
+        parts += map(prefixed, (m.id, m.title, m.author, str(m.year), "1" if m.label else "0"))
+        parts.append(struct.pack(f"<{1 + len(text)}I", len(text), *(rank[lemma] for lemma in text)))
+    return hashlib.blake2b(b"".join(parts), digest_size=32).hexdigest()
+
+
+def load_texts(tmp_path, texts, map_lines=()):
+    """Novels with these texts written to disk and loaded, with a lemma map of these lines."""
+    novels = tuple(
+        Novel(NovelMetadata(f"n{i}", f"Titel {i}", "Autorin", 1820 + 20 * i, i % 2 == 0), tuple(text.split()))
+        for i, text in enumerate(texts)
+    )
+    write_corpus(Corpus(novels), tmp_path / "corpus")
+    lemma_map = tmp_path / "lemmas.tsv"
+    lemma_map.write_text("".join(f"{line}\n" for line in map_lines), encoding="utf-8")
+    return load_corpus(tmp_path / "corpus", tmp_path / "corpus" / "metadata.tsv", load_lemma_map(lemma_map))
+
+
+TEXTS = (
+    "Die Freude war gross , und die Häuser lachten",
+    "Das Haus fiel , der Tod kam , und alles war elend",
+    "Liebe und Hoffnung bis zum Ende",
+)
+MAP_LINES = ("Häuser\thaus", "Haus\thaus", "war\tsein", "lachten\tlachen", "fiel\tfallen")
+
+
+class TestChecksums:
+    def test_lexicon_checksum_is_blake2b_of_its_text(self, toy_lexicon):
         lexicon_bytes = lexicon_to_text(toy_lexicon).encode("utf-8")
-        assert lexicon_checksum(toy_lexicon) == hashlib.sha256(lexicon_bytes).hexdigest()
-        corpus_text = "".join(
-            f"{m.id}\t{m.title}\t{m.author}\t{m.year}\t{int(m.label)}\n" + " ".join(novel.lemmas) + "\n"
-            for novel in corpus.novels
-            for m in [novel.metadata]
-        )
-        assert corpus_checksum(corpus) == hashlib.sha256(corpus_text.encode("utf-8")).hexdigest()
+        assert lexicon_checksum(toy_lexicon) == hashlib.blake2b(lexicon_bytes, digest_size=32).hexdigest()
+
+    def test_corpus_checksum_matches_reference(self, planted, tmp_path):
+        corpus, _ = planted
+        assert corpus_checksum(corpus) == reference_corpus_checksum(corpus)
+        loaded = load_texts(tmp_path, TEXTS, MAP_LINES)
+        assert corpus_checksum(loaded) == reference_corpus_checksum(loaded)
+        assert corpus_checksum(Corpus(())) == reference_corpus_checksum(Corpus(()))
+
+    def test_a_lemma_with_a_space_is_not_two_lemmas(self, tmp_path):
+        # "x" mapped to the lemma "a b" against the text "a b": joined by
+        # spaces, both novels would read as the same bytes.
+        one = load_texts(tmp_path / "one", ["x"], ["x\ta b"])
+        two = load_texts(tmp_path / "two", ["a b"])
+        assert tuple(one.novels[0].lemmas) == ("a b",) and tuple(two.novels[0].lemmas) == ("a", "b")
+        assert corpus_checksum(one) != corpus_checksum(two)
+
+    def test_unused_map_lemmas_and_id_width_do_not_count(self, tmp_path):
+        plain = load_texts(tmp_path / "plain", TEXTS, MAP_LINES)
+        few = load_texts(tmp_path / "few", TEXTS, [*MAP_LINES, "Zufall\tzufall", "aaa\taaa"])
+        # 300 unused lemmas head the vocabulary and widen its ids to 16 bits.
+        wide = load_texts(tmp_path / "wide", TEXTS, [*MAP_LINES, *(f"u{k}\tungenutzt{k}" for k in range(300))])
+        assert [n.lemmas.ids.dtype for n in plain.novels + few.novels] == [np.uint8] * 6
+        assert [n.lemmas.ids.dtype for n in wide.novels] == [np.uint16] * 3
+        assert len(wide.novels[0].lemmas.vocabulary) > len(few.novels[0].lemmas.vocabulary) > len(
+            plain.novels[0].lemmas.vocabulary)
+        assert plain == few == wide
+        assert corpus_checksum(plain) == corpus_checksum(few) == corpus_checksum(wide)
+        in_memory = Corpus(tuple(Novel(n.metadata, tuple(n.lemmas)) for n in plain.novels))
+        assert corpus_checksum(in_memory) == corpus_checksum(plain)
+
+    def test_token_order_and_each_metadata_cell_count(self, tmp_path):
+        corpus = load_texts(tmp_path, TEXTS, MAP_LINES)
+        checksum = corpus_checksum(corpus)
+        first, *rest = corpus.novels
+        lemmas = list(first.lemmas)
+        lemmas[1], lemmas[2] = lemmas[2], lemmas[1]
+        assert lemmas != list(first.lemmas)
+        swapped = Corpus((Novel(first.metadata, tuple(lemmas)), *rest))
+        assert corpus_checksum(swapped) != checksum
+        changes = {"id": "n9", "title": "Titel 9", "author": "Autor", "year": 1821, "label": False}
+        for cell, value in changes.items():
+            meta = dataclasses.replace(first.metadata, **{cell: value})
+            assert corpus_checksum(Corpus((Novel(meta, first.lemmas), *rest))) != checksum, cell
