@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import string
 import unicodedata
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -43,49 +42,31 @@ class NovelMetadata:
     label: bool  # True = happy ending
 
 
-class Lemmas(Sequence):
-    """A read-only sequence of lemma strings held as unsigned integer ids into a vocabulary.
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Lemmas:
+    """A novel's lemmas: unsigned integer ids into a vocabulary, a read-only object
+    array of lemma strings that every novel of the corpus shares.
 
-    Indexing gives a lemma, slicing another ``Lemmas``. It equals a tuple, or
-    another ``Lemmas``, of the same strings, and hashes like that tuple.
+    ``len`` counts the tokens; iteration yields their strings, gathered once.
     """
 
-    __slots__ = ("vocabulary", "ids")
-
-    def __init__(self, vocabulary: tuple[str, ...], ids: np.ndarray):
-        self.vocabulary = vocabulary
-        self.ids = ids
+    vocabulary: np.ndarray
+    ids: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Lemmas(self.vocabulary, self.ids[index])
-        return self.vocabulary[self.ids[index]]
-
     def __iter__(self):
-        return map(self.vocabulary.__getitem__, self.ids.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, Lemmas)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"Lemmas({tuple(self)!r})"
+        return iter(self.vocabulary[self.ids].tolist())
 
 
 @dataclass(frozen=True)
 class Novel:
-    """A novel's metadata and lemmas: a ``Lemmas`` view when loaded from disk,
-    any sequence of strings (a tuple, say) when built in memory."""
+    """A novel's metadata and lemmas. ``load_corpus`` and ``generate_synthetic_corpus``
+    give ``Lemmas``; ``write_corpus`` also writes any sequence of strings."""
 
     metadata: NovelMetadata
-    lemmas: Sequence[str]
+    lemmas: Lemmas
 
 
 @dataclass(frozen=True)
@@ -103,6 +84,16 @@ class Corpus:
     @property
     def unhappy(self) -> int:
         return self.total - self.happy
+
+    @property
+    def vocabulary(self) -> np.ndarray:
+        """The vocabulary that every novel's ``lemmas.ids`` index; novels of two are an error."""
+        if not self.novels:
+            return np.empty(0, dtype=object)
+        vocabulary = self.novels[0].lemmas.vocabulary
+        if any(novel.lemmas.vocabulary is not vocabulary for novel in self.novels):
+            raise CorpusError("the novels of one corpus must share one vocabulary")
+        return vocabulary
 
 
 def segment_bounds(n_tokens: int, n_segments: int) -> list[int]:
@@ -263,33 +254,32 @@ class _Interner(dict):
         self.vocabulary.append(form)
         return lemma_id
 
+    @property
+    def id_type(self) -> np.dtype:
+        """The narrowest unsigned type that holds every id so far (uint16 up to 65 536 forms)."""
+        return np.min_scalar_type(len(self.vocabulary) - 1)
+
     def ids(self, tokens) -> np.ndarray:
-        """The tokens' ids in the narrowest unsigned type that holds every id so far
-        (uint8 up to 256 forms, uint16 up to 65 536): later novels may get wider ones."""
+        """The tokens' ids as ``id_type``: later novels may get wider ones."""
         ids = np.fromiter(map(self.__getitem__, tokens), dtype=np.int32, count=len(tokens))
-        return ids.astype(np.min_scalar_type(len(self.vocabulary) - 1))
+        return ids.astype(self.id_type)
 
-
-def intern_lemmas(corpus: Corpus) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """One vocabulary of lemma strings and each novel's lemma ids into it.
-
-    A loaded corpus holds both already. Otherwise every novel's lemmas are
-    interned as ``load_corpus`` interns tokens, without a lemma map.
-    """
-    lemmas = [novel.lemmas for novel in corpus.novels]
-    if all(isinstance(s, Lemmas) for s in lemmas) and len({id(s.vocabulary) for s in lemmas}) == 1:
-        return lemmas[0].vocabulary, [s.ids for s in lemmas]
-    interner = _Interner({})
-    ids = [interner.ids(s) for s in lemmas]
-    return tuple(interner.vocabulary), ids
+    def corpus(self, novels) -> Corpus:
+        """A corpus of ``(metadata, ids)`` pairs whose ``Lemmas`` share the vocabulary
+        interned so far, so call it after the last novel. Ids and vocabulary become read-only."""
+        vocabulary = np.array(self.vocabulary, dtype=object)
+        vocabulary.flags.writeable = False
+        for _, ids in novels:
+            ids.flags.writeable = False
+        return Corpus(tuple(Novel(meta, Lemmas(vocabulary, ids)) for meta, ids in novels))
 
 
 def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None) -> Corpus:
     """Load, tokenize, and lemmatize all novels listed in the metadata table.
 
-    Each token becomes an id into one vocabulary of the corpus's distinct lemmas
-    (see ``_Interner.ids``), so a loaded corpus costs 2 bytes per token up to
-    65 536 forms, plus its distinct forms. The caller's lemma map is read, never changed.
+    Each novel's ``Lemmas`` are ids into one vocabulary of the corpus's distinct
+    lemmas (see ``_Interner.ids``), so a loaded corpus costs 2 bytes per token up
+    to 65 536 forms, plus its distinct forms. The caller's lemma map is read, never changed.
     """
     text_dir = Path(text_dir)
     interner = _Interner(lemma_map or {})
@@ -301,11 +291,8 @@ def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None
         ids = interner.ids(tokenize(unicodedata.normalize("NFC", _read_text(text_path))))
         if not len(ids):
             raise CorpusError(f"novel {meta.id!r} has no tokens")
-        ids.flags.writeable = False
         loaded.append((meta, ids))
-    # The views share one vocabulary, which is complete only after the last novel.
-    vocabulary = tuple(interner.vocabulary)
-    return Corpus(tuple(Novel(meta, Lemmas(vocabulary, ids)) for meta, ids in loaded))
+    return interner.corpus(loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +329,10 @@ def generate_synthetic_corpus(
     not), the rest from the whole lexicon. Before it, 30 % are lexicon
     lemmas. Every other token is one of 5 000 ``filler<k>`` words.
 
+    Novels hold ``Lemmas`` as loaded ones do, into one vocabulary: the sorted
+    lexicon lemmas, then each ``filler<k>`` not among them. A negative seed
+    is refused, since ``random.Random`` would seed with its absolute value.
+
     The draw order is the stream contract: for each novel in turn, for each
     token in turn, one ``random()`` picks lexicon or fillers (compared with
     0.30 in the body, 0.40 in the ending); an ending token that picks the
@@ -354,6 +345,8 @@ def generate_synthetic_corpus(
     An option added to the generator must draw only when enabled, so that
     the default bytes do not move.
     """
+    if seed < 0:
+        raise CorpusError(f"seed must be a non-negative integer, got {seed}")
     if n_novels < 2 or n_novels % 2 != 0:
         raise CorpusError(
             f"n_novels must be a positive even number (classes are balanced by construction), got {n_novels}"
@@ -372,9 +365,12 @@ def generate_synthetic_corpus(
     rng = random.Random(seed)
     random_, getrandbits = rng.random, rng.getrandbits
     fillers = [f"filler{k}" for k in range(_N_FILLERS)]
-    # Each pool with its length and the bit count choice() draws for it.
+    interner = _Interner({})
+    # Each pool's ids with its length and the bit count choice() draws for it.
+    # The lexicon comes first, so it takes ids 0, 1, ... in sorted order.
     lexicon_pool, filler_pool, positive_pool, negative_pool = (
-        (pool, len(pool), len(pool).bit_length()) for pool in (all_lemmas, fillers, positives, negatives)
+        (list(map(interner.__getitem__, pool)), len(pool), len(pool).bit_length())
+        for pool in (all_lemmas, fillers, positives, negatives)
     )
     bounds = segment_bounds(tokens_per_novel, _N_SEGMENTS_PLANTED)
     ending_start = bounds[_N_SEGMENTS_PLANTED - ending_len_segments]
@@ -402,8 +398,8 @@ def generate_synthetic_corpus(
             year=1790 + (i * 13) % 120,
             label=happy,
         )
-        novels.append(Novel(meta, tuple(tokens)))
-    return Corpus(tuple(novels))
+        novels.append((meta, np.fromiter(tokens, dtype=interner.id_type, count=tokens_per_novel)))
+    return interner.corpus(novels)
 
 
 def write_corpus(corpus: Corpus, out_dir) -> None:

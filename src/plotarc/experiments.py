@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from plotarc._version import __version__ as _pkg_version
-from plotarc.corpus import Corpus, intern_lemmas
+from plotarc.corpus import Corpus
 from plotarc.features import (
     N_DIMS,
     FeaturizationError,
@@ -326,21 +326,21 @@ def corpus_checksum(corpus: Corpus) -> str:
     and each token's rank among the used lemmas. Integers are little-endian uint32,
     so ids' width, load order and a lemma map's unused lemmas do not count.
     """
-    vocabulary, ids = intern_lemmas(corpus)
+    vocabulary = corpus.vocabulary
     used = np.zeros(len(vocabulary), dtype=bool)
-    for novel_ids in ids:
-        used[novel_ids] = True
+    for novel in corpus.novels:
+        used[novel.lemmas.ids] = True
     lemma_ids = sorted(np.flatnonzero(used).tolist(), key=vocabulary.__getitem__)
     rank = np.zeros(len(vocabulary), dtype="<u4")
     rank[lemma_ids] = np.arange(len(lemma_ids))
     h = _blake2b(len(lemma_ids).to_bytes(4, "little"))
     for i in lemma_ids:  # one short bytes object at a time: a join would hold them all
         h.update(_prefixed(vocabulary[i]))
-    for novel, novel_ids in zip(corpus.novels, ids):
-        m = novel.metadata
+    for novel in corpus.novels:
+        m, ids = novel.metadata, novel.lemmas.ids
         h.update(b"".join(map(_prefixed, (m.id, m.title, m.author, str(m.year), str(int(m.label))))))
-        h.update(len(novel_ids).to_bytes(4, "little"))
-        h.update(rank.take(novel_ids))
+        h.update(len(ids).to_bytes(4, "little"))
+        h.update(rank.take(ids))
     return h.hexdigest()
 
 

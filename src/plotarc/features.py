@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from plotarc.corpus import Corpus, intern_lemmas, segment_bounds
+from plotarc.corpus import Corpus, segment_bounds
 from plotarc.lexicon import DIMENSIONS, SentimentLexicon
 
 N_DIMS = len(DIMENSIONS)
@@ -95,7 +95,7 @@ def compute_profiles(
     the float64 quotient of two integers.
     """
     n_segments = out.shape[1]
-    vocabulary, ids = intern_lemmas(corpus)
+    vocabulary = corpus.vocabulary
     # Unknown lemmas index one extra zero row, int8 like the scores (a float
     # row would widen the table). Every segment holds at least one token,
     # which np.add.reduceat needs: it returns the element at the start index,
@@ -106,8 +106,8 @@ def compute_profiles(
         map(lexicon.entries.get, vocabulary, repeat(unknown)), dtype=np.intp, count=len(vocabulary)
     )
     profiles = []
-    for novel, novel_ids, vectors in zip(corpus.novels, ids, out, strict=True):
-        novel_rows = rows[novel_ids]
+    for novel, vectors in zip(corpus.novels, out, strict=True):
+        novel_rows = rows[novel.lemmas.ids]
         starts = segment_bounds(len(novel_rows), n_segments)[:-1]
         counts = np.add.reduceat(novel_rows != unknown, starts)
         sums = np.add.reduceat(table[novel_rows], starts, dtype=np.int64)

@@ -1,6 +1,6 @@
 import pytest
 
-from plotarc.corpus import Corpus, demo_lexicon
+from plotarc.corpus import Corpus, _Interner, demo_lexicon
 from plotarc.experiments import prepare_inputs
 from plotarc.lexicon import parse_lexicon
 
@@ -15,9 +15,16 @@ TABLE1_TSV = (
 )
 
 
+def interned(novels) -> Corpus:
+    """A corpus of these novels, whose lemmas may be any sequences of strings,
+    interned into one vocabulary as ``load_corpus`` interns tokens."""
+    interner = _Interner({})
+    return interner.corpus([(novel.metadata, interner.ids(novel.lemmas)) for novel in novels])
+
+
 def profile_of(novel, lexicon, n_segments=75):
     """One novel's segment profile, computed as part of a one-novel corpus."""
-    return prepare_inputs(Corpus((novel,)), lexicon, n_segments).profiles[0]
+    return prepare_inputs(interned([novel]), lexicon, n_segments).profiles[0]
 
 
 @pytest.fixture

@@ -48,6 +48,12 @@ def read_dir(path):
 
 
 class TestSynth:
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_writes_expected_files(self, synth_corpus):
         names = {p.name for p in synth_corpus.iterdir()}
         assert "metadata.tsv" in names and "lexicon.tsv" in names

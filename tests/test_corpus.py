@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import profile_of
+from conftest import interned, profile_of
 from plotarc.corpus import (
     Corpus,
     CorpusError,
@@ -23,7 +23,16 @@ from plotarc.corpus import (
 )
 from plotarc.experiments import corpus_checksum, prepare_inputs
 from plotarc.features import N_DIMS, SectionPartition
-from plotarc.lexicon import load_lexicon_file, parse_lexicon
+from plotarc.lexicon import lexicon_to_text, load_lexicon_file, parse_lexicon
+
+
+def contents(corpus):
+    """Each novel's metadata and lemma strings: what two corpora must share to be equal."""
+    return [(novel.metadata, tuple(novel.lemmas)) for novel in corpus.novels]
+
+
+def read_dir(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
 def reference_tokenize(text):
@@ -108,7 +117,7 @@ class TestLemmatize:
     @staticmethod
     def first_lemmas(toy_corpus_dir, lemma_map):
         text_dir, metadata = toy_corpus_dir
-        return load_corpus(text_dir, metadata, lemma_map).novels[0].lemmas[:4]
+        return tuple(load_corpus(text_dir, metadata, lemma_map).novels[0].lemmas)[:4]
 
     def test_map_hit(self, toy_corpus_dir):
         assert self.first_lemmas(toy_corpus_dir, {"war": "sein"}) == ("Es", "sein", "ein", "Zufall")
@@ -288,7 +297,7 @@ class TestLoadCorpus:
         assert corpus.total == 4
         assert corpus.happy == 2 and corpus.unhappy == 2
         assert [n.metadata.id for n in corpus.novels] == ["n1", "n2", "n3", "n4"]
-        assert corpus.novels[0].lemmas[:3] == ("Es", "war", "ein")
+        assert tuple(corpus.novels[0].lemmas)[:3] == ("Es", "war", "ein")
 
     def test_missing_text_file_names_id(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir
@@ -330,7 +339,7 @@ class TestLoadCorpus:
         text_dir, metadata = toy_corpus_dir
         text_path = text_dir / "n1.txt"
         text_path.write_bytes(b"\xef\xbb\xbf" + text_path.read_bytes())
-        assert load_corpus(text_dir, metadata).novels[0].lemmas[0] == "Es"
+        assert tuple(load_corpus(text_dir, metadata).novels[0].lemmas)[0] == "Es"
 
     def test_metadata_byte_order_mark_dropped(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir
@@ -346,7 +355,7 @@ class TestLoadCorpus:
     def test_lemma_map_applied(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir
         corpus = load_corpus(text_dir, metadata, {"war": "sein"})
-        assert corpus.novels[0].lemmas[1] == "sein"
+        assert tuple(corpus.novels[0].lemmas)[1] == "sein"
 
     def test_tokens_of_one_surface_form_share_one_lemma(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir
@@ -357,14 +366,14 @@ class TestLoadCorpus:
         before = dict(lemma_map)
         corpus = load_corpus(text_dir, metadata, lemma_map)
         for i, novel in enumerate(corpus.novels):
-            assert novel.lemmas == tuple(lemma_map.get(t, t) for t in words[i:] * 30)
+            assert tuple(novel.lemmas) == tuple(lemma_map.get(t, t) for t in words[i:] * 30)
         distinct = {id(lemma) for novel in corpus.novels for lemma in novel.lemmas}
         assert len(distinct) <= len(words) + len(lemma_map)
         assert lemma_map == before
 
     def test_deterministic(self, toy_corpus_dir):
         text_dir, metadata = toy_corpus_dir
-        assert load_corpus(text_dir, metadata) == load_corpus(text_dir, metadata)
+        assert contents(load_corpus(text_dir, metadata)) == contents(load_corpus(text_dir, metadata))
 
     def test_decomposed_text_matches_composed_lexicon(self, toy_corpus_dir):
         # A text saved in NFD (decomposed umlauts) must match an NFC lexicon lemma.
@@ -372,7 +381,7 @@ class TestLoadCorpus:
         (text_dir / "n1.txt").write_text(unicodedata.normalize("NFD", "glück " * 80), encoding="utf-8")
         lexicon = parse_lexicon("glück\t0\t0\t0\t0\t1\t0\t1\t0\t0\t0\n")
         novel = load_corpus(text_dir, metadata).novels[0]
-        assert novel.lemmas == ("glück",) * 80
+        assert tuple(novel.lemmas) == ("glück",) * 80
         profile = profile_of(novel, lexicon, 4)
         assert profile.matched_counts.sum() == 80
 
@@ -438,22 +447,39 @@ class TestInterning:
             lemmas = {lemma for novel in corpus.novels for lemma in novel.lemmas}
             assert {"B", "C", "freude", "glück"} <= lemmas and not lemmas & {"A", "Freuden", "Glücks"}
 
-    def test_tuple_backed_novels_equal_loaded_ones(self, oracle_corpus_dir):
-        text_dir, metadata = oracle_corpus_dir
-        lexicon = parse_lexicon(ORACLE_LEXICON)
-        loaded = load_corpus(text_dir, metadata, CHAIN_MAP)
-        in_memory = Corpus(tuple(Novel(n.metadata, tuple(n.lemmas)) for n in loaded.novels))
-        assert in_memory == loaded and loaded == in_memory
-        assert loaded.novels[0].lemmas[2:5] == tuple(loaded.novels[0].lemmas)[2:5]
-        assert hash(loaded.novels[0]) == hash(in_memory.novels[0])
-        a, b = prepare_inputs(loaded, lexicon, 7), prepare_inputs(in_memory, lexicon, 7)
+    @pytest.mark.parametrize("extra_rows", ["", "filler7\t0\t0\t0\t0\t1\t0\t1\t0\t0\t0\n"],
+                             ids=["demo", "filler-lemma"])
+    def test_generated_corpus_equals_its_loaded_copy(self, tmp_path, extra_rows):
+        # With "filler7" in the lexicon, the generator draws one string from two
+        # pools: the vocabulary must hold it once, so that both draws match.
+        lexicon = parse_lexicon(lexicon_to_text(demo_lexicon()) + extra_rows)
+        generated = generate_synthetic_corpus(4, 6, 3000, 4, lexicon)
+        vocabulary = generated.vocabulary.tolist()
+        assert vocabulary[:lexicon.size] == sorted(lexicon.entries)
+        assert len(vocabulary) == len(set(vocabulary)) == len(set(lexicon.entries) | {f"filler{k}" for k in range(5000)})
+        write_corpus(generated, tmp_path / "generated")
+        loaded = load_corpus(tmp_path / "generated", tmp_path / "generated" / "metadata.tsv")
+        assert contents(loaded) == contents(generated)
+        assert corpus_checksum(loaded) == corpus_checksum(generated)
+        a, b = prepare_inputs(generated, lexicon, 75), prepare_inputs(loaded, lexicon, 75)
         assert a.vectors.tobytes() == b.vectors.tobytes()
         assert all(np.array_equal(p.matched_counts, q.matched_counts) for p, q in zip(a.profiles, b.profiles))
-        # Novels from two loads (two vocabularies), alone and with a tuple-backed one.
-        other = load_corpus(text_dir, metadata)
-        for novels in [(loaded.novels[0], other.novels[1]), (loaded.novels[0], other.novels[1], in_memory.novels[2])]:
-            vectors, _ = reference_profiles(Corpus(novels), lexicon, 7)
-            assert prepare_inputs(Corpus(novels), lexicon, 7).vectors.tobytes() == vectors.tobytes()
+        write_corpus(loaded, tmp_path / "loaded")
+        assert read_dir(tmp_path / "loaded") == read_dir(tmp_path / "generated")
+        if extra_rows:
+            assert "filler7" in {lemma for novel in loaded.novels for lemma in novel.lemmas}
+
+    def test_novels_of_two_vocabularies_are_refused(self, oracle_corpus_dir):
+        text_dir, metadata = oracle_corpus_dir
+        lexicon = parse_lexicon(ORACLE_LEXICON)
+        one, other = load_corpus(text_dir, metadata, CHAIN_MAP), load_corpus(text_dir, metadata)
+        mixed = Corpus((one.novels[0], other.novels[1]))
+        for use in (lambda: prepare_inputs(mixed, lexicon, 7), lambda: corpus_checksum(mixed)):
+            with pytest.raises(CorpusError, match="share one vocabulary"):
+                use()
+        # Re-interned into one vocabulary, the same novels are accepted.
+        vectors, _ = reference_profiles(mixed, lexicon, 7)
+        assert prepare_inputs(interned(mixed.novels), lexicon, 7).vectors.tobytes() == vectors.tobytes()
 
 
 class TestIdWidth:
@@ -474,16 +500,11 @@ class TestIdWidth:
         ))
         corpus = load_corpus(text_dir, metadata)
         assert [novel.lemmas.ids.dtype for novel in corpus.novels] == [np.uint16] * 3 + [np.uint32]
-        assert [novel.lemmas for novel in corpus.novels] == texts
-        for novel, text in zip(corpus.novels, texts):  # index and slice across the newest forms
-            assert novel.lemmas[17_499] == text[17_499] and novel.lemmas[17_490:17_510] == text[17_490:17_510]
-        in_memory = Corpus(tuple(Novel(n.metadata, text) for n, text in zip(corpus.novels, texts)))
-        vectors, counts = reference_profiles(in_memory, lexicon, 75)
-        for backed in (corpus, in_memory):
-            inputs = prepare_inputs(backed, lexicon, 75)
-            assert inputs.vectors.tobytes() == vectors.tobytes()
-            assert np.array_equal([p.matched_counts for p in inputs.profiles], counts)
-        assert corpus_checksum(corpus) == corpus_checksum(in_memory)
+        assert [tuple(novel.lemmas) for novel in corpus.novels] == texts
+        vectors, counts = reference_profiles(corpus, lexicon, 75)
+        inputs = prepare_inputs(corpus, lexicon, 75)
+        assert inputs.vectors.tobytes() == vectors.tobytes()
+        assert np.array_equal([p.matched_counts for p in inputs.profiles], counts)
 
 
 def reference_generate(seed, n_novels, tokens_per_novel, ending_len_segments, lexicon):
@@ -570,12 +591,12 @@ class TestSyntheticCorpus:
     def test_same_seed_identical(self, toy_lexicon):
         a = generate_synthetic_corpus(1, 40, 1500, 4, toy_lexicon)
         b = generate_synthetic_corpus(1, 40, 1500, 4, toy_lexicon)
-        assert a == b
+        assert contents(a) == contents(b)
 
     def test_different_seed_differs(self, toy_lexicon):
         a = generate_synthetic_corpus(1, 40, 1500, 4, toy_lexicon)
         b = generate_synthetic_corpus(2, 40, 1500, 4, toy_lexicon)
-        assert a != b
+        assert contents(a) != contents(b)
 
     def test_balanced_labels(self, toy_lexicon):
         corpus = generate_synthetic_corpus(1, 40, 1500, 4, toy_lexicon)
@@ -592,6 +613,11 @@ class TestSyntheticCorpus:
             final_polarity = profile.segment_vectors[partition.final_slice, 2].mean()
             (happy_means if novel.metadata.label else unhappy_means).append(final_polarity)
         assert np.mean(happy_means) > np.mean(unhappy_means)
+
+    def test_negative_seed_rejected(self, toy_lexicon):
+        # random.Random(-7) seeds with 7: the corpus would alias seed 7's.
+        with pytest.raises(CorpusError, match="^seed must be a non-negative integer, got -7$"):
+            generate_synthetic_corpus(-7, 4, 150, 4, toy_lexicon)
 
     def test_odd_novel_count_rejected(self, toy_lexicon):
         with pytest.raises(CorpusError, match="even"):
@@ -617,4 +643,4 @@ class TestWriteCorpus:
         out = tmp_path / "synth"
         write_corpus(corpus, out)
         again = load_corpus(out, out / "metadata.tsv")
-        assert again == corpus
+        assert contents(again) == contents(corpus)

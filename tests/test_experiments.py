@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import interned
 from plotarc import svm
 from plotarc.corpus import (
     Corpus,
+    Lemmas,
     Novel,
     NovelMetadata,
     generate_synthetic_corpus,
@@ -70,7 +72,8 @@ class TestPrepareInputs:
         self, planted, toy_lexicon, n_segments
     ):
         novels = list(planted[0].novels)
-        novels[3] = Novel(novels[3].metadata, novels[3].lemmas[:100])
+        lemmas = novels[3].lemmas
+        novels[3] = Novel(novels[3].metadata, Lemmas(lemmas.vocabulary, lemmas.ids[:100]))
         tracemalloc.start()
         try:
             message = f"novel {novels[3].metadata.id!r}: cannot split 100 lemmas"
@@ -119,8 +122,7 @@ class TestFeatureLadder:
             Novel(NovelMetadata(f"c{i}", "t", "a", 1900, i % 2 == 0), lemmas)
             for i in range(40)
         )
-        corpus = Corpus(novels)
-        inputs = prepare_inputs(corpus, toy_lexicon)
+        inputs = prepare_inputs(interned(novels), toy_lexicon)
         X = feature_matrix(inputs, SectionPartition(75, 4, 4), 3)
         f1, _ = f1_accuracy(cross_validate(X[None], inputs.labels, folds=10, seed=42), inputs.labels)
         assert 0.35 <= f1[0] <= 0.65
@@ -237,8 +239,7 @@ class TestPeriodAnalysis:
                 for n in corpus.novels
             ]
 
-        corpus = Corpus(tuple(retag(early, 1820, "a-") + retag(late, 1900, "b-")))
-        inputs = prepare_inputs(corpus, toy_lexicon)
+        inputs = prepare_inputs(interned(retag(early, 1820, "a-") + retag(late, 1900, "b-")), toy_lexicon)
         report = run_period_analysis(inputs, feature_set_id=3, final_lens=range(1, 16), config=FAST)
         populated = [g for g in report.groups if g.curve is not None]
         assert [g.novel_count for g in populated] == [50, 50]
@@ -390,19 +391,18 @@ class TestChecksums:
         assert [n.lemmas.ids.dtype for n in wide.novels] == [np.uint16] * 3
         assert len(wide.novels[0].lemmas.vocabulary) > len(few.novels[0].lemmas.vocabulary) > len(
             plain.novels[0].lemmas.vocabulary)
-        assert plain == few == wide
+        texts = [[(n.metadata, tuple(n.lemmas)) for n in corpus.novels] for corpus in (plain, few, wide)]
+        assert texts[0] == texts[1] == texts[2]
         assert corpus_checksum(plain) == corpus_checksum(few) == corpus_checksum(wide)
-        in_memory = Corpus(tuple(Novel(n.metadata, tuple(n.lemmas)) for n in plain.novels))
-        assert corpus_checksum(in_memory) == corpus_checksum(plain)
 
     def test_token_order_and_each_metadata_cell_count(self, tmp_path):
         corpus = load_texts(tmp_path, TEXTS, MAP_LINES)
         checksum = corpus_checksum(corpus)
         first, *rest = corpus.novels
-        lemmas = list(first.lemmas)
-        lemmas[1], lemmas[2] = lemmas[2], lemmas[1]
-        assert lemmas != list(first.lemmas)
-        swapped = Corpus((Novel(first.metadata, tuple(lemmas)), *rest))
+        ids = first.lemmas.ids.copy()
+        ids[[1, 2]] = ids[[2, 1]]
+        assert ids[1] != ids[2]
+        swapped = Corpus((Novel(first.metadata, Lemmas(first.lemmas.vocabulary, ids)), *rest))
         assert corpus_checksum(swapped) != checksum
         changes = {"id": "n9", "title": "Titel 9", "author": "Autor", "year": 1821, "label": False}
         for cell, value in changes.items():
