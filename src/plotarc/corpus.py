@@ -60,16 +60,17 @@ class Lemmas:
         return iter(self.vocabulary[self.ids].tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Novel:
     """A novel's metadata and lemmas. ``load_corpus`` and ``generate_synthetic_corpus``
-    give ``Lemmas``; ``write_corpus`` also writes any sequence of strings."""
+    give ``Lemmas``; ``write_corpus`` also writes any sequence of strings.
+    Novels and corpora compare by identity, as ``Lemmas`` do."""
 
     metadata: NovelMetadata
     lemmas: Lemmas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     novels: tuple[Novel, ...]
 

@@ -11,14 +11,15 @@ with the classic 1/(lambda t) step schedule, lambda = 1/(C n), for every
 model of a cross-validation at once (one numpy update per step). The bias,
 w's last entry, is penalized as in LIBLINEAR; everything is a pure function
 of its inputs plus an explicit seed, so repeated runs are bit-identical. The
-seed's shuffles are ``np.random.default_rng(seed).permutation``'s, drawn by a
-pure-Python copy of that generator, so training never imports ``numpy.random``.
+seed's shuffles are the standard library's ``random.Random(seed).shuffle``, so
+training never imports ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+import random
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,83 +28,21 @@ class TrainingError(ValueError):
     pass
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(h: int, mult: int):
-    """SeedSequence's hashmix: each call mixes a 32-bit word with a running constant ``h``."""
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * mult & _M32
-        value = value * h & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-    return r ^ r >> 16
-
-
-def _pcg64_words(seed: int) -> Iterator[int]:
-    """The 32-bit words ``np.random.default_rng(seed)`` draws, forever.
-
-    ``SeedSequence(seed)`` mixes the seed's 32-bit words into a pool of
-    four and hashes that out to eight, read as four little-endian uint64:
-    PCG64's 128-bit initial state and stream. PCG64 (O'Neill 2014, XSL-RR
-    128/64) steps a 128-bit LCG and outputs the xor of its halves rotated
-    by its top 6 bits; each 64-bit output gives two words, low half first.
-    """
-    entropy = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    w = [hashmix(pool[i % 4]) for i in range(8)]  # generate_state(4, np.uint64), little-endian
-    initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
-    state = (inc + initstate) * _PCG64_MULT + inc & _M128  # from 0: step, add initstate, step
-    while True:
-        state = state * _PCG64_MULT + inc & _M128
-        x = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        out = (x >> rot | x << (64 - rot)) & _M64
-        yield out & _M32
-        yield out >> 32
-
-
 class _ShuffleStream:
-    """``np.random.default_rng(seed).permutation(n)``, call after call, bit for bit,
-    without importing ``numpy.random`` (for n up to 2**32).
+    """Consecutive permutations: ``random.Random(seed)`` shuffling ``range(n)``, call after call.
 
-    numpy's Fisher-Yates swaps i with ``random_interval(i)`` for i from
-    n - 1 down to 1: a word masked to i's bit length, drawn again while it
-    exceeds i. A word left over from one call starts the next.
+    A negative seed is refused: ``Random`` would silently use its absolute value.
     """
 
     def __init__(self, seed: int):
         seed = operator.index(seed)
         if seed < 0:
             raise TrainingError(f"seed must be a non-negative integer, got {seed}")
-        self._words = _pcg64_words(seed)
+        self._random = random.Random(seed)
 
     def permutation(self, n: int) -> np.ndarray:
         order = list(range(n))
-        words = self._words
-        for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = next(words) & mask
-            while j > i:
-                j = next(words) & mask
-            order[i], order[j] = order[j], order[i]
+        self._random.shuffle(order)
         return np.array(order, dtype=np.intp)
 
 
@@ -145,10 +84,9 @@ def train_linear_svm(
     :class:`TrainingError`.
 
     Model (p, f) takes exactly the steps of a lone run on its standardized
-    rows: each epoch visits them in the order of the next
-    ``np.random.default_rng(seed).permutation(n_f)`` call, one generator per
-    distinct size, reproduced without importing ``numpy.random`` (a negative
-    seed raises :class:`TrainingError`); its step counter reaches
+    rows: each epoch visits them in the order of the next shuffle of
+    ``range(n_f)`` by ``random.Random(seed)``, one generator per distinct
+    size (a negative seed raises :class:`TrainingError`); its step counter reaches
     ``epochs * n_f``, and steps past ``n_f`` are no-ops. Each step
     standardizes its gathered rows as ``(x - means) / scales``, and the
     stacked ``matmul`` computes each margin exactly as ``x @ w``, so a
@@ -230,9 +168,8 @@ def f1_accuracy(predictions, gold) -> tuple[np.ndarray, np.ndarray]:
 def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Fold index per example: per-class seeded shuffle, then round-robin.
 
-    The +1 class is shuffled by the first ``permutation`` call of
-    ``np.random.default_rng(seed)`` and the -1 class by the second,
-    reproduced without importing ``numpy.random``.
+    The +1 class is shuffled by the first shuffle of ``random.Random(seed)``
+    and the -1 class by the second.
     """
     y = np.asarray(y)
     if folds < 2:

@@ -367,7 +367,7 @@ def test_run_loads_neither_numpy_random_nor_openssl(experiment, synth_corpus, tm
 
 
 def test_negative_seed_exits_2(synth_corpus, tmp_path):
-    # A seed is split into 32-bit words; a negative one must be refused, not looped over.
+    # random.Random would silently use a negative seed's absolute value; it must be refused.
     done = subprocess.run(
         [sys.executable, "-m", "plotarc.cli", "run", "sweep",
          *pipeline_args(synth_corpus, tmp_path / "out", ["--seed", "-1"])],
@@ -385,17 +385,17 @@ COMMAND_BYTES = {
         "profiles.csv": "7cf7e7d4878a143c467f0c17ae1fe0863f1f3d1ad4b01ca9906f38661eb89569",
     },
     "run sweep": {
-        "sweep.csv": "2a8b915c3a284f748bb09d6d9d935498e07858dc3d0793a6860cc5783ba1d893",
+        "sweep.csv": "87120ce9710b401a9ef7b9e8632dbc7e9d696fe1878ccf3872678844a54d9f05",
         "sweep.meta.txt": "7c1c160313887b0b49714999d1dd341892285faaff38af6ee0a0470cefd70a08",
-        "sweep.svg": "5d4324b29bd1fc37b7b81574016fcb32e00b43e17199872e20651b49d2eea1b2",
+        "sweep.svg": "521bed025d2d775b6dead41df31de6e9ba6c7c785d2b2507255aa3e4a9df0b36",
     },
     "run periods": {
-        "periods.csv": "a14466711ffcbff7eda939145005d78d82f5f5813340e9c4ad007cbbb88c0844",
+        "periods.csv": "804d1bc167b9c9dc7cd043c1bd7359365eecd70c32bc8dda3ec4593a29d2bd0a",
         "periods.meta.txt": "0704bb033642ef17381ade5953b9941b26743afb9e403bc0798658da93b30467",
-        "periods.svg": "9384e6604f6ef62e56ed797034b05c075a9d9a626d55e90defb822ef26276923",
+        "periods.svg": "dc1571f60de3401424f39971a669439fd1d886794afc85a93911a6f140a3257d",
     },
     "run ladder": {
-        "ladder.csv": "296415235f84bb1907121bb5cb80f62dcd68dbd0cf4622229964d9f6cb6a4010",
+        "ladder.csv": "ee7d0f13f12f18126be52169c9ddcb0eb5a36cab420c9fdea07ae194bed85c00",
         "ladder.meta.txt": "bea46e8143cfdc6ada876c77618311b300fcb6efe195f919210176371d1164a7",
     },
     "run baselines": {
