@@ -8,7 +8,10 @@ The trainer runs primal subgradient descent on
     (1/n) sum_i max(0, 1 - y_i w . [x_i, 1])  +  (1/(2 C n)) ||w||^2
 
 with the classic 1/(lambda t) step schedule, lambda = 1/(C n), for every
-model of a cross-validation at once (one numpy update per step). The bias,
+model of a cross-validation at once. Training is fold-major: it reads one
+rows-first ``(n, P, dim)`` copy of the stack, so a step gathers each fold's
+next row for all P matrices with one ``np.take``, and the ``(F, P, dim)``
+weights are updated in place, in buffers allocated once per call. The bias,
 w's last entry, is penalized as in LIBLINEAR; everything is a pure function
 of its inputs plus an explicit seed, so repeated runs are bit-identical. The
 seed's shuffles are the standard library's ``random.Random(seed).shuffle``, so
@@ -76,21 +79,23 @@ def train_linear_svm(
     X: np.ndarray, y: np.ndarray, rows: Sequence[np.ndarray], means: np.ndarray, scales: np.ndarray,
     C: float = 1.0, epochs: int = 200, seed: int = 42,
 ) -> np.ndarray:
-    """Train each of P raw ``(P, n, dim)`` matrices on each of F row sets, in lockstep.
+    """Train each matrix of a rows-first ``(n, P, dim)`` stack on each of F row sets, in lockstep.
 
-    ``y`` labels the n rows {+1, -1}, ``rows[f]`` indexes set f's rows and
-    ``means`` and ``scales`` are ``(P, F, dim)``. Returns read-only ``(P, F, dim)``
-    weights. ``C`` must be positive and finite; non-finite weights raise
-    :class:`TrainingError`.
+    ``X[i, p]`` is row i of matrix p, ``y`` labels the n rows {+1, -1},
+    ``rows[f]`` indexes set f's rows and ``means`` and ``scales`` are
+    ``(F, P, dim)``. Returns read-only ``(F, P, dim)`` weights. ``C`` must be
+    positive and finite; non-finite weights raise :class:`TrainingError`.
 
-    Model (p, f) takes exactly the steps of a lone run on its standardized
+    Model (f, p) takes exactly the steps of a lone run on its standardized
     rows: each epoch visits them in the order of the next shuffle of
     ``range(n_f)`` by ``random.Random(seed)``, one generator per distinct
     size (a negative seed raises :class:`TrainingError`); its step counter reaches
-    ``epochs * n_f``, and steps past ``n_f`` are no-ops. Each step
-    standardizes its gathered rows as ``(x - means) / scales``, and the
-    stacked ``matmul`` computes each margin exactly as ``x @ w``, so a
-    model's bits do not depend on the others.
+    ``epochs * n_f``, and steps past ``n_f`` are no-ops. Each step gathers
+    every set's next row into one ``(F, P, dim)`` buffer, standardizes it in
+    place as ``(x - means) / scales``, and the stacked ``matmul`` computes
+    each margin exactly as ``x @ w``, so a model's bits do not depend on the
+    others. The steps write into four buffers made once per call (weights,
+    rows, margins, violations).
     """
     if epochs < 1:
         raise TrainingError(f"epochs must be >= 1, got {epochs}")
@@ -98,35 +103,46 @@ def train_linear_svm(
         raise TrainingError(f"C must be positive and finite, got {C}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    shape = (X.shape[0], len(rows), X.shape[-1])
-    if X.ndim != 3 or X.shape[1] != y.shape[0] or not means.shape == scales.shape == shape:
-        raise TrainingError("X must be (P, n, dim) with n labels, means and scales (P, F, dim)")
+    shape = (len(rows),) + X.shape[1:]
+    if X.ndim != 3 or X.shape[0] != y.shape[0] or not means.shape == scales.shape == shape:
+        raise TrainingError("X must be (n, P, dim) with n labels, means and scales (F, P, dim)")
     for r in rows:
         if not (np.any(y[r] > 0) and np.any(y[r] < 0)):
             raise TrainingError("training needs at least one example of each class")
 
-    n = np.array([r.size for r in rows])
+    n = np.array([r.size for r in rows])[:, None, None]  # (F, 1, 1): per set, broadcast over (P, dim)
     n_max = int(n.max())
     lam = 1.0 / (C * n)
-    rngs = {size: _ShuffleStream(seed) for size in set(n.tolist())}
-    steps = np.arange(1, n_max + 1)[:, None]  # step within the epoch
-    active = steps <= n  # (n_max, F): False on the padding past a set's size
+    rngs = {size: _ShuffleStream(seed) for size in set(n.ravel().tolist())}
+    steps = np.arange(1, n_max + 1)[:, None, None, None]  # step within the epoch
+    active = steps <= n  # (n_max, F, 1, 1): False on the padding past a set's size
     order = np.zeros((n_max, len(rows)), dtype=np.intp)  # row of each set's t-th step
     W = np.zeros(shape)
+    x = np.empty(shape)  # each set's row of the step, for all P matrices
+    margin = np.empty(shape[:2] + (1, 1))
+    y_margin = margin[..., 0]  # (F, P, 1), aligned with the per-set factors
+    violated = np.empty(shape[:2] + (1,), dtype=bool)
+    x_row, w_col = x[..., None, :], W[..., :, None]  # each model's (1, dim) @ (dim, 1)
     for epoch in range(epochs):
         draws = {size: rng.permutation(size) for size, rng in rngs.items()}
         for f, r in enumerate(rows):
             order[: r.size, f] = r[draws[r.size]]
-        y_epoch = y[order]
+        y_epoch = y[order][..., None, None]
         eta = 1.0 / (lam * (epoch * n + steps))
         shrink = np.where(active, 1.0 - eta * lam, 1.0)
         coef = eta * y_epoch
-        for t in range(n_max):
-            x = (X[:, order[t]] - means) / scales
-            margin = np.matmul(x[..., None, :], W[..., :, None])[..., 0, 0]
-            violated = (y_epoch[t] * margin < 1.0) & active[t]
-            W *= shrink[t, :, None]
-            np.add(W, coef[t, :, None] * x, out=W, where=violated[..., None])
+        for rows_t, y_t, gate, shrink_t, coef_t in zip(order, y_epoch, active, shrink, coef):
+            # mode="clip": with the default "raise", take buffers its output.
+            X.take(rows_t, axis=0, out=x, mode="clip")
+            x -= means
+            x /= scales
+            np.matmul(x_row, w_col, out=margin)
+            np.multiply(y_t, y_margin, out=y_margin)
+            np.less(y_margin, 1.0, out=violated)
+            violated &= gate
+            W *= shrink_t
+            x *= coef_t
+            np.add(W, x, out=W, where=violated)
     if not np.isfinite(W).all():
         raise TrainingError(f"training diverged to non-finite weights with C = {C}")
     W.flags.writeable = False
@@ -201,17 +217,22 @@ def cross_validate(
     y = np.asarray(y)
     if X.ndim != 3:
         raise TrainingError(f"X must be a (P, n, dim) stack, got shape {X.shape}")
+    P, n, dim = X.shape
     assignment = stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]
     rows = [np.flatnonzero(~mask) for mask in held]
-    fits = zip(*(standardize_fit(X, r) for r in rows))
-    means, scales = (np.stack(arrays, axis=1) for arrays in fits)
-    last = ((0, 0), (0, 0), (0, 1))  # the bias column; padded after the fit, so no copy adds to its peak
-    X, scales = (np.pad(a, last, constant_values=1.0) for a in (X, scales))
-    means = np.pad(means, last)
-    W = train_linear_svm(X, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
-    pooled = np.empty(X.shape[:2], dtype=y.dtype)
+    # The bias column of ones gets mean 0 and scale 1; fitted before the copy, so no fit adds to its peak.
+    means, scales = np.zeros((folds, P, dim + 1)), np.ones((folds, P, dim + 1))
+    for k, r in enumerate(rows):
+        means[k, :, :dim], scales[k, :, :dim] = standardize_fit(X, r)
+    rows_first = np.ones((n, P, dim + 1))
+    rows_first[..., :dim] = X.transpose(1, 0, 2)
+    W = train_linear_svm(rows_first, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
+    pooled = np.empty((P, n), dtype=y.dtype)
     for k, mask in enumerate(held):
-        held_out = (X[:, mask] - means[:, k, None]) / scales[:, k, None]
-        pooled[:, mask] = predict(held_out, W[:, k])
+        # A C-contiguous (P, m, dim + 1) block, so each margin has the bits of a lone x @ w.
+        held_out = np.ascontiguousarray(rows_first[mask].transpose(1, 0, 2))
+        held_out -= means[k, :, None]
+        held_out /= scales[k, :, None]
+        pooled[:, mask] = predict(held_out, W[k])
     return pooled

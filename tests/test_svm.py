@@ -108,13 +108,13 @@ def reference_cv_predictions(X, y, folds, seed, C, epochs):
     # The bias column, appended here by hand: ones, standardized by mean 0 and scale 1.
     ones = np.ones((X.shape[0], 1))
     bias_fits = [(np.hstack([means, 0 * ones]), np.hstack([scales, ones])) for means, scales in fits]
-    Xa = np.stack([np.hstack([m, np.ones((len(m), 1))]) for m in X])
+    Xa = np.stack([np.hstack([m, np.ones((len(m), 1))]) for m in X], axis=1)
     W = train_linear_svm(Xa, y, rows, *stack_fits(bias_fits), C=C, epochs=epochs, seed=seed)
     pooled = np.empty(X.shape[:2], dtype=y.dtype)
     for k, ((means, scales), mask) in enumerate(zip(fits, held)):
         for p in range(X.shape[0]):
             Xs = np.hstack([(X[p, mask] - means[p]) / scales[p], np.ones((mask.sum(), 1))])
-            pooled[p, mask] = np.where(Xs @ W[p, k] >= 0.0, 1, -1)
+            pooled[p, mask] = np.where(Xs @ W[k, p] >= 0.0, 1, -1)
     return pooled, held
 
 
@@ -146,9 +146,9 @@ def hinge_objective(w, X, y, lam):
     return float(np.maximum(margins, 0.0).mean() + 0.5 * lam * (w @ w))
 
 
-def identity(P, F, dim):
+def identity(F, P, dim):
     """``(means, scales)`` that leave every value's bits unchanged."""
-    return np.zeros((P, F, dim)), np.ones((P, F, dim))
+    return np.zeros((F, P, dim)), np.ones((F, P, dim))
 
 
 def with_ones(X):
@@ -159,13 +159,13 @@ def with_ones(X):
 def fit(X, y, **kwargs):
     """Weights of one model (P = F = 1) on all rows of ``X``, unstandardized."""
     X = np.asarray(X, dtype=float)
-    W = train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, X.shape[1]), **kwargs)
+    W = train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, X.shape[1]), **kwargs)
     return W[0, 0]
 
 
 def stack_fits(fits):
-    """``(P, F, dim)`` means and scales from one ``(P, dim)`` fit per row set."""
-    return tuple(np.stack(arrays, axis=1) for arrays in zip(*fits))
+    """``(F, P, dim)`` means and scales from one ``(P, dim)`` fit per row set."""
+    return tuple(np.stack(arrays) for arrays in zip(*fits))
 
 
 def separable_set(seed=0, per_class=20, spread=0.3):
@@ -263,7 +263,7 @@ class TestShuffleStream:
         with pytest.raises(TrainingError, match=f"seed must be a non-negative integer, got {seed}$"):
             cross_validate(X[None], y, folds=5, seed=seed, epochs=1)
         with pytest.raises(TrainingError, match="seed"):
-            train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, 2), seed=seed)
+            train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 2), seed=seed)
 
 
 class TestTrain:
@@ -289,20 +289,20 @@ class TestTrain:
         X, _ = separable_set()
         n = X.shape[0]
         with pytest.raises(TrainingError):
-            train_linear_svm(X[None], np.ones(n), [np.arange(n)], *identity(1, 1, 2))
+            train_linear_svm(X[:, None], np.ones(n), [np.arange(n)], *identity(1, 1, 2))
 
     @pytest.mark.parametrize("epochs", [0, -2])
     def test_epochs_below_one_rejected(self, epochs):
         X, y = separable_set()
         with pytest.raises(TrainingError, match="epochs"):
-            train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, 2), epochs=epochs)
+            train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 2), epochs=epochs)
 
     @pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf, 1e308])
     def test_c_not_positive_and_finite_rejected(self, C):
         # 1e308 passes the range check but overflows the step size.
         X, y = separable_set()
         with pytest.raises(TrainingError, match="finite"):
-            train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, 2), C=C)
+            train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 2), C=C)
 
     def test_objective_decreases(self):
         X, y = separable_set(seed=5)
@@ -340,20 +340,41 @@ class TestLockstep:
         fits = [standardize_fit(X[:, r]) for r in rows]
         for means, scales in fits:
             means[:, -1], scales[:, -1] = 0.0, 1.0
-        W = train_linear_svm(X, y, rows, *stack_fits(fits), C=0.8, epochs=epochs, seed=seed)
-        assert W.shape == (2, len(sizes), dim + 1)
+        rows_first = X.transpose(1, 0, 2)
+        W = train_linear_svm(rows_first, y, rows, *stack_fits(fits), C=0.8, epochs=epochs, seed=seed)
+        assert W.shape == (len(sizes), 2, dim + 1)
         for p in range(2):
             for f, (r, (means, scales)) in enumerate(zip(rows, fits)):
                 Xs = (X[p, r] - means[p]) / scales[p]
                 assert np.all(Xs[:, -1] == 1.0)
                 w_ref = reference_train(Xs, y[r], C=0.8, epochs=epochs, seed=seed)
                 # Compare the bit patterns, so even the sign of a zero must agree.
-                assert W[p, f].tobytes() == w_ref.tobytes()
+                assert W[f, p].tobytes() == w_ref.tobytes()
+
+    def test_benchmark_shape_matches_reference(self):
+        # The sweep benchmark's shape: 37 matrices, 10 folds training on
+        # 190 or 191 of 212 rows, 11 features plus the ones column, 2 epochs.
+        rng = np.random.default_rng(37)
+        y = np.where(np.arange(212) < 102, 1, -1)
+        X = rng.normal(size=(37, 212, 11)) * rng.uniform(0.5, 3.0, size=(37, 1, 11))
+        X[:, y == 1] += rng.normal(0.3, 0.2, size=(37, 1, 11))
+        X = with_ones(X)
+        rows = [np.flatnonzero(stratified_folds(y, 10, 42) != k) for k in range(10)]
+        assert sorted({r.size for r in rows}) == [190, 191]
+        fits = [standardize_fit(X[:, r]) for r in rows]
+        for means, scales in fits:
+            means[:, -1], scales[:, -1] = 0.0, 1.0
+        W = train_linear_svm(X.transpose(1, 0, 2), y, rows, *stack_fits(fits), epochs=2, seed=42)
+        assert W.shape == (10, 37, 12)
+        for f, p in [(0, 0), (1, 36), (2, 18), (5, 7), (9, 0), (9, 36)]:
+            means, scales = fits[f]
+            Xs = (X[p, rows[f]] - means[p]) / scales[p]
+            assert W[f, p].tobytes() == reference_train(Xs, y[rows[f]], epochs=2, seed=42).tobytes()
 
     def test_width_mismatch_rejected(self):
         X, y = separable_set()
         with pytest.raises(TrainingError):
-            train_linear_svm(X[None], y, [np.arange(len(y))], *identity(1, 1, 1))
+            train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 1))
 
 
 class TestPredict:
@@ -484,13 +505,24 @@ class TestCrossValidate:
         assert len({row.tobytes() for row in pooled}) == 3
         assert pred.shape == pooled.shape and pred.dtype == pooled.dtype
         assert pred.tobytes() == pooled.tobytes()
+
+    def test_leaves_the_input_stack_unchanged(self):
+        # The trainer and the held-out scoring work in place, in buffers of their own.
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(3, 23, 5))
+        y = np.where(np.arange(23) < 12, 1, -1)
+        before = X.copy()
+        cross_validate(X, y, folds=4, seed=5, epochs=3)
+        assert X.tobytes() == before.tobytes()
+
     def test_traced_peak_stays_near_the_stack_size(self):
         # A sweep-sized stack: 37 points x 212 novels x 11 features, 690 KB.
-        # Measured peak: 1.91 x the stack (its copy padded with the bias
-        # column, plus one fold's held-out rows while they are scored); a
-        # fold's standardization fit adds 1.0 x. Materializing each epoch's
-        # standardized (steps, P, F, dim) rows and updates instead peaks at
-        # about 31 MB, 45 x.
+        # Measured peak: 1.72 x the stack (its rows-first copy with the bias
+        # column, the fold fits, the weights and the pooled labels, plus one
+        # fold's held-out block while it is scored); a fold's standardization
+        # fit, made before the copy, peaks at 1.1 x. Materializing each
+        # epoch's standardized (steps, P, F, dim) rows and updates instead
+        # peaks at about 31 MB, 45 x.
         X = np.random.default_rng(0).normal(size=(37, 212, 11))
         y = np.where(np.arange(212) % 2 == 0, 1, -1)
         tracemalloc.start()
@@ -554,7 +586,7 @@ class TestConvergence:
         # on the separable fold and 1.002 x on the overlapping one.
         X, y, means, scales = training_fold(name)
         padded_fit = np.append(means, 0.0)[None, None], with_ones(scales)[None, None]
-        W = train_linear_svm(with_ones(X)[None], y, [np.arange(len(y))], *padded_fit)
+        W = train_linear_svm(with_ones(X)[:, None], y, [np.arange(len(y))], *padded_fit)
         Xs = (X - means) / scales
         bound = primal_objective(np.append(*reference_dcd(Xs, y)[:2]), with_ones(Xs), y)
         assert primal_objective(W[0, 0], with_ones(Xs), y) <= 1.05 * bound
