@@ -16,7 +16,7 @@ import random
 import string
 import unicodedata
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -128,13 +128,14 @@ def tokenize(text: str) -> list[str]:
     leftovers are tested. That is exact too: none of the deleted characters
     is category P, and deleting single ASCII bytes leaves every multi-byte
     UTF-8 sequence whole. ``surrogatepass`` round-trips lone surrogates, so
-    ``tokenize`` accepts any ``str``.
+    ``tokenize`` accepts any ``str``. The strips, and the dropping of tokens
+    they empty, run as C-level ``map`` and ``filter`` loops.
     """
     rest = text.encode("utf-8", "surrogatepass").translate(None, _NEVER_PUNCT)
     punct = "".join(filter(_is_punct, set(rest.decode("utf-8", "surrogatepass"))))
     if not punct:
         return text.split()
-    return [token for raw in text.split() if (token := raw.strip(punct))]
+    return list(filter(None, map(str.strip, text.split(), repeat(punct))))
 
 
 def _read_text(path) -> str:

@@ -172,10 +172,36 @@ class SweepCurve:
         return max(self.points, key=lambda p: (p.f1, p.main_fraction))
 
 
+@dataclass(frozen=True)
+class _PointMatrices:
+    """The feature matrices of a sweep's points on one group's inputs, in point order.
+
+    Sized and iterable: each matrix is made only when the trainer reads it,
+    so no stack of them is ever built beside the trainer's own.
+    """
+
+    inputs: RunInputs
+    partitions: list[SectionPartition]
+    feature_set_id: int
+
+    def __len__(self) -> int:
+        return len(self.partitions)
+
+    def __iter__(self):
+        return (feature_matrix(self.inputs, p, self.feature_set_id) for p in self.partitions)
+
+
+def _group_inputs(inputs: RunInputs, rows) -> RunInputs:
+    """The inputs of the novels ``rows`` selects (a slice, whose arrays are views, or an index list)."""
+    profiles = inputs.profiles[rows] if isinstance(rows, slice) else tuple(inputs.profiles[i] for i in rows)
+    return RunInputs(profiles, inputs.vectors[rows], inputs.labels[rows], inputs.years[rows])
+
+
 def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
                   config: ClassifierConfig) -> list[SweepCurve]:
     """One curve per group of novel rows (a slice or an index list), each from its own
-    CV call; all are cut from one stack, since a feature row reads only its own novel."""
+    CV call. A group's rows are cut from ``inputs`` once, and its point matrices are
+    made on them as the trainer reads them; a feature row reads only its own novel."""
     n = inputs.n_segments
     if final_lens is None and n < 2:
         raise FeaturizationError(f"a partition sweep needs at least 2 segments, got {n}")
@@ -187,14 +213,14 @@ def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
         for final_len in final_lens
     ]
     fields = {"n_segments": n, "feature_set": feature_set_id, **asdict(config)}
-    if partitions and groups:
-        X = np.stack([feature_matrix(inputs, p, feature_set_id) for p in partitions])
     curves = []
     for rows in groups:
         f1s = []
         if partitions:
-            y = inputs.labels[rows]
-            f1s = f1_accuracy(cross_validate(X[:, rows], y, **asdict(config)), y)[0].tolist()
+            group = _group_inputs(inputs, rows)
+            matrices = _PointMatrices(group, partitions, feature_set_id)
+            pred = cross_validate(matrices, group.labels, **asdict(config))
+            f1s = f1_accuracy(pred, group.labels)[0].tolist()
         points = (SweepPoint((n - p.final_len) / n, p.final_len, f1) for p, f1 in zip(partitions, f1s))
         curves.append(SweepCurve(tuple(points), dict(fields)))
     return curves

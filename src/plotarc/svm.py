@@ -1,7 +1,7 @@
 """Deterministic linear SVM on arrays: a standardization is ``(means, scales)``,
-``cross_validate`` returns a ``(P, n, dim)`` stack's pooled out-of-fold labels
-as one ``(P, n)`` array, and ``f1_accuracy`` scores every row of it at once
-(a fold's score is the same call on its columns).
+``cross_validate`` returns the pooled out-of-fold labels of P ``(n, dim)``
+matrices as one ``(P, n)`` array, and ``f1_accuracy`` scores every row of it
+at once (a fold's score is the same call on its columns).
 
 The trainer runs primal subgradient descent on
 
@@ -9,9 +9,10 @@ The trainer runs primal subgradient descent on
 
 with the classic 1/(lambda t) step schedule, lambda = 1/(C n), for every
 model of a cross-validation at once. Training is fold-major: it reads one
-rows-first ``(n, P, dim)`` copy of the stack, so a step gathers each fold's
-next row for all P matrices with one ``np.take``, and the ``(F, P, dim)``
-weights are updated in place, in buffers allocated once per call. The bias,
+rows-first ``(n, P, dim)`` stack, which ``cross_validate`` fills chunk by
+chunk from the matrices it is given, so a step gathers each fold's next row
+for all P matrices with one ``np.take``, and the ``(F, P, dim)`` weights are
+updated in place, in buffers allocated once per call. The bias,
 w's last entry, is penalized as in LIBLINEAR; everything is a pure function
 of its inputs plus an explicit seed, so repeated runs are bit-identical. The
 seed's shuffles are the standard library's ``random.Random(seed).shuffle``, so
@@ -20,11 +21,16 @@ training never imports ``numpy.random``.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 
 import numpy as np
+
+
+# The bytes of the matrices cross_validate stacks at once for their fold fits.
+_CHUNK_BYTES = 256 * 1024
 
 
 class TrainingError(ValueError):
@@ -94,8 +100,10 @@ def train_linear_svm(
     every set's next row into one ``(F, P, dim)`` buffer, standardizes it in
     place as ``(x - means) / scales``, and the stacked ``matmul`` computes
     each margin exactly as ``x @ w``, so a model's bits do not depend on the
-    others. The steps write into four buffers made once per call (weights,
-    rows, margins, violations).
+    others. A step adds every model's scaled row, times 0.0 where its margin
+    is not violated, so no operand is masked. The steps write into five
+    buffers made once per call (weights, rows, margins, violations, update
+    factors).
     """
     if epochs < 1:
         raise TrainingError(f"epochs must be >= 1, got {epochs}")
@@ -122,6 +130,7 @@ def train_linear_svm(
     margin = np.empty(shape[:2] + (1, 1))
     y_margin = margin[..., 0]  # (F, P, 1), aligned with the per-set factors
     violated = np.empty(shape[:2] + (1,), dtype=bool)
+    c = np.empty(violated.shape)  # each model's update factor: coef where violated, else 0.0
     x_row, w_col = x[..., None, :], W[..., :, None]  # each model's (1, dim) @ (dim, 1)
     for epoch in range(epochs):
         draws = {size: rng.permutation(size) for size, rng in rngs.items()}
@@ -130,8 +139,8 @@ def train_linear_svm(
         y_epoch = y[order][..., None, None]
         eta = 1.0 / (lam * (epoch * n + steps))
         shrink = np.where(active, 1.0 - eta * lam, 1.0)
-        coef = eta * y_epoch
-        for rows_t, y_t, gate, shrink_t, coef_t in zip(order, y_epoch, active, shrink, coef):
+        coef = np.where(active, eta * y_epoch, 0.0)
+        for rows_t, y_t, shrink_t, coef_t in zip(order, y_epoch, shrink, coef):
             # mode="clip": with the default "raise", take buffers its output.
             X.take(rows_t, axis=0, out=x, mode="clip")
             x -= means
@@ -139,10 +148,14 @@ def train_linear_svm(
             np.matmul(x_row, w_col, out=margin)
             np.multiply(y_t, y_margin, out=y_margin)
             np.less(y_margin, 1.0, out=violated)
-            violated &= gate
             W *= shrink_t
-            x *= coef_t
-            np.add(W, x, out=W, where=violated)
+            # A step without a violation (or past a set's size) adds x * 0.0, a
+            # signed zero, which leaves W's bits unchanged: W starts at +0.0 and
+            # no shrink factor is negative, so W is never -0.0, and w + (±0.0)
+            # == w. A non-finite row still makes W non-finite, which raises.
+            np.multiply(coef_t, violated, out=c)
+            x *= c
+            W += x
     if not np.isfinite(W).all():
         raise TrainingError(f"training diverged to non-finite weights with C = {C}")
     W.flags.writeable = False
@@ -201,32 +214,52 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 
 def cross_validate(
-    X: np.ndarray, y: np.ndarray, folds: int = 10, seed: int = 42, C: float = 1.0, epochs: int = 200
+    X: Collection[np.ndarray], y: np.ndarray, folds: int = 10, seed: int = 42, C: float = 1.0,
+    epochs: int = 200,
 ) -> np.ndarray:
-    """Pooled out-of-fold labels of each matrix in a ``(P, n, dim)`` stack (one matrix: ``X[None]``).
+    """Pooled out-of-fold labels of each of P ``(n, dim)`` matrices (one matrix: ``X[None]``).
 
-    The P matrices share the n rows labelled by ``y`` and one stratified
-    fold assignment; row p of the ``(P, n)`` result holds matrix p's
-    held-out predictions. Standardization is fitted on each fold's training
-    split only, so held-out rows never leak into it; the bias column of ones
-    appended after it gets mean 0 and scale 1. All P x ``folds`` models train
-    in one lockstep call, and each fold's held-out rows are scored for all
-    P matrices in one batched product.
+    ``X`` is a sized iterable of the matrices, such as a ``(P, n, dim)``
+    stack or a lazy sequence; it is read once, in order. The P matrices
+    share the n rows labelled by ``y`` and one stratified fold assignment;
+    row p of the ``(P, n)`` result holds matrix p's held-out predictions.
+    Standardization is fitted on each fold's training split only, so
+    held-out rows never leak into it; the bias column of ones appended after
+    it gets mean 0 and scale 1. The matrices are read in chunks of at most
+    ``_CHUNK_BYTES``: each chunk's fold fits are one stacked call per fold,
+    and the chunk is written into the rows-first ``(n, P, dim + 1)`` stack
+    the trainer reads, the only full-size copy made. All P x ``folds``
+    models train in one lockstep call, and each fold's held-out rows are
+    scored for all P matrices in one batched product.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    if X.ndim != 3:
-        raise TrainingError(f"X must be a (P, n, dim) stack, got shape {X.shape}")
-    P, n, dim = X.shape
+    P, n = len(X), y.shape[0]
     assignment = stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]
     rows = [np.flatnonzero(~mask) for mask in held]
-    # The bias column of ones gets mean 0 and scale 1; fitted before the copy, so no fit adds to its peak.
+    matrices = iter(X)
+    first = np.asarray(next(matrices, None), dtype=float)
+    if first.ndim != 2 or first.shape[0] != n:
+        raise TrainingError(f"X must be a (P, n, dim) stack with n = {n}, got a matrix of shape "
+                            f"{first.shape}")
+    dim = first.shape[1]
+    matrices = itertools.chain([first], matrices)
+    per_chunk = max(1, _CHUNK_BYTES // max(first.nbytes, 1))
+    chunk = np.empty((min(per_chunk, P), n, dim))
+    rows_first = np.ones((n, P, dim + 1))  # the last column is the bias's ones
     means, scales = np.zeros((folds, P, dim + 1)), np.ones((folds, P, dim + 1))
-    for k, r in enumerate(rows):
-        means[k, :, :dim], scales[k, :, :dim] = standardize_fit(X, r)
-    rows_first = np.ones((n, P, dim + 1))
-    rows_first[..., :dim] = X.transpose(1, 0, 2)
+    for start in range(0, P, per_chunk):
+        block = chunk[: min(per_chunk, P - start)]
+        for i in range(len(block)):
+            matrix = next(matrices, None)
+            if np.shape(matrix) != (n, dim):
+                raise TrainingError(f"X must be a (P, n, dim) stack of {P} matrices of shape {(n, dim)}")
+            block[i] = matrix
+        stop = start + len(block)
+        for k, r in enumerate(rows):
+            means[k, start:stop, :dim], scales[k, start:stop, :dim] = standardize_fit(block, r)
+        rows_first[:, start:stop, :dim] = block.transpose(1, 0, 2)
+    del chunk, block
     W = train_linear_svm(rows_first, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
     pooled = np.empty((P, n), dtype=y.dtype)
     for k, mask in enumerate(held):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import interned
-from plotarc import svm
+from plotarc import experiments, svm
 from plotarc.corpus import (
     Corpus,
     Lemmas,
@@ -264,6 +264,29 @@ class TestPeriodAnalysis:
                     inputs.years[idx],
                 )
                 assert group.curve == run_partition_sweep(own, [9, 4, 1], 3, config)
+
+
+    def test_feature_matrices_are_made_only_for_swept_groups(self, toy_lexicon, monkeypatch):
+        # Groups of 41, 18, 22 and 39 novels; the 18 are skipped. Each swept
+        # group's rows are cut once, and every point's matrix is made on them.
+        inputs = prepare_inputs(generate_synthetic_corpus(5, 120, 600, 4, toy_lexicon), toy_lexicon)
+        made = []
+        original = experiments.feature_matrix
+
+        def recording(group, partition, feature_set_id):
+            made.append(group)
+            return original(group, partition, feature_set_id)
+
+        monkeypatch.setattr(experiments, "feature_matrix", recording)
+        report = run_period_analysis(inputs, final_lens=[9, 4, 1], config=ClassifierConfig(epochs=2))
+        assert [g.curve is None for g in report.groups] == [False, True, False, False]
+        swept = [idx for idx in group_indices(inputs.years) if len(idx) != 18]
+        assert [len(group.labels) for group in made] == [41] * 3 + [22] * 3 + [39] * 3
+        for g, idx in enumerate(swept):
+            group = made[3 * g]
+            assert made[3 * g + 1] is group and made[3 * g + 2] is group
+            assert group.vectors.tobytes() == inputs.vectors[idx].tobytes()
+            assert group.labels.tobytes() == inputs.labels[idx].tobytes()
 
 
 class TestBaselines:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from plotarc import svm
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus
 from plotarc.experiments import feature_matrix, prepare_inputs
 from plotarc.features import SectionPartition
@@ -168,6 +169,31 @@ def stack_fits(fits):
     return tuple(np.stack(arrays) for arrays in zip(*fits))
 
 
+class OneShot:
+    """A sized iterable of copies of ``matrices``, counting its passes and the matrices it yields."""
+
+    def __init__(self, matrices):
+        self._matrices, self.passes, self.reads = matrices, 0, 0
+
+    def __len__(self):
+        return len(self._matrices)
+
+    def __iter__(self):
+        self.passes += 1
+        for matrix in self._matrices:
+            self.reads += 1
+            yield matrix.copy()
+
+
+def labelled_stack(P, n, seed, dim=11):
+    """A ``(P, n, dim)`` stack of unrelated matrices with a class signal, and labels alternating +1, -1."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 2 == 0, 1, -1)
+    X = rng.normal(size=(P, n, dim)) * rng.uniform(0.5, 4.0, size=(P, 1, dim))
+    X[:, y == 1] += rng.normal(0.4, 0.3, size=(P, 1, dim))
+    return X, y
+
+
 def separable_set(seed=0, per_class=20, spread=0.3):
     rng = np.random.default_rng(seed)
     pos = rng.normal([2.0, 0.0], spread, size=(per_class, 2))
@@ -219,6 +245,12 @@ class TestStandardize:
             expected = [a.tobytes() for a in reference_standardize_fit(X[:, rows])]
             assert [a.tobytes() for a in standardize_fit(X, rows)] == expected
             assert [a.tobytes() for a in standardize_fit(X[:, rows])] == expected
+            # cross_validate fits chunks of 14 such matrices at a time: the same bits.
+            for start in range(0, 37, 14):
+                chunk = slice(start, start + 14)
+                assert [a.tobytes() for a in standardize_fit(X[chunk], rows)] == [
+                    a[chunk].tobytes() for a in reference_standardize_fit(X[:, rows])
+                ]
         assert X.tobytes() == before.tobytes()  # the caller's stack is left as it was
 
 
@@ -483,6 +515,38 @@ class TestCrossValidate:
         with pytest.raises(TrainingError, match="stack"):
             cross_validate(X, y, folds=5, epochs=1)
 
+    @pytest.mark.parametrize("P, n", [(3, 212), (37, 212), (37, 41), (37, 22), (37, 39)])
+    def test_one_shot_iterable_matches_the_stack(self, P, n):
+        # At 212 rows a chunk holds 14 matrices, so P = 3 is below one chunk
+        # and P = 37 is 14 + 14 + 9; 41, 22 and 39 rows are the benchmark's
+        # ragged period groups.
+        X, y = labelled_stack(P, n, seed=P + n)
+        assert svm._CHUNK_BYTES // X[0].nbytes == {212: 14, 41: 72, 22: 135, 39: 76}[n]
+        matrices = OneShot(X)
+        lazy = cross_validate(matrices, y, folds=10, seed=7, epochs=2)
+        assert (matrices.passes, matrices.reads) == (1, P)
+        stacked = cross_validate(X, y, folds=10, seed=7, epochs=2)
+        pooled, _ = reference_cv_predictions(X, y, folds=10, seed=7, C=1.0, epochs=2)
+        assert lazy.shape == pooled.shape and lazy.dtype == pooled.dtype
+        assert lazy.tobytes() == stacked.tobytes() == pooled.tobytes()
+
+    def test_one_matrix_chunks_match_the_reference(self, monkeypatch):
+        monkeypatch.setattr(svm, "_CHUNK_BYTES", 1)
+        X, y = labelled_stack(5, 23, seed=3)
+        pooled, _ = reference_cv_predictions(X, y, folds=4, seed=5, C=0.5, epochs=7)
+        assert cross_validate(OneShot(X), y, folds=4, seed=5, C=0.5, epochs=7).tobytes() == pooled.tobytes()
+
+    def test_short_or_misshapen_iterable_rejected(self):
+        X, y = labelled_stack(3, 23, seed=1)
+
+        class Short(OneShot):
+            def __len__(self):
+                return 4
+
+        for matrices in (Short(X), [X[0], X[1][:, :5], X[2]], [X[0], X[1][:-1], X[2]], [X[0], X[1][0]]):
+            with pytest.raises(TrainingError, match="stack"):
+                cross_validate(matrices, y, folds=4, epochs=1)
+
     def test_stack_shares_one_fold_assignment(self):
         X, y = separable_set(per_class=15)
         stack = np.stack([X, X * 3.0 + 1.0, X[:, ::-1]])
@@ -517,12 +581,11 @@ class TestCrossValidate:
 
     def test_traced_peak_stays_near_the_stack_size(self):
         # A sweep-sized stack: 37 points x 212 novels x 11 features, 690 KB.
-        # Measured peak: 1.72 x the stack (its rows-first copy with the bias
-        # column, the fold fits, the weights and the pooled labels, plus one
-        # fold's held-out block while it is scored); a fold's standardization
-        # fit, made before the copy, peaks at 1.1 x. Materializing each
-        # epoch's standardized (steps, P, F, dim) rows and updates instead
-        # peaks at about 31 MB, 45 x.
+        # Measured peak: 2.05 x the stack: its rows-first copy with the bias
+        # column (1.09 x), one chunk of 14 matrices and its fold-fit gather,
+        # and the fold fits.
+        # Materializing each epoch's standardized (steps, P, F, dim) rows
+        # and updates instead peaks at about 31 MB, 45 x.
         X = np.random.default_rng(0).normal(size=(37, 212, 11))
         y = np.where(np.arange(212) % 2 == 0, 1, -1)
         tracemalloc.start()
@@ -532,6 +595,33 @@ class TestCrossValidate:
         finally:
             tracemalloc.stop()
         assert peak < 4 * X.nbytes
+
+    def test_traced_peak_of_lazy_matrices_stays_near_the_rows_first_stack(self):
+        # The same sweep-sized input made one matrix at a time, as the sweep
+        # does. Measured peak: 1.45 MB, 2.10 x the 690 KB the matrices add up
+        # to: the 753 KB rows-first stack, a 256 KB chunk, and 437 KB beside
+        # them (the chunk's fold-fit gather and its transients, the fold fits
+        # and the matrix being made). Stacking the matrices first, as the
+        # sweep did, adds 690 KB; a fold's full-size gather adds 620 KB.
+        P, n, dim = 37, 212, 11
+        y = np.where(np.arange(n) % 2 == 0, 1, -1)
+
+        class Lazy:
+            def __len__(self):
+                return P
+
+            def __iter__(self):
+                rng = np.random.default_rng(0)
+                return (rng.normal(size=(n, dim)) for _ in range(P))
+
+        tracemalloc.start()
+        try:
+            cross_validate(Lazy(), y, folds=10, seed=42, epochs=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows_first = n * P * (dim + 1) * 8
+        assert peak < rows_first + svm._CHUNK_BYTES + 512 * 1024
 
     def test_no_leakage_from_held_out_rows(self):
         # Perturbing rows held out of fold 0 must not change the params
