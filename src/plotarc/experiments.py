@@ -113,6 +113,13 @@ def feature_matrix(
     return np.hstack(blocks)
 
 
+def _feature_stack(inputs: RunInputs, partitions, feature_set_id: int, rows=slice(None)) -> np.ndarray:
+    """The ``(P, n_rows, dim)`` stack of one feature matrix per partition, on the novels ``rows``
+    selects (a slice, whose arrays are views, or an index list), one ``feature_matrix`` call each."""
+    group = RunInputs((), inputs.vectors[rows], inputs.labels[rows], inputs.years[rows])
+    return np.stack([feature_matrix(group, p, feature_set_id) for p in partitions])
+
+
 # ---------------------------------------------------------------------------
 # Feature ladder
 # ---------------------------------------------------------------------------
@@ -132,8 +139,7 @@ def run_feature_ladder(
     """Cross-validated F1/accuracy for each of the six feature sets under shared folds."""
     rows = []
     for fsid in FEATURE_SET_DIMS:
-        X = feature_matrix(inputs, partition, fsid)
-        (pred,) = cross_validate(X[None], inputs.labels, **asdict(config))
+        (pred,) = cross_validate(_feature_stack(inputs, [partition], fsid), inputs.labels, **asdict(config))
         f1, accuracy = f1_accuracy(pred, inputs.labels)
         rows.append((fsid, float(f1), float(accuracy)))
     return LadderReport(
@@ -172,36 +178,11 @@ class SweepCurve:
         return max(self.points, key=lambda p: (p.f1, p.main_fraction))
 
 
-@dataclass(frozen=True)
-class _PointMatrices:
-    """The feature matrices of a sweep's points on one group's inputs, in point order.
-
-    Sized and iterable: each matrix is made only when the trainer reads it,
-    so no stack of them is ever built beside the trainer's own.
-    """
-
-    inputs: RunInputs
-    partitions: list[SectionPartition]
-    feature_set_id: int
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    def __iter__(self):
-        return (feature_matrix(self.inputs, p, self.feature_set_id) for p in self.partitions)
-
-
-def _group_inputs(inputs: RunInputs, rows) -> RunInputs:
-    """The inputs of the novels ``rows`` selects (a slice, whose arrays are views, or an index list)."""
-    profiles = inputs.profiles[rows] if isinstance(rows, slice) else tuple(inputs.profiles[i] for i in rows)
-    return RunInputs(profiles, inputs.vectors[rows], inputs.labels[rows], inputs.years[rows])
-
-
 def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
                   config: ClassifierConfig) -> list[SweepCurve]:
     """One curve per group of novel rows (a slice or an index list), each from its own
-    CV call. A group's rows are cut from ``inputs`` once, and its point matrices are
-    made on them as the trainer reads them; a feature row reads only its own novel."""
+    CV call on a stack of its point matrices, made on the group's rows alone: a
+    feature row reads only its own novel."""
     n = inputs.n_segments
     if final_lens is None and n < 2:
         raise FeaturizationError(f"a partition sweep needs at least 2 segments, got {n}")
@@ -217,10 +198,12 @@ def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
     for rows in groups:
         f1s = []
         if partitions:
-            group = _group_inputs(inputs, rows)
-            matrices = _PointMatrices(group, partitions, feature_set_id)
-            pred = cross_validate(matrices, group.labels, **asdict(config))
-            f1s = f1_accuracy(pred, group.labels)[0].tolist()
+            y = inputs.labels[rows]
+            # No name holds the stack (nor would a ``**`` call's argument tuple),
+            # so cross_validate frees it once it has made its rows-first copy.
+            pred = cross_validate(_feature_stack(inputs, partitions, feature_set_id, rows), y,
+                                  folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
+            f1s = f1_accuracy(pred, y)[0].tolist()
         points = (SweepPoint((n - p.final_len) / n, p.final_len, f1) for p, f1 in zip(partitions, f1s))
         curves.append(SweepCurve(tuple(points), dict(fields)))
     return curves

@@ -1,7 +1,7 @@
 """Deterministic linear SVM on arrays: a standardization is ``(means, scales)``,
-``cross_validate`` returns the pooled out-of-fold labels of P ``(n, dim)``
-matrices as one ``(P, n)`` array, and ``f1_accuracy`` scores every row of it
-at once (a fold's score is the same call on its columns).
+``cross_validate`` returns the pooled out-of-fold labels of a ``(P, n, dim)``
+stack of matrices as one ``(P, n)`` array, and ``f1_accuracy`` scores every
+row of it at once (a fold's score is the same call on its columns).
 
 The trainer runs primal subgradient descent on
 
@@ -9,8 +9,8 @@ The trainer runs primal subgradient descent on
 
 with the classic 1/(lambda t) step schedule, lambda = 1/(C n), for every
 model of a cross-validation at once. Training is fold-major: it reads one
-rows-first ``(n, P, dim)`` stack, which ``cross_validate`` fills chunk by
-chunk from the matrices it is given, so a step gathers each fold's next row
+rows-first ``(n, P, dim)`` stack, which ``cross_validate`` copies once from
+the ``(P, n, dim)`` stack it is given, so a step gathers each fold's next row
 for all P matrices with one ``np.take``, and the ``(F, P, dim)`` weights are
 updated in place, in buffers allocated once per call. The bias,
 w's last entry, is penalized as in LIBLINEAR; everything is a pure function
@@ -21,16 +21,11 @@ training never imports ``numpy.random``.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 
 import numpy as np
-
-
-# The bytes of the matrices cross_validate stacks at once for their fold fits.
-_CHUNK_BYTES = 256 * 1024
 
 
 class TrainingError(ValueError):
@@ -214,52 +209,37 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 
 def cross_validate(
-    X: Collection[np.ndarray], y: np.ndarray, folds: int = 10, seed: int = 42, C: float = 1.0,
-    epochs: int = 200,
+    X: np.ndarray, y: np.ndarray, folds: int = 10, seed: int = 42, C: float = 1.0, epochs: int = 200
 ) -> np.ndarray:
-    """Pooled out-of-fold labels of each of P ``(n, dim)`` matrices (one matrix: ``X[None]``).
+    """Pooled out-of-fold labels of each matrix in a ``(P, n, dim)`` stack (one matrix: ``X[None]``).
 
-    ``X`` is a sized iterable of the matrices, such as a ``(P, n, dim)``
-    stack or a lazy sequence; it is read once, in order. The P matrices
-    share the n rows labelled by ``y`` and one stratified fold assignment;
-    row p of the ``(P, n)`` result holds matrix p's held-out predictions.
+    The P matrices share the n rows labelled by ``y`` and one stratified
+    fold assignment; row p of the ``(P, n)`` result holds matrix p's
+    held-out predictions. Any other shape raises :class:`TrainingError`.
     Standardization is fitted on each fold's training split only, so
-    held-out rows never leak into it; the bias column of ones appended after
-    it gets mean 0 and scale 1. The matrices are read in chunks of at most
-    ``_CHUNK_BYTES``: each chunk's fold fits are one stacked call per fold,
-    and the chunk is written into the rows-first ``(n, P, dim + 1)`` stack
-    the trainer reads, the only full-size copy made. All P x ``folds``
-    models train in one lockstep call, and each fold's held-out rows are
-    scored for all P matrices in one batched product.
+    held-out rows never leak into it; the bias column of ones appended
+    after it gets mean 0 and scale 1. The fits read ``X`` itself; then ``X``
+    is copied once into the rows-first ``(n, P, dim + 1)`` stack the
+    trainer reads, and dropped, so a stack passed as a temporary is freed
+    before training. All P x ``folds`` models train in one lockstep call,
+    and each fold's held-out rows are scored for all P matrices in one
+    batched product.
     """
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    P, n = len(X), y.shape[0]
+    if X.ndim != 3 or X.shape[1] != len(y):
+        raise TrainingError(f"X must be a (P, n, dim) stack with n = {len(y)} labels, got shape {X.shape}")
+    P, n, dim = X.shape
     assignment = stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]
     rows = [np.flatnonzero(~mask) for mask in held]
-    matrices = iter(X)
-    first = np.asarray(next(matrices, None), dtype=float)
-    if first.ndim != 2 or first.shape[0] != n:
-        raise TrainingError(f"X must be a (P, n, dim) stack with n = {n}, got a matrix of shape "
-                            f"{first.shape}")
-    dim = first.shape[1]
-    matrices = itertools.chain([first], matrices)
-    per_chunk = max(1, _CHUNK_BYTES // max(first.nbytes, 1))
-    chunk = np.empty((min(per_chunk, P), n, dim))
-    rows_first = np.ones((n, P, dim + 1))  # the last column is the bias's ones
+    # Fitted before the copy, so a fit's gather of X's training rows never sits beside it.
     means, scales = np.zeros((folds, P, dim + 1)), np.ones((folds, P, dim + 1))
-    for start in range(0, P, per_chunk):
-        block = chunk[: min(per_chunk, P - start)]
-        for i in range(len(block)):
-            matrix = next(matrices, None)
-            if np.shape(matrix) != (n, dim):
-                raise TrainingError(f"X must be a (P, n, dim) stack of {P} matrices of shape {(n, dim)}")
-            block[i] = matrix
-        stop = start + len(block)
-        for k, r in enumerate(rows):
-            means[k, start:stop, :dim], scales[k, start:stop, :dim] = standardize_fit(block, r)
-        rows_first[:, start:stop, :dim] = block.transpose(1, 0, 2)
-    del chunk, block
+    for k, r in enumerate(rows):
+        means[k, :, :dim], scales[k, :, :dim] = standardize_fit(X, r)
+    rows_first = np.ones((n, P, dim + 1))  # the last column is the bias's ones
+    rows_first[..., :dim] = X.transpose(1, 0, 2)
+    del X
     W = train_linear_svm(rows_first, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
     pooled = np.empty((P, n), dtype=y.dtype)
     for k, mask in enumerate(held):

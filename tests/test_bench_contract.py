@@ -1,9 +1,11 @@
-"""Contract between the benchmark's traced run and the program.
+"""Contract between the benchmark and the program.
 
 ``perfbench/traced.py`` replaces layer-boundary names in the modules where
 the program looks them up, and silently leaves alone a name the program no
 longer has. These tests fail when a refactor renames, moves or bypasses a
-wrapped name, so the per-layer metrics cannot go blind unnoticed.
+wrapped name, so the per-layer metrics cannot go blind unnoticed. The
+outputs of the traced commands also go through ``perfbench/run.py``'s own
+output checks, so a header or row-shape change fails here too.
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +22,16 @@ from plotarc import cli, corpus, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
+RUN = ROOT / "perfbench" / "run.py"
+
+
+def _load(path, name):
+    """A benchmark script, imported by path (registered first: dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 class _Recorder:
@@ -32,17 +45,15 @@ class _Recorder:
 
 
 def _wrapped():
-    spec = importlib.util.spec_from_file_location("traced_under_test", TRACED)
-    traced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced)
     recorder = _Recorder()
-    traced.install(recorder, cli, corpus, experiments)
+    _load(TRACED, "traced_under_test").install(recorder, cli, corpus, experiments)
     return recorder.wrapped
 
 
 @pytest.fixture(scope="module")
-def traces(tmp_path_factory):
-    """Spans and counts of traced ``featurize``, ``run sweep`` and ``run periods``."""
+def traced_runs(tmp_path_factory):
+    """The synthetic corpus, and the spans and counts (``traces``) and output
+    directories (``outs``) of traced ``featurize``, ``run sweep`` and ``run periods``."""
     tmp = tmp_path_factory.mktemp("contract")
     corpus_dir = tmp / "corpus"
     assert cli.main([
@@ -51,7 +62,7 @@ def traces(tmp_path_factory):
     ]) == 0
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = {}
+    traces, outs = {}, {}
     for command in (["featurize"], ["run", "sweep"], ["run", "periods"]):
         name = "-".join(command)
         spans = tmp / f"{name}.json"
@@ -63,8 +74,14 @@ def traces(tmp_path_factory):
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        out[name] = json.loads(spans.read_text(encoding="utf-8"))
-    return out
+        traces[name] = json.loads(spans.read_text(encoding="utf-8"))
+        outs[name] = tmp / name
+    return SimpleNamespace(corpus=corpus_dir, traces=traces, outs=outs)
+
+
+@pytest.fixture(scope="module")
+def traces(traced_runs):
+    return traced_runs.traces
 
 
 def test_every_wrapped_name_exists():
@@ -105,3 +122,22 @@ def test_benchmark_inputs_feed_featurize(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert featurized.returncode == 0, featurized.stderr
+
+
+def test_outputs_pass_the_benchmark_checks(traced_runs):
+    """``run.py``'s ``check_sweep``, ``check_periods`` and ``check_profiles`` accept the
+    outputs: 37 sweep points, three swept period groups and one skipped, and
+    profiles whose matched counts add up to the lexicon lemmas in the text."""
+    run = _load(RUN, "run_under_test")
+    corpus_dir = traced_runs.corpus
+    rows = (corpus_dir / "metadata.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    ids = tuple(row.split("\t", 1)[0] for row in rows)
+    lexicon_rows = (corpus_dir / "lexicon.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    lemmas = {row.split("\t", 1)[0] for row in lexicon_rows}
+    matched = sum(token in lemmas for i in ids
+                  for token in (corpus_dir / f"{i}.txt").read_text(encoding="utf-8").split())
+    inputs = SimpleNamespace(ids=ids, matched_tokens=matched)
+    assert matched > 0
+    assert len(run.check_sweep(traced_runs.outs["run-sweep"], inputs)) == 37
+    assert len(run.check_periods(traced_runs.outs["run-periods"], inputs)) == 3 * 37
+    run.check_profiles(traced_runs.outs["featurize"], inputs)

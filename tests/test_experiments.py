@@ -249,8 +249,9 @@ class TestPeriodAnalysis:
         assert abs(late_argmax - 8) <= 2
 
     def test_group_curves_equal_sweeps_over_each_groups_own_inputs(self, toy_lexicon):
-        # Groups are cut from the corpus-wide feature stack; each curve must
-        # equal, float for float, a sweep over inputs holding only its rows.
+        # Each group's stack is made from its rows of the corpus-wide vectors;
+        # each curve must equal, float for float, a sweep over inputs holding
+        # only its rows.
         corpus = generate_synthetic_corpus(5, 120, 600, 4, toy_lexicon)
         inputs = prepare_inputs(corpus, toy_lexicon)
         config = ClassifierConfig(epochs=20)

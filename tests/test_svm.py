@@ -1,13 +1,13 @@
 import functools
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from plotarc import svm
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus
-from plotarc.experiments import feature_matrix, prepare_inputs
+from plotarc.experiments import ClassifierConfig, feature_matrix, prepare_inputs, run_partition_sweep
 from plotarc.features import SectionPartition
 from plotarc.svm import (
     TrainingError,
@@ -169,22 +169,6 @@ def stack_fits(fits):
     return tuple(np.stack(arrays) for arrays in zip(*fits))
 
 
-class OneShot:
-    """A sized iterable of copies of ``matrices``, counting its passes and the matrices it yields."""
-
-    def __init__(self, matrices):
-        self._matrices, self.passes, self.reads = matrices, 0, 0
-
-    def __len__(self):
-        return len(self._matrices)
-
-    def __iter__(self):
-        self.passes += 1
-        for matrix in self._matrices:
-            self.reads += 1
-            yield matrix.copy()
-
-
 def labelled_stack(P, n, seed, dim=11):
     """A ``(P, n, dim)`` stack of unrelated matrices with a class signal, and labels alternating +1, -1."""
     rng = np.random.default_rng(seed)
@@ -242,14 +226,15 @@ class TestStandardize:
         assignment = stratified_folds(inputs.labels, 10, 42)
         for k in range(10):
             rows = np.flatnonzero(assignment != k)
-            expected = [a.tobytes() for a in reference_standardize_fit(X[:, rows])]
+            reference = reference_standardize_fit(X[:, rows])
+            expected = [a.tobytes() for a in reference]
             assert [a.tobytes() for a in standardize_fit(X, rows)] == expected
             assert [a.tobytes() for a in standardize_fit(X[:, rows])] == expected
-            # cross_validate fits chunks of 14 such matrices at a time: the same bits.
-            for start in range(0, 37, 14):
-                chunk = slice(start, start + 14)
-                assert [a.tobytes() for a in standardize_fit(X[chunk], rows)] == [
-                    a[chunk].tobytes() for a in reference_standardize_fit(X[:, rows])
+            # A matrix's fit does not depend on the others in the stack: a
+            # ladder's one-matrix stack gets the bits of its sweep point's.
+            for p in range(37):
+                assert [a.tobytes() for a in standardize_fit(X[p : p + 1], rows)] == [
+                    a[p : p + 1].tobytes() for a in reference
                 ]
         assert X.tobytes() == before.tobytes()  # the caller's stack is left as it was
 
@@ -515,37 +500,23 @@ class TestCrossValidate:
         with pytest.raises(TrainingError, match="stack"):
             cross_validate(X, y, folds=5, epochs=1)
 
+    def test_misshapen_stack_rejected(self):
+        X, y = labelled_stack(3, 23, seed=1)
+        for bad in (X[0], X[:, :-1], X[0, 0]):  # 2-D, n != len(y), 1-D
+            with pytest.raises(TrainingError, match=re.escape(f"got shape {bad.shape}")):
+                cross_validate(bad, y, folds=4, epochs=1)
+
     @pytest.mark.parametrize("P, n", [(3, 212), (37, 212), (37, 41), (37, 22), (37, 39)])
     def test_one_shot_iterable_matches_the_stack(self, P, n):
-        # At 212 rows a chunk holds 14 matrices, so P = 3 is below one chunk
-        # and P = 37 is 14 + 14 + 9; 41, 22 and 39 rows are the benchmark's
-        # ragged period groups.
+        # The whole stack in one call, against one prediction per (fold,
+        # matrix) model, byte for byte: a lone matrix, the sweep's 37 points
+        # on 212 novels, and the benchmark's ragged period groups of 41, 22
+        # and 39 novels.
         X, y = labelled_stack(P, n, seed=P + n)
-        assert svm._CHUNK_BYTES // X[0].nbytes == {212: 14, 41: 72, 22: 135, 39: 76}[n]
-        matrices = OneShot(X)
-        lazy = cross_validate(matrices, y, folds=10, seed=7, epochs=2)
-        assert (matrices.passes, matrices.reads) == (1, P)
-        stacked = cross_validate(X, y, folds=10, seed=7, epochs=2)
+        pred = cross_validate(X, y, folds=10, seed=7, epochs=2)
         pooled, _ = reference_cv_predictions(X, y, folds=10, seed=7, C=1.0, epochs=2)
-        assert lazy.shape == pooled.shape and lazy.dtype == pooled.dtype
-        assert lazy.tobytes() == stacked.tobytes() == pooled.tobytes()
-
-    def test_one_matrix_chunks_match_the_reference(self, monkeypatch):
-        monkeypatch.setattr(svm, "_CHUNK_BYTES", 1)
-        X, y = labelled_stack(5, 23, seed=3)
-        pooled, _ = reference_cv_predictions(X, y, folds=4, seed=5, C=0.5, epochs=7)
-        assert cross_validate(OneShot(X), y, folds=4, seed=5, C=0.5, epochs=7).tobytes() == pooled.tobytes()
-
-    def test_short_or_misshapen_iterable_rejected(self):
-        X, y = labelled_stack(3, 23, seed=1)
-
-        class Short(OneShot):
-            def __len__(self):
-                return 4
-
-        for matrices in (Short(X), [X[0], X[1][:, :5], X[2]], [X[0], X[1][:-1], X[2]], [X[0], X[1][0]]):
-            with pytest.raises(TrainingError, match="stack"):
-                cross_validate(matrices, y, folds=4, epochs=1)
+        assert pred.shape == pooled.shape and pred.dtype == pooled.dtype
+        assert pred.tobytes() == pooled.tobytes()
 
     def test_stack_shares_one_fold_assignment(self):
         X, y = separable_set(per_class=15)
@@ -580,12 +551,14 @@ class TestCrossValidate:
         assert X.tobytes() == before.tobytes()
 
     def test_traced_peak_stays_near_the_stack_size(self):
-        # A sweep-sized stack: 37 points x 212 novels x 11 features, 690 KB.
-        # Measured peak: 2.05 x the stack: its rows-first copy with the bias
-        # column (1.09 x), one chunk of 14 matrices and its fold-fit gather,
-        # and the fold fits.
-        # Materializing each epoch's standardized (steps, P, F, dim) rows
-        # and updates instead peaks at about 31 MB, 45 x.
+        # A sweep-sized stack: 37 points x 212 novels x 11 features, 690 KB,
+        # held by the caller. Measured peak: 1.72 x the stack: its rows-first
+        # copy with the bias column (1.09 x), the fold fits, the trainer's
+        # buffers and one fold's held-out block. Copying the stack through a
+        # 256 KB chunk buffer first measured 2.05 x, and fitting the folds
+        # after the rows-first copy is made 2.24 x. Materializing each epoch's
+        # standardized (steps, P, F, dim) rows and updates instead peaks at
+        # about 31 MB, 45 x.
         X = np.random.default_rng(0).normal(size=(37, 212, 11))
         y = np.where(np.arange(212) % 2 == 0, 1, -1)
         tracemalloc.start()
@@ -594,34 +567,25 @@ class TestCrossValidate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * X.nbytes
+        assert peak < 2 * X.nbytes
 
-    def test_traced_peak_of_lazy_matrices_stays_near_the_rows_first_stack(self):
-        # The same sweep-sized input made one matrix at a time, as the sweep
-        # does. Measured peak: 1.45 MB, 2.10 x the 690 KB the matrices add up
-        # to: the 753 KB rows-first stack, a 256 KB chunk, and 437 KB beside
-        # them (the chunk's fold-fit gather and its transients, the fold fits
-        # and the matrix being made). Stacking the matrices first, as the
-        # sweep did, adds 690 KB; a fold's full-size gather adds 620 KB.
-        P, n, dim = 37, 212, 11
-        y = np.where(np.arange(n) % 2 == 0, 1, -1)
-
-        class Lazy:
-            def __len__(self):
-                return P
-
-            def __iter__(self):
-                rng = np.random.default_rng(0)
-                return (rng.normal(size=(n, dim)) for _ in range(P))
-
+    def test_traced_peak_of_a_sweep_stays_near_its_stack(self):
+        # run_partition_sweep on 212 novels x 75 segments: 37 matrices of
+        # 212 x 11, a 690 KB stack. Measured peak: 2.24 x the stack, reached
+        # at the rows-first copy (1.09 x), beside the stack and the fold fits;
+        # the stack is freed before training. A caller that keeps the stack
+        # alive (by a name, or through a ``**`` call's argument tuple) adds
+        # training and scoring to that, 2.72 x.
+        lexicon = demo_lexicon()
+        inputs = prepare_inputs(generate_synthetic_corpus(1, 212, 600, 4, lexicon), lexicon)
+        stack_bytes = 37 * 212 * 11 * 8
         tracemalloc.start()
         try:
-            cross_validate(Lazy(), y, folds=10, seed=42, epochs=2)
+            run_partition_sweep(inputs, config=ClassifierConfig(epochs=2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows_first = n * P * (dim + 1) * 8
-        assert peak < rows_first + svm._CHUNK_BYTES + 512 * 1024
+        assert peak < 2.5 * stack_bytes
 
     def test_no_leakage_from_held_out_rows(self):
         # Perturbing rows held out of fold 0 must not change the params
