@@ -20,7 +20,6 @@ from plotarc.experiments import (
     run_partition_sweep,
     sweep_csv,
 )
-from plotarc.features import SectionPartition
 from plotarc.svgplot import render_sweep
 
 out_dir = Path(__file__).parent / "demo_out"
@@ -38,7 +37,7 @@ inputs = prepare_inputs(corpus, lexicon)
 config = ClassifierConfig(folds=10, seed=42, C=1.0, epochs=200)
 
 print("\nfeature ladder (final section = 4 segments):")
-ladder = run_feature_ladder(inputs, SectionPartition(75, 4, 4), config)
+ladder = run_feature_ladder(inputs, 4, config)
 for fsid, f1, acc in ladder.rows:
     print(f"  set {fsid}: F1 {f1:.3f}  accuracy {acc:.3f}")
 (out_dir / "ladder.csv").write_text(ladder_csv(ladder))

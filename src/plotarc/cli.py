@@ -31,7 +31,7 @@ from plotarc.experiments import (
     run_period_analysis,
     sweep_csv,
 )
-from plotarc.features import SectionPartition, write_profile_cache
+from plotarc.features import write_profile_cache
 from plotarc.lexicon import LexiconError, load_lexicon_file, write_lexicon
 from plotarc.svgplot import render_periods, render_sweep
 
@@ -43,8 +43,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lemma-map", default=None, help="optional surface->lemma TSV")
     parser.add_argument("--segments", type=int, default=75, help="segments per novel")
     parser.add_argument("--final-len", type=int, default=4, help="segments in the final section")
-    parser.add_argument("--late-len", type=int, default=None,
-                        help="segments in the late-main section (default: mirrors --final-len)")
     parser.add_argument("--feature-set", type=int, default=3, choices=range(1, 7))
     parser.add_argument("--folds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
@@ -90,14 +88,15 @@ def _load_pipeline(args):
     if not lexicon_path.is_file():
         raise LexiconError(f"lexicon file not found: {lexicon_path}")
     lexicon = load_lexicon_file(lexicon_path)
-    lemma_map = load_lemma_map(args.lemma_map) if args.lemma_map else None
-    corpus = load_corpus(args.corpus, args.metadata, lemma_map)
-    return corpus, lexicon
+    # A temporary, so that load_corpus can free the map once it has built its id map.
+    return load_corpus(args.corpus, args.metadata,
+                       load_lemma_map(args.lemma_map) if args.lemma_map else None), lexicon
 
 
-def _partition(args) -> SectionPartition:
-    late_len = args.late_len if args.late_len is not None else args.final_len
-    return SectionPartition(args.segments, args.final_len, late_len)
+def _ties(curve, best) -> str:
+    """The final lengths of the other points at ``best``'s F1, as a suffix for its stdout line."""
+    tied = sorted(p.final_len for p in curve.points if p.f1 == best.f1 and p is not best)
+    return f"; tied at final lengths {', '.join(map(str, tied))}" if tied else ""
 
 
 def cmd_featurize(args) -> int:
@@ -144,7 +143,7 @@ def cmd_run(args) -> int:
     inputs = prepare_inputs(corpus, lexicon, args.segments)
 
     if args.experiment == "ladder":
-        report = run_feature_ladder(inputs, _partition(args), config)
+        report = run_feature_ladder(inputs, args.final_len, config)
         _write_report(out_dir, "ladder", ladder_csv(report), meta_text(report.config, corpus, lexicon))
         for fsid, f1, acc in report.rows:
             print(f"feature set {fsid}: F1 {f1:.3f}, accuracy {acc:.3f}")
@@ -157,7 +156,7 @@ def cmd_run(args) -> int:
         best = curve.argmax_point
         if best is not None:
             print(f"best F1 {best.f1:.3f} at main fraction {best.main_fraction:.3f} "
-                  f"(final section {best.final_len} segments)")
+                  f"(final section {best.final_len} segments{_ties(curve, best)})")
     else:  # periods
         report = run_period_analysis(inputs, feature_set_id=args.feature_set, config=config)
         _write_report(
@@ -168,8 +167,8 @@ def cmd_run(args) -> int:
             if group.curve is None:
                 print(f"period {group.label}: skipped ({group.novel_count} novels)")
             elif (best := group.curve.argmax_point) is not None:
-                print(f"period {group.label}: best F1 {best.f1:.3f} "
-                      f"at final section {best.final_len} ({group.novel_count} novels)")
+                print(f"period {group.label}: best F1 {best.f1:.3f} at final section "
+                      f"{best.final_len}{_ties(group.curve, best)} ({group.novel_count} novels)")
     return 0
 
 

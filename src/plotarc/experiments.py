@@ -1,5 +1,11 @@
 """The three experiment drivers plus baselines and report serialization.
 
+Every experiment reads a novel's segment vectors through one partition of
+the segment axis, set by a single number, the final-section length ``f``:
+the final section is the last ``f`` segments, the main section everything
+before it, and the late-main section the ``f`` segments just before the
+final one. :func:`feature_matrix` is the only code that knows this geometry.
+
 Every run records its full configuration and input checksums alongside the
 results so a report can be re-run bit-identically. Within one ladder or
 sweep run all rows/points share the same fold assignment, making the
@@ -17,7 +23,6 @@ from plotarc.corpus import Corpus
 from plotarc.features import (
     N_DIMS,
     FeaturizationError,
-    SectionPartition,
     SegmentProfile,
     compute_profiles,
 )
@@ -66,10 +71,9 @@ def prepare_inputs(corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 
     return RunInputs(profiles, vectors, labels, years)
 
 
-def feature_matrix(
-    inputs: RunInputs, partition: SectionPartition, feature_set_id: int
-) -> np.ndarray:
-    """One row per novel holding one of the six cumulative feature sets.
+def feature_matrix(vectors: np.ndarray, final_len: int, feature_set_id: int) -> np.ndarray:
+    """One row per novel of ``(novels, n_segments, 11)`` segment ``vectors``,
+    holding one of the six cumulative feature sets at final-section length ``final_len``.
 
     Block order (11 values each, canonical dimension order):
       1: [final segment]
@@ -80,44 +84,44 @@ def feature_matrix(
       6: [final-section mean, final - main, final - late-main, final segment]
 
     Section means are unweighted means over their segments; all differences
-    are oriented as (final minus other).
+    are oriented as (final minus other). Every set needs ``1 <= final_len <
+    n_segments``, a non-empty main section; sets 5 and 6 also need
+    ``2 * final_len <= n_segments``, room for the late-main section.
     """
     if feature_set_id not in FEATURE_SET_DIMS:
         raise FeaturizationError(f"feature_set_id must be in 1..6, got {feature_set_id}")
-    if partition.n_segments != inputs.n_segments:
-        raise FeaturizationError(
-            f"partition expects {partition.n_segments} segments, "
-            f"profiles have {inputs.n_segments}"
-        )
-    if feature_set_id >= 5 and partition.late_len < 1:
-        raise FeaturizationError(f"feature set {feature_set_id} needs late_len >= 1 in the partition")
-    vectors = inputs.vectors
+    n = vectors.shape[1]
+    if not 1 <= final_len < n:
+        raise FeaturizationError(f"final_len must be in 1..{n - 1} for {n} segments "
+                                 f"(a non-empty main section), got {final_len}")
+    if feature_set_id >= 5 and 2 * final_len > n:
+        raise FeaturizationError(f"feature set {feature_set_id} needs 2 * final_len <= {n} segments (a "
+                                 f"late-main section as long as the final one), got final_len {final_len}")
     final_segment = vectors[:, -1]
 
-    def mean(section: slice) -> np.ndarray:  # taken only for the sections the set reads
-        return vectors[:, section].mean(axis=1)
+    def mean(start: int, stop: int) -> np.ndarray:  # taken only for the sections the set reads
+        return vectors[:, start:stop].mean(axis=1)
 
     if feature_set_id == 1:
         blocks = [final_segment]
     elif feature_set_id == 2:
-        blocks = [final_segment, final_segment - mean(partition.main_slice)]
+        blocks = [final_segment, final_segment - mean(0, n - final_len)]
     elif feature_set_id == 3:
-        blocks = [mean(partition.final_slice)]
+        blocks = [mean(n - final_len, n)]
     else:
-        final = mean(partition.final_slice)
-        blocks = [final, final - mean(partition.main_slice)]
+        final = mean(n - final_len, n)
+        blocks = [final, final - mean(0, n - final_len)]
         if feature_set_id >= 5:
-            blocks.append(final - mean(partition.late_slice))
+            blocks.append(final - mean(n - 2 * final_len, n - final_len))
         if feature_set_id == 6:
             blocks.append(final_segment)
     return np.hstack(blocks)
 
 
-def _feature_stack(inputs: RunInputs, partitions, feature_set_id: int, rows=slice(None)) -> np.ndarray:
-    """The ``(P, n_rows, dim)`` stack of one feature matrix per partition, on the novels ``rows``
-    selects (a slice, whose arrays are views, or an index list), one ``feature_matrix`` call each."""
-    group = RunInputs((), inputs.vectors[rows], inputs.labels[rows], inputs.years[rows])
-    return np.stack([feature_matrix(group, p, feature_set_id) for p in partitions])
+def _feature_stack(vectors: np.ndarray, final_lens, feature_set_id: int) -> np.ndarray:
+    """The ``(P, novels, dim)`` stack of one ``feature_matrix`` call per final length.
+    Passed as a temporary (a group's gather), ``vectors`` is freed when this returns."""
+    return np.stack([feature_matrix(vectors, final_len, feature_set_id) for final_len in final_lens])
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +137,20 @@ class LadderReport:
 
 def run_feature_ladder(
     inputs: RunInputs,
-    partition: SectionPartition,
+    final_len: int,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> LadderReport:
     """Cross-validated F1/accuracy for each of the six feature sets under shared folds."""
+    # Every matrix is made, and so checked, before any training.
+    matrices = [feature_matrix(inputs.vectors, final_len, fsid) for fsid in FEATURE_SET_DIMS]
     rows = []
-    for fsid in FEATURE_SET_DIMS:
-        (pred,) = cross_validate(_feature_stack(inputs, [partition], fsid), inputs.labels, **asdict(config))
+    for fsid, X in zip(FEATURE_SET_DIMS, matrices):
+        (pred,) = cross_validate(X[None], inputs.labels, **asdict(config))
         f1, accuracy = f1_accuracy(pred, inputs.labels)
         rows.append((fsid, float(f1), float(accuracy)))
     return LadderReport(
         rows=tuple(rows),
-        config={
-            "n_segments": partition.n_segments,
-            "final_len": partition.final_len,
-            "late_len": partition.late_len,
-            **asdict(config),
-        },
+        config={"n_segments": inputs.n_segments, "final_len": final_len, **asdict(config)},
     )
 
 
@@ -187,24 +188,19 @@ def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
     if final_lens is None and n < 2:
         raise FeaturizationError(f"a partition sweep needs at least 2 segments, got {n}")
     final_lens = sorted(range(n // 2, 0, -1) if final_lens is None else final_lens, reverse=True)
-    # One degree of freedom per point: the late-main section mirrors the
-    # final section whenever the feature set consumes it.
-    partitions = [
-        SectionPartition(n, final_len, final_len if feature_set_id in (5, 6) else 0)
-        for final_len in final_lens
-    ]
     fields = {"n_segments": n, "feature_set": feature_set_id, **asdict(config)}
     curves = []
     for rows in groups:
         f1s = []
-        if partitions:
+        if final_lens:
             y = inputs.labels[rows]
-            # No name holds the stack (nor would a ``**`` call's argument tuple),
-            # so cross_validate frees it once it has made its rows-first copy.
-            pred = cross_validate(_feature_stack(inputs, partitions, feature_set_id, rows), y,
+            # No name holds the group's vectors or the stack (nor would a ``**`` call's
+            # argument tuple): the vectors are freed once the stack is made, and
+            # cross_validate frees the stack once it has made its rows-first copy.
+            pred = cross_validate(_feature_stack(inputs.vectors[rows], final_lens, feature_set_id), y,
                                   folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
             f1s = f1_accuracy(pred, y)[0].tolist()
-        points = (SweepPoint((n - p.final_len) / n, p.final_len, f1) for p, f1 in zip(partitions, f1s))
+        points = (SweepPoint((n - f) / n, f, f1) for f, f1 in zip(final_lens, f1s))
         curves.append(SweepCurve(tuple(points), dict(fields)))
     return curves
 

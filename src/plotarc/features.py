@@ -1,10 +1,10 @@
-"""Segment profiles: per-segment sentiment averages, plus the section partition.
+"""Segment profiles: per-segment sentiment averages.
 
 Each novel is split into ``n_segments`` equal contiguous blocks (remainder
 tokens go to the earliest blocks, see :func:`plotarc.corpus.segment_bounds`).
 Per segment we average the 11 sentiment scores of the lexicon-matched
-tokens. A :class:`SectionPartition` splits the segment axis into the main,
-late-main and final sections that the feature sets are built from.
+tokens. :func:`plotarc.experiments.feature_matrix` splits the segment axis
+into the sections the feature sets are built from.
 
 The profile cache (:func:`write_profile_cache`, ``plotarc featurize``'s
 ``profiles.csv``) has one row per novel segment, in corpus order:
@@ -39,46 +39,6 @@ class SegmentProfile:
     novel_id: str
     segment_vectors: np.ndarray  # shape (n_segments, 11)
     matched_counts: np.ndarray  # shape (n_segments,), lexicon hits per segment
-
-
-@dataclass(frozen=True)
-class SectionPartition:
-    """Split of the segment axis into main / late-main / final sections.
-
-    The final section is the last ``final_len`` segments, the late-main
-    section the ``late_len`` segments immediately before it, and the main
-    section everything before the final section.
-    """
-
-    n_segments: int = 75
-    final_len: int = 1
-    late_len: int = 0
-
-    def __post_init__(self):
-        if self.final_len < 1:
-            raise FeaturizationError("final_len must be >= 1")
-        if self.final_len >= self.n_segments:
-            raise FeaturizationError(f"final_len must be < n_segments = {self.n_segments} (empty main section)")
-        if self.late_len < 0:
-            raise FeaturizationError("late_len must be >= 0")
-        if self.final_len + self.late_len > self.n_segments:
-            raise FeaturizationError(
-                f"final_len + late_len = {self.final_len + self.late_len} exceeds "
-                f"n_segments = {self.n_segments}"
-            )
-
-    @property
-    def main_slice(self) -> slice:
-        return slice(0, self.n_segments - self.final_len)
-
-    @property
-    def late_slice(self) -> slice:
-        start = self.n_segments - self.final_len - self.late_len
-        return slice(start, self.n_segments - self.final_len)
-
-    @property
-    def final_slice(self) -> slice:
-        return slice(self.n_segments - self.final_len, self.n_segments)
 
 
 def compute_profiles(

@@ -21,13 +21,11 @@ from plotarc.corpus import (
 )
 from plotarc.experiments import (
     ClassifierConfig,
-    RunInputs,
     feature_matrix,
     group_indices,
     prepare_inputs,
     run_partition_sweep,
 )
-from plotarc.features import SectionPartition
 from plotarc.lexicon import parse_lexicon
 from plotarc.svm import cross_validate, f1_accuracy, standardize_fit, stratified_folds
 
@@ -128,12 +126,12 @@ def brute_mean(rows):
     return [sum(r[d] for r in rows) / len(rows) for d in range(11)]
 
 
-def brute_features(profile, final_len, late_len, fsid):
+def brute_features(profile, final_len, fsid):
     n = len(profile)
     final_seg = profile[-1]
     main = brute_mean(profile[: n - final_len])
     final = brute_mean(profile[n - final_len :])
-    late = brute_mean(profile[n - final_len - late_len : n - final_len])
+    late = brute_mean(profile[n - 2 * final_len : n - final_len])
     diff = lambda a, b: [a[d] - b[d] for d in range(11)]
     if fsid == 1:
         return final_seg
@@ -152,7 +150,6 @@ def test_featurization_oracle():
     lexicon = parse_lexicon(_oracle_tsv())
     rng = random.Random(123)
     vocab = sorted(_ORACLE_LEXICON) + [f"oov{i}" for i in range(30)]
-    partition = SectionPartition(75, 4, 4)
     worst = 0.0
     for i in range(20):
         n_tokens = rng.randint(80, 1000)
@@ -161,10 +158,9 @@ def test_featurization_oracle():
         profile = profile_of(novel, lexicon)
         expected = np.array(brute_profile(list(tokens)))
         worst = max(worst, float(np.abs(profile.segment_vectors - expected).max()))
-        inputs = RunInputs((profile,), profile.segment_vectors[None], np.array([1]), np.array([1850]))
         for fsid in range(1, 7):
-            row = feature_matrix(inputs, partition, fsid)[0]
-            brute = np.array(brute_features(brute_profile(list(tokens)), 4, 4, fsid))
+            row = feature_matrix(profile.segment_vectors[None], 4, fsid)[0]
+            brute = np.array(brute_features(brute_profile(list(tokens)), 4, fsid))
             worst = max(worst, float(np.abs(row - brute).max()))
     check("featurization matches brute-force oracle", worst <= 1e-12,
           f"max deviation {worst:.2e}")
@@ -213,7 +209,7 @@ def test_reference_numbers_not_asserted():
 
 
 def test_planted_ending_classification(planted_inputs):
-    X = feature_matrix(planted_inputs, SectionPartition(75, 4, 4), 3)
+    X = feature_matrix(planted_inputs.vectors, 4, 3)
     pred = cross_validate(X[None], planted_inputs.labels, folds=10, seed=42)
     (f1,), _ = f1_accuracy(pred, planted_inputs.labels)
     check("planted-ending pooled F1 >= 0.90 (set 3, final_len 4)",
@@ -239,7 +235,7 @@ def test_sweep_peak_recovery(planted_inputs):
 
 
 def test_null_label_sanity(planted_inputs):
-    X = feature_matrix(planted_inputs, SectionPartition(75, 4, 4), 3)
+    X = feature_matrix(planted_inputs.vectors, 4, 3)
     rng = np.random.default_rng(42)
     y_perm = planted_inputs.labels[rng.permutation(len(planted_inputs.labels))]
     (f1,), _ = f1_accuracy(cross_validate(X[None], y_perm, folds=10, seed=42), y_perm)
@@ -299,7 +295,7 @@ def test_run_sweep_determinism(tmp_path):
 
 
 def test_standardization_no_leakage(planted_inputs):
-    X = feature_matrix(planted_inputs, SectionPartition(75, 4, 4), 3)
+    X = feature_matrix(planted_inputs.vectors, 4, 3)
     y = planted_inputs.labels
     folds = 10
     assignment = stratified_folds(y, folds, seed=42)
@@ -324,7 +320,7 @@ def test_batched_sweep_matches_per_point_cv(planted_inputs):
     config = ClassifierConfig(folds=10, seed=42, C=1.0, epochs=20)
     curve = run_partition_sweep(planted_inputs, feature_set_id=3, config=config)
     X = np.stack([
-        feature_matrix(planted_inputs, SectionPartition(75, p.final_len, 0), 3)
+        feature_matrix(planted_inputs.vectors, p.final_len, 3)
         for p in curve.points
     ])
     batched = cross_validate(X, planted_inputs.labels, folds=10, seed=42, epochs=20)

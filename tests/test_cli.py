@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -208,10 +209,49 @@ class TestRun:
 
     def test_final_section_over_every_segment_exits_2(self, synth_corpus, tmp_path, capsys):
         out = tmp_path / "out"
-        args = pipeline_args(synth_corpus, out, ["--final-len", "75", "--late-len", "0"])
-        assert main(["run", "ladder", *args]) == 2
+        assert main(["run", "ladder", *pipeline_args(synth_corpus, out, ["--final-len", "75"])]) == 2
         assert "final_len" in capsys.readouterr().err
         assert not (out / "ladder.csv").exists()
+
+    def test_final_section_without_room_for_late_main_exits_2(self, synth_corpus, tmp_path, capsys):
+        # Sets 5 and 6 read a late-main section as long as the final one: 38 + 38 > 75.
+        out = tmp_path / "out"
+        assert main(["run", "ladder", *pipeline_args(synth_corpus, out, ["--final-len", "38"])]) == 2
+        assert "2 * final_len <= 75" in capsys.readouterr().err
+        assert not (out / "ladder.csv").exists()
+
+    def test_late_len_flag_refused(self, synth_corpus, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "ladder", *pipeline_args(synth_corpus, tmp_path / "out", ["--late-len", "4"])])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --late-len 4" in capsys.readouterr().err
+
+    def test_best_f1_lines_list_tied_final_lengths(self, tmp_path, capsys):
+        # Novels this long separate perfectly at several final lengths.
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--n-novels", "40", "--tokens-per-novel", "8000", "--out", str(corpus)]) == 0
+        tied_curves = 0
+        for experiment in ("sweep", "periods"):
+            out = tmp_path / experiment
+            args = pipeline_args(corpus, out)
+            args[args.index("--folds") + 1] = "2"
+            capsys.readouterr()
+            assert main(["run", experiment, *args]) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines() if "best F1" in line]
+            with open(out / f"{experiment}.csv", encoding="utf-8") as fh:
+                rows = [row for row in csv.DictReader(fh) if row["f1"] != "skipped"]
+            curves = {}
+            for row in rows:
+                curves.setdefault(row.get("period"), []).append(row)
+            assert len(lines) == len(curves)
+            for line, points in zip(lines, curves.values()):
+                best = max(float(row["f1"]) for row in points)
+                at_best = sorted(int(row["final_len"]) for row in points if float(row["f1"]) == best)
+                shown = re.search(r"final section (\d+)(?: segments)?(?:; tied at final lengths ([\d, ]+))?", line)
+                tied = [int(n) for n in shown[2].split(", ")] if shown[2] else []
+                assert [int(shown[1]), *tied] == at_best, line
+                tied_curves += len(at_best) > 1
+        assert tied_curves >= 2
 
     @pytest.mark.parametrize("novel_id", ["", ".", "..", "../outside", "a\\b"])
     def test_id_that_is_not_a_file_name_exits_2(self, novel_id, synth_corpus, tmp_path, capsys):
@@ -396,7 +436,7 @@ COMMAND_BYTES = {
     },
     "run ladder": {
         "ladder.csv": "ee7d0f13f12f18126be52169c9ddcb0eb5a36cab420c9fdea07ae194bed85c00",
-        "ladder.meta.txt": "bea46e8143cfdc6ada876c77618311b300fcb6efe195f919210176371d1164a7",
+        "ladder.meta.txt": "5315504ee663bb880ccd1c28d7245801db0d8b667a2eeda1620527af4b4151e0",
     },
     "run baselines": {
         "baselines.csv": "12c3e73575d840cce381bd6e167bc3ffa0c03439bf7a11a1086970f1ecf0a790",

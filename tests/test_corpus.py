@@ -22,7 +22,7 @@ from plotarc.corpus import (
     write_corpus,
 )
 from plotarc.experiments import corpus_checksum, prepare_inputs
-from plotarc.features import N_DIMS, SectionPartition
+from plotarc.features import N_DIMS
 from plotarc.lexicon import lexicon_to_text, load_lexicon_file, parse_lexicon
 
 
@@ -606,11 +606,10 @@ class TestSyntheticCorpus:
         # Mean polarity over the last 4 segments, computed directly from
         # the token streams, must separate the classes by construction.
         corpus = generate_synthetic_corpus(3, 40, 1500, 4, toy_lexicon)
-        partition = SectionPartition(75, 4, 0)
         happy_means, unhappy_means = [], []
         for novel in corpus.novels:
             profile = profile_of(novel, toy_lexicon)
-            final_polarity = profile.segment_vectors[partition.final_slice, 2].mean()
+            final_polarity = profile.segment_vectors[-4:, 2].mean()
             (happy_means if novel.metadata.label else unhappy_means).append(final_polarity)
         assert np.mean(happy_means) > np.mean(unhappy_means)
 

@@ -6,8 +6,9 @@ DEMO = Path(__file__).resolve().parent.parent / "demos" / "planted_ending_walkth
 
 
 def test_demo_imports_exist():
-    # No test runs the demo, so a name deleted from the package would break
-    # it silently; every name it imports from plotarc must still exist.
+    # The suite does not run the demo (CI does, from a copy), so a name deleted
+    # from the package would break it unseen here; every name it imports from
+    # plotarc must still exist.
     imports = [
         (node.module, alias.name)
         for node in ast.walk(ast.parse(DEMO.read_text(encoding="utf-8")))

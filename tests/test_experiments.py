@@ -39,7 +39,7 @@ from plotarc.experiments import (
     run_period_analysis,
     sweep_csv,
 )
-from plotarc.features import FeaturizationError, SectionPartition
+from plotarc.features import FeaturizationError
 from plotarc.lexicon import lexicon_to_text
 from plotarc.svm import cross_validate, f1_accuracy
 
@@ -88,7 +88,7 @@ class TestPrepareInputs:
 class TestFeatureLadder:
     def test_planted_corpus_rows(self, planted):
         _, inputs = planted
-        report = run_feature_ladder(inputs, SectionPartition(75, 4, 4), FAST)
+        report = run_feature_ladder(inputs, 4, FAST)
         assert [row[0] for row in report.rows] == [1, 2, 3, 4, 5, 6]
         set3_f1 = report.rows[2][1]
         assert set3_f1 >= 0.65  # way above the 0.5 random baseline
@@ -97,8 +97,7 @@ class TestFeatureLadder:
         # The ladder's rows are comparable because the folds depend on the
         # labels, fold count and seed only, not on the feature width.
         _, inputs = planted
-        partition = SectionPartition(75, 4, 4)
-        narrow, wide = (feature_matrix(inputs, partition, fsid)[None] for fsid in (1, 6))
+        narrow, wide = (feature_matrix(inputs.vectors, 4, fsid)[None] for fsid in (1, 6))
         assert (narrow.shape[2], wide.shape[2]) == (11, 44)
         assignments = []
         stratified_folds = svm.stratified_folds
@@ -123,13 +122,13 @@ class TestFeatureLadder:
             for i in range(40)
         )
         inputs = prepare_inputs(interned(novels), toy_lexicon)
-        X = feature_matrix(inputs, SectionPartition(75, 4, 4), 3)
+        X = feature_matrix(inputs.vectors, 4, 3)
         f1, _ = f1_accuracy(cross_validate(X[None], inputs.labels, folds=10, seed=42), inputs.labels)
         assert 0.35 <= f1[0] <= 0.65
 
     def test_config_recorded(self, planted):
         _, inputs = planted
-        report = run_feature_ladder(inputs, SectionPartition(75, 4, 4), FAST)
+        report = run_feature_ladder(inputs, 4, FAST)
         assert report.config["final_len"] == 4
         assert report.config["seed"] == 42
 
@@ -274,20 +273,19 @@ class TestPeriodAnalysis:
         made = []
         original = experiments.feature_matrix
 
-        def recording(group, partition, feature_set_id):
-            made.append(group)
-            return original(group, partition, feature_set_id)
+        def recording(vectors, final_len, feature_set_id):
+            made.append(vectors)
+            return original(vectors, final_len, feature_set_id)
 
         monkeypatch.setattr(experiments, "feature_matrix", recording)
         report = run_period_analysis(inputs, final_lens=[9, 4, 1], config=ClassifierConfig(epochs=2))
         assert [g.curve is None for g in report.groups] == [False, True, False, False]
         swept = [idx for idx in group_indices(inputs.years) if len(idx) != 18]
-        assert [len(group.labels) for group in made] == [41] * 3 + [22] * 3 + [39] * 3
+        assert [len(vectors) for vectors in made] == [41] * 3 + [22] * 3 + [39] * 3
         for g, idx in enumerate(swept):
-            group = made[3 * g]
-            assert made[3 * g + 1] is group and made[3 * g + 2] is group
-            assert group.vectors.tobytes() == inputs.vectors[idx].tobytes()
-            assert group.labels.tobytes() == inputs.labels[idx].tobytes()
+            vectors = made[3 * g]
+            assert made[3 * g + 1] is vectors and made[3 * g + 2] is vectors
+            assert vectors.tobytes() == inputs.vectors[idx].tobytes()
 
 
 class TestBaselines:
@@ -316,7 +314,7 @@ class TestBaselines:
 class TestReports:
     def test_ladder_csv_shape(self, planted):
         _, inputs = planted
-        report = run_feature_ladder(inputs, SectionPartition(75, 4, 4), FAST)
+        report = run_feature_ladder(inputs, 4, FAST)
         lines = ladder_csv(report).strip().splitlines()
         assert lines[0] == "feature_set,f1,accuracy"
         assert len(lines) == 7

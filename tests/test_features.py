@@ -9,22 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import profile_of
 from plotarc.corpus import CorpusError, Novel, NovelMetadata, segment_bounds
-from plotarc.experiments import FEATURE_SET_DIMS, RunInputs, feature_matrix
+from plotarc.experiments import FEATURE_SET_DIMS, feature_matrix
 from plotarc.features import (
     CACHE_HEADER,
     N_DIMS,
     FeaturizationError,
-    SectionPartition,
     SegmentProfile,
     write_profile_cache,
 )
 from plotarc.lexicon import DIMENSIONS
-
-
-def make_inputs(vectors):
-    """Run inputs holding one novel with the given (n_segments, 11) profile."""
-    arr = np.array(vectors, dtype=float)
-    return RunInputs((), arr[None], np.array([1]), np.array([1900]))
 
 
 def segment(lemmas, n_segments):
@@ -113,95 +106,105 @@ class TestSegmentSentiment:
 
 class TestSectionMeans:
     def test_standard_partition_slices(self):
-        partition = SectionPartition(75, 4, 4)
-        assert partition.main_slice == slice(0, 71)
-        assert partition.final_slice == slice(71, 75)
-        assert partition.late_slice == slice(67, 71)
+        # Segment i holds i in every dimension, so each section's mean names
+        # its segments: final 71..74, main 0..70, late-main 67..70.
+        vectors = np.tile(np.arange(75.0)[:, None], (1, 11))[None]
+        X = feature_matrix(vectors, 4, 5)
+        final, final_minus_main, final_minus_late = X[0, :11], X[0, 11:22], X[0, 22:]
+        np.testing.assert_array_equal(final, 72.5)
+        np.testing.assert_array_equal(final - final_minus_main, 35.0)
+        np.testing.assert_array_equal(final - final_minus_late, 68.5)
 
     def test_final_len_one_equals_last_segment(self):
         rng = np.random.default_rng(0)
-        inputs = make_inputs(rng.random((75, 11)))
-        final = feature_matrix(inputs, SectionPartition(75, 1, 0), 3)[0]
-        np.testing.assert_array_equal(final, inputs.vectors[0, -1])
+        vectors = rng.random((1, 75, 11))
+        final = feature_matrix(vectors, 1, 3)[0]
+        np.testing.assert_array_equal(final, vectors[0, -1])
 
     def test_constant_profile_all_equal(self):
         row = np.arange(11.0)
-        X = feature_matrix(make_inputs(np.tile(row, (75, 1))), SectionPartition(75, 4, 4), 5)
+        X = feature_matrix(np.tile(row, (1, 75, 1)), 4, 5)
         final, final_minus_main, final_minus_late = X[0, :11], X[0, 11:22], X[0, 22:]
         np.testing.assert_allclose(final, row)
         np.testing.assert_allclose(final_minus_main, 0.0, atol=1e-15)
         np.testing.assert_allclose(final_minus_late, 0.0, atol=1e-15)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(FeaturizationError):
-            feature_matrix(make_inputs(np.zeros((10, 11))), SectionPartition(75, 4, 4), 3)
-
     def test_invalid_partition_rejected(self):
-        with pytest.raises(FeaturizationError):
-            SectionPartition(10, 8, 5)
-        with pytest.raises(FeaturizationError):
-            SectionPartition(10, 0, 0)
+        vectors = np.zeros((1, 10, 11))
+        for fsid in FEATURE_SET_DIMS:
+            for final_len in (0, -1, 10, 11):
+                with pytest.raises(FeaturizationError, match="final_len"):
+                    feature_matrix(vectors, final_len, fsid)
 
     @pytest.mark.parametrize("n_segments", [1, 10, 75])
     def test_empty_main_section_rejected(self, n_segments):
         # A final section over every segment leaves the main mean as NaN.
         with pytest.raises(FeaturizationError, match="final_len"):
-            SectionPartition(n_segments, n_segments, 0)
-        SectionPartition(n_segments + 1, n_segments, 0)
+            feature_matrix(np.zeros((1, n_segments, 11)), n_segments, 3)
+        assert feature_matrix(np.zeros((1, n_segments + 1, 11)), n_segments, 3).shape == (1, 11)
 
 
 class TestBuildFeatures:
     """The six feature sets as built by ``feature_matrix``."""
 
     @pytest.fixture
-    def random_inputs(self):
-        rng = np.random.default_rng(7)
-        return make_inputs(rng.random((75, 11)))
+    def random_vectors(self):
+        return np.random.default_rng(7).random((1, 75, 11))
 
-    def test_set1_is_last_segment(self, random_inputs):
-        X = feature_matrix(random_inputs, SectionPartition(75, 4, 4), 1)
-        np.testing.assert_array_equal(X[0], random_inputs.vectors[0, -1])
+    def test_set1_is_last_segment(self, random_vectors):
+        X = feature_matrix(random_vectors, 4, 1)
+        np.testing.assert_array_equal(X[0], random_vectors[0, -1])
 
     @pytest.mark.parametrize("fsid,dim", sorted(FEATURE_SET_DIMS.items()))
-    def test_dimensions(self, random_inputs, fsid, dim):
-        X = feature_matrix(random_inputs, SectionPartition(75, 4, 4), fsid)
+    def test_dimensions(self, random_vectors, fsid, dim):
+        X = feature_matrix(random_vectors, 4, fsid)
         assert X.shape == (1, dim)
 
     def test_constant_profile_zero_differences(self):
-        inputs = make_inputs(np.tile(np.arange(11.0), (75, 1)))
-        partition = SectionPartition(75, 4, 4)
+        vectors = np.tile(np.arange(11.0), (1, 75, 1))
         for fsid in (2, 4, 5, 6):
-            X = feature_matrix(inputs, partition, fsid)
+            X = feature_matrix(vectors, 4, fsid)
             diffs = X[0, 11:33] if fsid in (5, 6) else X[0, 11:22]
             np.testing.assert_allclose(diffs, 0.0, atol=1e-15)
 
-    def test_set3_equals_set1_with_final_len_one(self, random_inputs):
-        partition = SectionPartition(75, 1, 0)
-        X1 = feature_matrix(random_inputs, partition, 1)
-        X3 = feature_matrix(random_inputs, partition, 3)
+    def test_set3_equals_set1_with_final_len_one(self, random_vectors):
+        X1 = feature_matrix(random_vectors, 1, 1)
+        X3 = feature_matrix(random_vectors, 1, 3)
         np.testing.assert_array_equal(X1, X3)
 
-    def test_late_required_for_sets_5_6(self, random_inputs):
-        partition = SectionPartition(75, 4, 0)
-        for fsid in (5, 6):
-            with pytest.raises(FeaturizationError, match="late_len"):
-                feature_matrix(random_inputs, partition, fsid)
+    def test_late_required_for_sets_5_6(self, random_vectors):
+        # The late-main section is as long as the final one, so sets 5 and 6
+        # need 2 * final_len <= n_segments; sets 1-4 do not read it.
+        even = random_vectors[:, 1:]  # 74 segments: 37 + 37 fits exactly
+        for fsid, dim in FEATURE_SET_DIMS.items():
+            assert feature_matrix(even, 37, fsid).shape == (1, dim)
+            if fsid >= 5:
+                with pytest.raises(FeaturizationError, match="final_len"):
+                    feature_matrix(random_vectors, 38, fsid)
+            else:
+                assert feature_matrix(random_vectors, 38, fsid).shape == (1, dim)
 
-    def test_bad_feature_set_id(self, random_inputs):
+    def test_bad_feature_set_id(self, random_vectors):
         with pytest.raises(FeaturizationError):
-            feature_matrix(random_inputs, SectionPartition(75, 4, 4), 7)
+            feature_matrix(random_vectors, 4, 7)
 
-    @pytest.mark.parametrize("final_len,late_len", [(1, 1), (4, 4), (3, 9), (20, 1), (37, 37), (74, 1)])
+    @pytest.mark.parametrize("final_len,novels", [(1, 1), (4, 4), (3, 9), (20, 1), (37, 37), (74, 1)])
     @pytest.mark.parametrize("fsid", sorted(FEATURE_SET_DIMS))
-    def test_equals_explicit_block_formula(self, fsid, final_len, late_len):
+    def test_equals_explicit_block_formula(self, fsid, final_len, novels):
         """Every set is its blocks, each section mean written as a sum over its
-        segments divided by their number, bit for bit."""
-        vectors = np.random.default_rng(final_len * 100 + late_len).normal(size=(9, 75, 11))
-        n, f, k = 75, final_len, late_len
+        segments divided by their number, bit for bit. The late-main section is
+        the ``final_len`` segments before the final one; sets 5 and 6 refuse a
+        final length that leaves no room for it."""
+        vectors = np.random.default_rng(final_len * 100 + novels).normal(size=(novels, 75, 11))
+        n, f = 75, final_len
+        if fsid >= 5 and 2 * f > n:
+            with pytest.raises(FeaturizationError, match="final_len"):
+                feature_matrix(vectors, f, fsid)
+            return
         last = vectors[:, n - 1]
         final = vectors[:, n - f :].sum(axis=1) / f
         main = vectors[:, : n - f].sum(axis=1) / (n - f)
-        late = vectors[:, n - f - k : n - f].sum(axis=1) / k
+        late = vectors[:, n - 2 * f : n - f].sum(axis=1) / f
         blocks = {
             1: [last],
             2: [last, last - main],
@@ -210,17 +213,13 @@ class TestBuildFeatures:
             5: [final, final - main, final - late],
             6: [final, final - main, final - late, last],
         }[fsid]
-        inputs = RunInputs((), vectors, np.ones(9, dtype=int), np.full(9, 1900))
-        # Sets 1-4 ignore the late-main section, so they are checked without one too.
-        for late in (k, 0) if fsid <= 4 else (k,):
-            X = feature_matrix(inputs, SectionPartition(n, f, late), fsid)
-            assert X.shape == (9, FEATURE_SET_DIMS[fsid])
-            assert X.tobytes() == np.hstack(blocks).tobytes()
+        X = feature_matrix(vectors, f, fsid)
+        assert X.shape == (novels, FEATURE_SET_DIMS[fsid])
+        assert X.tobytes() == np.hstack(blocks).tobytes()
 
-    def test_pure_function(self, random_inputs):
-        partition = SectionPartition(75, 4, 4)
-        a = feature_matrix(random_inputs, partition, 6)
-        b = feature_matrix(random_inputs, partition, 6)
+    def test_pure_function(self, random_vectors):
+        a = feature_matrix(random_vectors, 4, 6)
+        b = feature_matrix(random_vectors, 4, 6)
         np.testing.assert_array_equal(a, b)
 
 

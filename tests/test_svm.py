@@ -8,7 +8,6 @@ import pytest
 
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus
 from plotarc.experiments import ClassifierConfig, feature_matrix, prepare_inputs, run_partition_sweep
-from plotarc.features import SectionPartition
 from plotarc.svm import (
     TrainingError,
     _ShuffleStream,
@@ -217,11 +216,7 @@ class TestStandardize:
         # np.mean and np.std on each fold's training rows of a 37-point stack.
         lexicon = demo_lexicon()
         inputs = prepare_inputs(generate_synthetic_corpus(1, 212, 600, 4, lexicon), lexicon)
-        late = feature_set in (5, 6)
-        X = np.stack([
-            feature_matrix(inputs, SectionPartition(75, k, k if late else 0), feature_set)
-            for k in range(37, 0, -1)
-        ])
+        X = np.stack([feature_matrix(inputs.vectors, k, feature_set) for k in range(37, 0, -1)])
         before = X.copy()
         assignment = stratified_folds(inputs.labels, 10, 42)
         for k in range(10):
@@ -613,7 +608,7 @@ def training_fold(name):
     seed, n_novels, tokens, final_len = CONVERGENCE_FOLDS[name]
     lexicon = demo_lexicon()
     inputs = prepare_inputs(generate_synthetic_corpus(seed, n_novels, tokens, 4, lexicon), lexicon)
-    X = feature_matrix(inputs, SectionPartition(75, final_len, 0), 3)
+    X = feature_matrix(inputs.vectors, final_len, 3)
     rows = np.flatnonzero(stratified_folds(inputs.labels, 10, 42) != 0)
     means, scales = standardize_fit(X[rows])
     return X[rows], inputs.labels[rows], means, scales
