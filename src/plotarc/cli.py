@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from plotarc.corpus import (
-    CorpusError,
     demo_lexicon,
     generate_synthetic_corpus,
     load_corpus,
@@ -197,7 +196,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_synth(args)
-    except (CorpusError, LexiconError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every plotarc error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,8 +145,8 @@ def run_feature_ladder(
     matrices = [feature_matrix(inputs.vectors, final_len, fsid) for fsid in FEATURE_SET_DIMS]
     rows = []
     for fsid, X in zip(FEATURE_SET_DIMS, matrices):
-        (pred,) = cross_validate(X[None], inputs.labels, **asdict(config))
-        f1, accuracy = f1_accuracy(pred, inputs.labels)
+        (margins,) = cross_validate(X[None], inputs.labels, **asdict(config))
+        f1, accuracy = f1_accuracy(margins, inputs.labels)
         rows.append((fsid, float(f1), float(accuracy)))
     return LadderReport(
         rows=tuple(rows),
@@ -197,9 +197,9 @@ def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
             # No name holds the group's vectors or the stack (nor would a ``**`` call's
             # argument tuple): the vectors are freed once the stack is made, and
             # cross_validate frees the stack once it has made its rows-first copy.
-            pred = cross_validate(_feature_stack(inputs.vectors[rows], final_lens, feature_set_id), y,
-                                  folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
-            f1s = f1_accuracy(pred, y)[0].tolist()
+            margins = cross_validate(_feature_stack(inputs.vectors[rows], final_lens, feature_set_id), y,
+                                     folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
+            f1s = f1_accuracy(margins, y)[0].tolist()
         points = (SweepPoint((n - f) / n, f, f1) for f, f1 in zip(final_lens, f1s))
         curves.append(SweepCurve(tuple(points), dict(fields)))
     return curves

@@ -49,22 +49,9 @@ FILE_DIMENSIONS = (
     "trust",
 )
 
-# Header cells are matched case-insensitively against these aliases so
-# that exports with renamed columns still align correctly.
-_HEADER_ALIASES = {
-    "positive": "positive",
-    "pos": "positive",
-    "negative": "negative",
-    "neg": "negative",
-    "anger": "anger",
-    "anticipation": "anticipation",
-    "disgust": "disgust",
-    "fear": "fear",
-    "joy": "joy",
-    "sadness": "sadness",
-    "surprise": "surprise",
-    "trust": "trust",
-}
+# Header cells are matched case-insensitively against FILE_DIMENSIONS,
+# after these aliases, so that exports with renamed columns still align.
+_HEADER_ALIASES = {"pos": "positive", "neg": "negative"}
 
 
 class LexiconError(ValueError):
@@ -131,9 +118,10 @@ def parse_lexicon(source: TextIO | str) -> SentimentLexicon:
             mapped = []
             for cell in cells[1:]:
                 key = cell.strip().casefold()
-                if key not in _HEADER_ALIASES:
+                name = _HEADER_ALIASES.get(key, key)
+                if name not in FILE_DIMENSIONS:
                     raise LexiconError(f"line 1: unrecognized header column {cell!r}")
-                mapped.append(_HEADER_ALIASES[key])
+                mapped.append(name)
             if len(set(mapped)) != len(mapped):
                 raise LexiconError("line 1: duplicate header columns")
             targets = [DIMENSIONS.index(name) for name in mapped]

@@ -1,7 +1,8 @@
 """Deterministic linear SVM on arrays: a standardization is ``(means, scales)``,
-``cross_validate`` returns the pooled out-of-fold labels of a ``(P, n, dim)``
+``cross_validate`` returns the pooled out-of-fold margins of a ``(P, n, dim)``
 stack of matrices as one ``(P, n)`` array, and ``f1_accuracy`` scores every
-row of it at once (a fold's score is the same call on its columns).
+row of it at once, calling a margin ``>= 0`` happy (a fold's score is the
+same call on its columns).
 
 The trainer runs primal subgradient descent on
 
@@ -157,36 +158,26 @@ def train_linear_svm(
     return W
 
 
-def predict(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """+1 where ``X @ w >= 0``, else -1, for each stacked model.
-
-    ``X`` is ``(..., m, dim)`` and ``W`` is ``(..., dim)``; the result is
-    ``(..., m)``. Each margin has the bits of a lone ``x @ w``.
-    """
-    return np.where(np.matmul(X, W[..., None])[..., 0] >= 0.0, 1, -1)
-
-
 def _ratio(num, den) -> np.ndarray:
     """``num / den``, and 0.0 where ``den`` is 0."""
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
 
 
-def f1_accuracy(predictions, gold) -> tuple[np.ndarray, np.ndarray]:
-    """F1 of the +1 (happy) class and accuracy of each ``(..., n)`` row against n ``gold`` labels.
+def f1_accuracy(margins, gold) -> tuple[np.ndarray, np.ndarray]:
+    """F1 of the +1 (happy) class and accuracy of each ``(..., n)`` row of margins against ``gold``.
 
-    F1 is 0.0 where undefined. Precision and recall are quotients of counts,
+    A margin ``>= 0`` calls +1, so a row of ±1 labels scores as itself. F1
+    is 0.0 where undefined. Precision and recall are quotients of counts,
     then F1 is ``2 p r / (p + r)``: the bits of the same arithmetic on floats.
     """
-    predictions, gold = np.asarray(predictions), np.asarray(gold)
-    if gold.ndim == 0 or gold.shape[-1] == 0 or predictions.shape[-1:] != gold.shape[-1:]:
-        raise ValueError("predictions and gold must be non-empty rows of equal length")
-    called, actual = predictions == 1, gold == 1
+    margins, gold = np.asarray(margins), np.asarray(gold)
+    if gold.ndim == 0 or gold.shape[-1] == 0 or margins.shape[-1:] != gold.shape[-1:]:
+        raise ValueError("margins and gold must be non-empty rows of equal length")
+    called, actual = margins >= 0, gold == 1
     tp = np.sum(called & actual, axis=-1)
-    n_called = tp + np.sum(called & (gold == -1), axis=-1)
-    n_actual = tp + np.sum((predictions == -1) & actual, axis=-1)
-    precision, recall = _ratio(tp, n_called), _ratio(tp, n_actual)
+    precision, recall = _ratio(tp, np.sum(called, axis=-1)), _ratio(tp, np.sum(actual, axis=-1))
     f1 = _ratio(2.0 * precision * recall, precision + recall)
-    return f1, np.mean(predictions == gold, axis=-1)
+    return f1, np.mean(called == actual, axis=-1)
 
 
 def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -211,11 +202,12 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
 def cross_validate(
     X: np.ndarray, y: np.ndarray, folds: int = 10, seed: int = 42, C: float = 1.0, epochs: int = 200
 ) -> np.ndarray:
-    """Pooled out-of-fold labels of each matrix in a ``(P, n, dim)`` stack (one matrix: ``X[None]``).
+    """Pooled out-of-fold margins of each matrix in a ``(P, n, dim)`` stack (one matrix: ``X[None]``).
 
     The P matrices share the n rows labelled by ``y`` and one stratified
-    fold assignment; row p of the ``(P, n)`` result holds matrix p's
-    held-out predictions. Any other shape raises :class:`TrainingError`.
+    fold assignment; row p of the float64 ``(P, n)`` result holds matrix p's
+    held-out margins, each with the bits of a lone ``x @ w`` on the fold's
+    standardized row. Any other shape raises :class:`TrainingError`.
     Standardization is fitted on each fold's training split only, so
     held-out rows never leak into it; the bias column of ones appended
     after it gets mean 0 and scale 1. The fits read ``X`` itself; then ``X``
@@ -241,11 +233,11 @@ def cross_validate(
     rows_first[..., :dim] = X.transpose(1, 0, 2)
     del X
     W = train_linear_svm(rows_first, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
-    pooled = np.empty((P, n), dtype=y.dtype)
+    pooled = np.empty((P, n))
     for k, mask in enumerate(held):
         # A C-contiguous (P, m, dim + 1) block, so each margin has the bits of a lone x @ w.
         held_out = np.ascontiguousarray(rows_first[mask].transpose(1, 0, 2))
         held_out -= means[k, :, None]
         held_out /= scales[k, :, None]
-        pooled[:, mask] = predict(held_out, W[k])
+        pooled[:, mask] = np.matmul(held_out, W[k][..., None])[..., 0]
     return pooled

@@ -101,6 +101,14 @@ class TestFeaturize:
         assert main(["featurize", *args]) == 2
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_out_path_that_is_a_file_exits_2(self, synth_corpus, tmp_path, capsys):
+        # An OSError from the file system, not one of plotarc's own errors.
+        out = tmp_path / "out"
+        out.write_text("", encoding="utf-8")
+        assert main(["featurize", *pipeline_args(synth_corpus, out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and str(out) in err
+
     def test_zero_segments_exits_2(self, synth_corpus, tmp_path, capsys):
         args = pipeline_args(synth_corpus, tmp_path / "out", ["--segments", "0"])
         assert main(["featurize", *args]) == 2

@@ -115,7 +115,7 @@ class TestFeatureLadder:
 
     def test_constant_profiles_score_near_chance(self, toy_lexicon):
         # Identical token streams make every feature degenerate; pooled
-        # predictions then collapse to the per-fold bias sign.
+        # margins then collapse to the sign of each fold's bias.
         lemmas = tuple(["wunderbar", "tod", "zufall", "oov"] * 200)
         novels = tuple(
             Novel(NovelMetadata(f"c{i}", "t", "a", 1900, i % 2 == 0), lemmas)

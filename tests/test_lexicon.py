@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plotarc.lexicon import (
-    _HEADER_ALIASES,
     DIMENSIONS,
     FILE_DIMENSIONS,
     POLARITY_INDEX,
@@ -18,6 +17,22 @@ from plotarc.lexicon import (
 )
 
 from conftest import TABLE1_TSV
+
+# The oracle's own header table, spelled out: every accepted casefolded cell.
+REFERENCE_HEADER_NAMES = {
+    "positive": "positive",
+    "pos": "positive",
+    "negative": "negative",
+    "neg": "negative",
+    "anger": "anger",
+    "anticipation": "anticipation",
+    "disgust": "disgust",
+    "fear": "fear",
+    "joy": "joy",
+    "sadness": "sadness",
+    "surprise": "surprise",
+    "trust": "trust",
+}
 
 
 def reference_parse_lexicon(text: str) -> SentimentLexicon:
@@ -40,9 +55,9 @@ def reference_parse_lexicon(text: str) -> SentimentLexicon:
             mapped = []
             for cell in cells[1:]:
                 key = cell.strip().casefold()
-                if key not in _HEADER_ALIASES:
+                if key not in REFERENCE_HEADER_NAMES:
                     raise LexiconError(f"line 1: unrecognized header column {cell!r}")
-                mapped.append(_HEADER_ALIASES[key])
+                mapped.append(REFERENCE_HEADER_NAMES[key])
             if len(set(mapped)) != len(mapped):
                 raise LexiconError("line 1: duplicate header columns")
             targets = [DIMENSIONS.index(name) for name in mapped]

@@ -13,7 +13,6 @@ from plotarc.svm import (
     _ShuffleStream,
     cross_validate,
     f1_accuracy,
-    predict,
     standardize_fit,
     stratified_folds,
     train_linear_svm,
@@ -99,8 +98,8 @@ def primal_objective(w, X, y, C=1.0):
     return float(0.5 * (w @ w) + C * np.maximum(0.0, 1.0 - y * (X @ w)).sum())
 
 
-def reference_cv_predictions(X, y, folds, seed, C, epochs):
-    """Out-of-fold labels from one prediction per (fold, matrix) model: the batching oracle."""
+def reference_cv_margins(X, y, folds, seed, C, epochs):
+    """Out-of-fold margins from one product per (fold, matrix) model: the batching oracle."""
     assignment = stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]
     rows = [np.flatnonzero(~mask) for mask in held]
@@ -110,11 +109,11 @@ def reference_cv_predictions(X, y, folds, seed, C, epochs):
     bias_fits = [(np.hstack([means, 0 * ones]), np.hstack([scales, ones])) for means, scales in fits]
     Xa = np.stack([np.hstack([m, np.ones((len(m), 1))]) for m in X], axis=1)
     W = train_linear_svm(Xa, y, rows, *stack_fits(bias_fits), C=C, epochs=epochs, seed=seed)
-    pooled = np.empty(X.shape[:2], dtype=y.dtype)
+    pooled = np.empty(X.shape[:2])
     for k, ((means, scales), mask) in enumerate(zip(fits, held)):
         for p in range(X.shape[0]):
             Xs = np.hstack([(X[p, mask] - means[p]) / scales[p], np.ones((mask.sum(), 1))])
-            pooled[p, mask] = np.where(Xs @ W[k, p] >= 0.0, 1, -1)
+            pooled[p, mask] = Xs @ W[k, p]
     return pooled, held
 
 
@@ -139,6 +138,11 @@ def reference_f1_score(predictions, gold):
 
 def reference_accuracy_score(predictions, gold):
     return float(np.mean(predictions == gold))
+
+
+def signs(X, w):
+    """+1 where ``X @ w >= 0``, else -1: the side of the hyperplane each row falls on."""
+    return np.where(X @ w >= 0.0, 1, -1)
 
 
 def hinge_objective(w, X, y, lam):
@@ -283,7 +287,7 @@ class TestTrain:
         X, y = separable_set()
         X = with_ones(X + 5.0)  # off-center, so the bias must do its part
         w = fit(X, y, seed=7)
-        assert np.array_equal(predict(X, w), y)
+        assert np.array_equal(signs(X, w), y)
 
     def test_deterministic(self):
         X, y = separable_set()
@@ -295,7 +299,7 @@ class TestTrain:
         X = with_ones(X)
         a = fit(X, y, seed=7)
         b = fit(X, -y, seed=7)
-        np.testing.assert_array_equal(predict(X, a), -predict(X, b))
+        np.testing.assert_array_equal(signs(X, a), -signs(X, b))
 
     def test_single_class_rejected(self):
         X, _ = separable_set()
@@ -389,24 +393,6 @@ class TestLockstep:
             train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 1))
 
 
-class TestPredict:
-    W = np.array([1.0, 0.0])
-
-    def test_positive_side(self):
-        assert predict(np.array([[3.0, 5.0]]), self.W)[0] == 1
-
-    def test_negative_side(self):
-        assert predict(np.array([[-3.0, 5.0]]), self.W)[0] == -1
-
-    def test_on_hyperplane_tiebreak_positive(self):
-        assert predict(np.array([[0.0, 9.0]]), self.W)[0] == 1
-
-    def test_positive_rescaling_invariance(self):
-        w = np.array([1.5, -2.0, 0.7])
-        X = with_ones(np.random.default_rng(2).normal(size=(50, 2)))
-        np.testing.assert_array_equal(predict(X, w), predict(X, w * 13))
-
-
 class TestF1:
     def test_perfect(self):
         y = np.array([1, -1, 1, -1])
@@ -426,6 +412,26 @@ class TestF1:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             f1_accuracy(np.array([1]), np.array([1, -1]))
+
+    def test_positive_margin_calls_happy(self):
+        assert f1_accuracy([3.0, 0.5], [1, -1]) == (2 / 3, 0.5)
+
+    def test_negative_margin_calls_unhappy(self):
+        assert f1_accuracy([-3.0, -0.5], [1, -1]) == (0.0, 0.5)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_margin_counts_as_happy(self, zero):
+        assert f1_accuracy([zero, -1.0], [1, -1]) == (1.0, 1.0)
+        assert f1_accuracy([zero], [-1]) == (0.0, 0.0)
+
+    def test_positive_rescaling_invariance(self):
+        rng = np.random.default_rng(2)
+        margins = rng.normal(size=(4, 50))
+        margins[:, ::7] = 0.0
+        gold = np.where(rng.random(50) < 0.5, 1, -1)
+        expected = [a.tobytes() for a in f1_accuracy(margins, gold)]
+        for scale in (13.0, 1e-3, rng.uniform(0.1, 10.0, size=(4, 50))):
+            assert [a.tobytes() for a in f1_accuracy(margins * scale, gold)] == expected
 
     @pytest.mark.parametrize("gold_kind", ["mixed", "no_positives", "all_positive"])
     def test_rows_match_scalar_reference_bit_for_bit(self, gold_kind):
@@ -455,13 +461,14 @@ class TestF1:
 
     def test_fold_scores_are_the_same_call_on_fold_columns(self):
         X, y = separable_set(per_class=15, spread=2.0)
-        pred = cross_validate(X[None], y, folds=5, seed=1, epochs=20)
+        margins = cross_validate(X[None], y, folds=5, seed=1, epochs=20)
         assignment = stratified_folds(y, 5, 1)
         for k in range(5):
             mask = assignment == k
-            f1, accuracy = f1_accuracy(pred[:, mask], y[mask])
-            assert f1[0] == reference_f1_score(pred[0, mask], y[mask])
-            assert accuracy[0] == reference_accuracy_score(pred[0, mask], y[mask])
+            labels = np.where(margins[0, mask] >= 0.0, 1, -1)
+            f1, accuracy = f1_accuracy(margins[:, mask], y[mask])
+            assert f1[0] == reference_f1_score(labels, y[mask])
+            assert accuracy[0] == reference_accuracy_score(labels, y[mask])
 
 
 class TestCrossValidate:
@@ -475,9 +482,9 @@ class TestCrossValidate:
 
     def test_separable_high_f1(self):
         X, y = separable_set(per_class=20)
-        pred = cross_validate(X[None], y, folds=10, seed=42, epochs=50)
-        assert pred.shape == (1, len(y))
-        assert f1_accuracy(pred, y)[0][0] >= 0.95
+        margins = cross_validate(X[None], y, folds=10, seed=42, epochs=50)
+        assert margins.shape == (1, len(y)) and margins.dtype == np.float64
+        assert f1_accuracy(margins, y)[0][0] >= 0.95
 
     def test_deterministic(self):
         X, y = separable_set(per_class=12)
@@ -503,15 +510,15 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("P, n", [(3, 212), (37, 212), (37, 41), (37, 22), (37, 39)])
     def test_one_shot_iterable_matches_the_stack(self, P, n):
-        # The whole stack in one call, against one prediction per (fold,
+        # The whole stack in one call, against one product per (fold,
         # matrix) model, byte for byte: a lone matrix, the sweep's 37 points
         # on 212 novels, and the benchmark's ragged period groups of 41, 22
         # and 39 novels.
         X, y = labelled_stack(P, n, seed=P + n)
-        pred = cross_validate(X, y, folds=10, seed=7, epochs=2)
-        pooled, _ = reference_cv_predictions(X, y, folds=10, seed=7, C=1.0, epochs=2)
-        assert pred.shape == pooled.shape and pred.dtype == pooled.dtype
-        assert pred.tobytes() == pooled.tobytes()
+        margins = cross_validate(X, y, folds=10, seed=7, epochs=2)
+        pooled, _ = reference_cv_margins(X, y, folds=10, seed=7, C=1.0, epochs=2)
+        assert margins.shape == pooled.shape and margins.dtype == pooled.dtype == np.float64
+        assert margins.tobytes() == pooled.tobytes()
 
     def test_stack_shares_one_fold_assignment(self):
         X, y = separable_set(per_class=15)
@@ -523,18 +530,18 @@ class TestCrossValidate:
 
     def test_batched_prediction_matches_per_model_loop(self):
         # Three unrelated matrices, so a swapped matrix or fold index changes
-        # the labels; 23 rows in 4 folds give ragged held-out sets (6/6/6/5).
+        # the margins; 23 rows in 4 folds give ragged held-out sets (6/6/6/5).
         rng = np.random.default_rng(11)
         X = rng.normal(size=(3, 23, 5)) * rng.uniform(0.5, 4.0, size=(3, 1, 5))
         X += rng.normal(size=(3, 1, 5))
         y = np.where(np.arange(23) < 12, 1, -1)
         X[:, y == 1] += rng.normal(0.4, 0.3, size=(3, 1, 5))
-        pred = cross_validate(X, y, folds=4, seed=5, C=0.5, epochs=7)
-        pooled, held = reference_cv_predictions(X, y, folds=4, seed=5, C=0.5, epochs=7)
+        margins = cross_validate(X, y, folds=4, seed=5, C=0.5, epochs=7)
+        pooled, held = reference_cv_margins(X, y, folds=4, seed=5, C=0.5, epochs=7)
         assert sorted(int(m.sum()) for m in held) == [5, 6, 6, 6]
         assert len({row.tobytes() for row in pooled}) == 3
-        assert pred.shape == pooled.shape and pred.dtype == pooled.dtype
-        assert pred.tobytes() == pooled.tobytes()
+        assert margins.shape == pooled.shape and margins.dtype == pooled.dtype == np.float64
+        assert margins.tobytes() == pooled.tobytes()
 
     def test_leaves_the_input_stack_unchanged(self):
         # The trainer and the held-out scoring work in place, in buffers of their own.
@@ -624,7 +631,7 @@ class TestConvergence:
         dual = alpha.sum() - 0.5 * (wa @ wa)
         assert primal - dual < 1e-8 * primal
         # Separable: every training row is classified correctly.
-        assert np.array_equal(predict(with_ones(Xs), wa), y)
+        assert np.array_equal(signs(with_ones(Xs), wa), y)
 
     @pytest.mark.parametrize("name", sorted(CONVERGENCE_FOLDS))
     def test_trainer_reaches_the_optimum(self, name):
