@@ -37,10 +37,10 @@ inputs = prepare_inputs(corpus, lexicon)
 config = ClassifierConfig(folds=10, seed=42, C=1.0, epochs=200)
 
 print("\nfeature ladder (final section = 4 segments):")
-ladder = run_feature_ladder(inputs, 4, config)
-for fsid, f1, acc in ladder.rows:
+rows = run_feature_ladder(inputs, 4, config)
+for fsid, f1, acc in rows:
     print(f"  set {fsid}: F1 {f1:.3f}  accuracy {acc:.3f}")
-(out_dir / "ladder.csv").write_text(ladder_csv(ladder))
+(out_dir / "ladder.csv").write_text(ladder_csv(rows))
 
 print("\npartition sweep (final section length 1..20):")
 curve = run_partition_sweep(inputs, final_lens=range(20, 0, -1), feature_set_id=3, config=config)

@@ -1,14 +1,18 @@
 """Command-line entry point: ``plotarc featurize | run | synth``.
 
-Every invocation echoes its resolved configuration before doing any work;
-``--dry-run`` stops after the echo. Data errors exit with status 2 and the
-originating module's message on stderr.
+Every invocation resolves the settings its command reads into one ordered
+dict before doing any work, and echoes it with the input and output paths;
+``--dry-run`` stops after the echo. Each report's meta file records the same
+dict and input checksums alongside the results, so a report can be re-run
+bit-identically. Data errors exit with status 2 and the originating module's
+message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from plotarc.corpus import (
@@ -19,6 +23,7 @@ from plotarc.corpus import (
     write_corpus,
 )
 from plotarc.experiments import (
+    PERIOD_CUTS,
     ClassifierConfig,
     ladder_csv,
     meta_text,
@@ -36,6 +41,7 @@ from plotarc.svgplot import render_periods, render_sweep
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    classifier = ClassifierConfig()
     parser.add_argument("--corpus", required=True, help="directory of <id>.txt novel files")
     parser.add_argument("--metadata", required=True, help="metadata TSV (id/title/author/year/label)")
     parser.add_argument("--lexicon", required=True, help="sentiment lexicon TSV")
@@ -43,10 +49,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--segments", type=int, default=75, help="segments per novel")
     parser.add_argument("--final-len", type=int, default=4, help="segments in the final section")
     parser.add_argument("--feature-set", type=int, default=3, choices=range(1, 7))
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--c", type=float, default=1.0, dest="C", help="SVM regularization trade-off")
-    parser.add_argument("--epochs", type=int, default=200)
+    parser.add_argument("--folds", type=int, default=classifier.folds)
+    parser.add_argument("--seed", type=int, default=classifier.seed)
+    parser.add_argument("--c", type=float, default=classifier.C, dest="C",
+                        help="SVM regularization trade-off")
+    parser.add_argument("--epochs", type=int, default=classifier.epochs)
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--dry-run", action="store_true", help="print resolved config and exit")
 
@@ -74,12 +81,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _echo_config(args: argparse.Namespace) -> None:
-    print("resolved configuration:")
-    for key in sorted(vars(args)):
-        if key == "command":
-            continue
-        print(f"  {key} = {getattr(args, key)}")
+_PATHS = ("corpus", "metadata", "lexicon", "lemma_map", "out")
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The settings ``args``'s command reads, in the order a report's meta file records
+    them. Flags a command does not read are accepted but left out."""
+    if args.command == "synth":
+        return {"seed": args.seed, "n_novels": args.n_novels,
+                "tokens_per_novel": args.tokens_per_novel, "ending_len": args.ending_len}
+    if args.command == "featurize":
+        return {"n_segments": args.segments}
+    if args.experiment == "baselines":
+        return {"experiment": "baselines"}
+    partition = {
+        "ladder": {"final_len": args.final_len},
+        "sweep": {"feature_set": args.feature_set},
+        "periods": {"period_cuts": ",".join(map(str, PERIOD_CUTS)), "feature_set": args.feature_set},
+    }[args.experiment]
+    classifier = ClassifierConfig(args.folds, args.seed, args.C, args.epochs)
+    return {"n_segments": args.segments, **partition, **asdict(classifier)}
 
 
 def _load_pipeline(args):
@@ -87,9 +108,8 @@ def _load_pipeline(args):
     if not lexicon_path.is_file():
         raise LexiconError(f"lexicon file not found: {lexicon_path}")
     lexicon = load_lexicon_file(lexicon_path)
-    # A temporary, so that load_corpus can free the map once it has built its id map.
-    return load_corpus(args.corpus, args.metadata,
-                       load_lemma_map(args.lemma_map) if args.lemma_map else None), lexicon
+    lemma_map = load_lemma_map(args.lemma_map) if args.lemma_map else None
+    return load_corpus(args.corpus, args.metadata, lemma_map), lexicon
 
 
 def _ties(curve, best) -> str:
@@ -98,15 +118,15 @@ def _ties(curve, best) -> str:
     return f"; tied at final lengths {', '.join(map(str, tied))}" if tied else ""
 
 
-def cmd_featurize(args) -> int:
+def cmd_featurize(args, settings: dict) -> int:
     corpus, lexicon = _load_pipeline(args)
-    inputs = prepare_inputs(corpus, lexicon, args.segments)
+    inputs = prepare_inputs(corpus, lexicon, settings["n_segments"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / "profiles.csv"
     with open(cache_path, "w", encoding="utf-8", newline="") as fh:
         write_profile_cache(inputs.profiles, fh)
-    print(f"wrote {cache_path} ({len(inputs.profiles)} novels x {args.segments} segments)")
+    print(f"wrote {cache_path} ({len(inputs.profiles)} novels x {inputs.n_segments} segments)")
     for profile in inputs.profiles:
         total = int(profile.matched_counts.sum())
         print(f"  {profile.novel_id}: {total} lexicon-matched tokens "
@@ -123,46 +143,45 @@ def _write_report(out_dir: Path, stem: str, csv_text: str, meta: str, svg: str |
         (out_dir / f"{stem}.svg").write_text(svg, encoding="utf-8")
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, settings: dict) -> int:
     corpus, lexicon = _load_pipeline(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = ClassifierConfig(folds=args.folds, seed=args.seed, C=args.C, epochs=args.epochs)
 
     if args.experiment == "baselines":
         random_exp, majority = run_baselines(corpus)
         _write_report(
             out_dir, "baselines",
             f"baseline,accuracy\nrandom_expectation,{random_exp:.6f}\nmajority_vote,{majority:.6f}\n",
-            meta_text({"experiment": "baselines"}, corpus, lexicon),
+            meta_text(settings, corpus, lexicon),
         )
         print(f"random baseline {random_exp:.3f}, majority vote {majority:.3f}")
         return 0
 
-    inputs = prepare_inputs(corpus, lexicon, args.segments)
+    inputs = prepare_inputs(corpus, lexicon, settings["n_segments"])
+    config = ClassifierConfig(settings["folds"], settings["seed"], settings["C"], settings["epochs"])
 
     if args.experiment == "ladder":
-        report = run_feature_ladder(inputs, args.final_len, config)
-        _write_report(out_dir, "ladder", ladder_csv(report), meta_text(report.config, corpus, lexicon))
-        for fsid, f1, acc in report.rows:
+        rows = run_feature_ladder(inputs, settings["final_len"], config)
+        _write_report(out_dir, "ladder", ladder_csv(rows), meta_text(settings, corpus, lexicon))
+        for fsid, f1, acc in rows:
             print(f"feature set {fsid}: F1 {f1:.3f}, accuracy {acc:.3f}")
     elif args.experiment == "sweep":
-        curve = run_partition_sweep(inputs, feature_set_id=args.feature_set, config=config)
+        curve = run_partition_sweep(inputs, feature_set_id=settings["feature_set"], config=config)
         _write_report(
-            out_dir, "sweep", sweep_csv(curve), meta_text(curve.config, corpus, lexicon),
-            render_sweep(curve),
+            out_dir, "sweep", sweep_csv(curve), meta_text(settings, corpus, lexicon), render_sweep(curve),
         )
         best = curve.argmax_point
         if best is not None:
             print(f"best F1 {best.f1:.3f} at main fraction {best.main_fraction:.3f} "
                   f"(final section {best.final_len} segments{_ties(curve, best)})")
     else:  # periods
-        report = run_period_analysis(inputs, feature_set_id=args.feature_set, config=config)
+        groups = run_period_analysis(inputs, feature_set_id=settings["feature_set"], config=config)
         _write_report(
-            out_dir, "periods", periods_csv(report), meta_text(report.config, corpus, lexicon),
-            render_periods(report),
+            out_dir, "periods", periods_csv(groups), meta_text(settings, corpus, lexicon),
+            render_periods(groups),
         )
-        for group in report.groups:
+        for group in groups:
             if group.curve is None:
                 print(f"period {group.label}: skipped ({group.novel_count} novels)")
             elif (best := group.curve.argmax_point) is not None:
@@ -171,10 +190,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, settings: dict) -> int:
     lexicon = demo_lexicon()
     corpus = generate_synthetic_corpus(
-        args.seed, args.n_novels, args.tokens_per_novel, args.ending_len, lexicon
+        settings["seed"], settings["n_novels"], settings["tokens_per_novel"], settings["ending_len"], lexicon
     )
     out_dir = Path(args.out)
     write_corpus(corpus, out_dir)
@@ -187,15 +206,16 @@ def cmd_synth(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _echo_config(args)
+    settings = _settings(args)
+    paths = {name: getattr(args, name) for name in _PATHS if hasattr(args, name)}
+    print("resolved configuration:")
+    for key, value in {**settings, **paths}.items():
+        print(f"  {key} = {value}")
     if args.dry_run:
         return 0
+    command = {"featurize": cmd_featurize, "run": cmd_run, "synth": cmd_synth}[args.command]
     try:
-        if args.command == "featurize":
-            return cmd_featurize(args)
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_synth(args)
+        return command(args, settings)
     except (OSError, ValueError) as exc:  # every plotarc error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

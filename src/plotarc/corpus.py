@@ -281,12 +281,10 @@ def load_corpus(text_dir, metadata_file, lemma_map: dict[str, str] | None = None
 
     Each novel's ``Lemmas`` are ids into one vocabulary of the corpus's distinct
     lemmas (see ``_Interner.ids``), so a loaded corpus costs 2 bytes per token up
-    to 65 536 forms, plus its distinct forms. The caller's lemma map is read, never changed,
-    and dropped once the id map is built: passed as a temporary, it is freed before loading.
+    to 65 536 forms, plus its distinct forms. The caller's lemma map is read, never changed.
     """
     text_dir = Path(text_dir)
     interner = _Interner(lemma_map or {})
-    del lemma_map
     loaded = []
     for meta in load_metadata(metadata_file):
         text_path = text_dir / f"{meta.id}.txt"

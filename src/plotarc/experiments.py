@@ -6,15 +6,15 @@ the final section is the last ``f`` segments, the main section everything
 before it, and the late-main section the ``f`` segments just before the
 final one. :func:`feature_matrix` is the only code that knows this geometry.
 
-Every run records its full configuration and input checksums alongside the
-results so a report can be re-run bit-identically. Within one ladder or
-sweep run all rows/points share the same fold assignment, making the
-numbers directly comparable.
+The drivers return results only; the settings that produced them are the
+caller's, recorded by :func:`meta_text`. Within one ladder or sweep run all
+rows/points share the same fold assignment, making the numbers directly
+comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,18 +129,12 @@ def _feature_stack(vectors: np.ndarray, final_lens, feature_set_id: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LadderReport:
-    rows: tuple[tuple[int, float, float], ...]  # (feature_set_id, f1, accuracy)
-    config: dict
-
-
 def run_feature_ladder(
     inputs: RunInputs,
     final_len: int,
     config: ClassifierConfig = ClassifierConfig(),
-) -> LadderReport:
-    """Cross-validated F1/accuracy for each of the six feature sets under shared folds."""
+) -> tuple[tuple[int, float, float], ...]:
+    """One ``(feature_set_id, f1, accuracy)`` row per feature set, cross-validated under shared folds."""
     # Every matrix is made, and so checked, before any training.
     matrices = [feature_matrix(inputs.vectors, final_len, fsid) for fsid in FEATURE_SET_DIMS]
     rows = []
@@ -148,10 +142,7 @@ def run_feature_ladder(
         (margins,) = cross_validate(X[None], inputs.labels, **asdict(config))
         f1, accuracy = f1_accuracy(margins, inputs.labels)
         rows.append((fsid, float(f1), float(accuracy)))
-    return LadderReport(
-        rows=tuple(rows),
-        config={"n_segments": inputs.n_segments, "final_len": final_len, **asdict(config)},
-    )
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +160,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepCurve:
     points: tuple[SweepPoint, ...]
-    config: dict = field(default_factory=dict)
 
     @property
     def argmax_point(self) -> SweepPoint | None:
@@ -188,7 +178,6 @@ def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
     if final_lens is None and n < 2:
         raise FeaturizationError(f"a partition sweep needs at least 2 segments, got {n}")
     final_lens = sorted(range(n // 2, 0, -1) if final_lens is None else final_lens, reverse=True)
-    fields = {"n_segments": n, "feature_set": feature_set_id, **asdict(config)}
     curves = []
     for rows in groups:
         f1s = []
@@ -201,7 +190,7 @@ def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
                                      folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
             f1s = f1_accuracy(margins, y)[0].tolist()
         points = (SweepPoint((n - f) / n, f, f1) for f, f1 in zip(final_lens, f1s))
-        curves.append(SweepCurve(tuple(points), dict(fields)))
+        curves.append(SweepCurve(tuple(points)))
     return curves
 
 
@@ -237,12 +226,6 @@ class PeriodGroup:
     curve: SweepCurve | None  # None when the group was skipped
 
 
-@dataclass(frozen=True)
-class PeriodReport:
-    groups: tuple[PeriodGroup, ...]
-    config: dict
-
-
 def group_indices(years) -> list[list[int]]:
     """Indices of the years in each :data:`PERIOD_LABELS` group, in input order."""
     # side="left": a year equal to a cut lands before it, in the earlier group.
@@ -255,8 +238,9 @@ def run_period_analysis(
     feature_set_id: int = 3,
     final_lens=None,
     config: ClassifierConfig = ClassifierConfig(),
-) -> PeriodReport:
-    """Per-period partition sweep; undersized groups are flagged, not fatal.
+) -> tuple[PeriodGroup, ...]:
+    """Per-period partition sweep, one group per :data:`PERIOD_LABELS` entry;
+    undersized groups are flagged, not fatal.
 
     A group is swept only when each class has at least ``folds`` novels;
     otherwise its curve is None.
@@ -266,18 +250,9 @@ def run_period_analysis(
     swept = [g for g, idx in enumerate(indices) if min(happy[g], len(idx) - happy[g]) >= config.folds]
     curves = _sweep_curves(inputs, [indices[g] for g in swept], final_lens, feature_set_id, config)
     curve_of = dict(zip(swept, curves))
-    groups = [
+    return tuple(
         PeriodGroup(label, len(idx), curve_of.get(g))
         for g, (label, idx) in enumerate(zip(PERIOD_LABELS, indices))
-    ]
-    return PeriodReport(
-        groups=tuple(groups),
-        config={
-            "n_segments": inputs.n_segments,
-            "period_cuts": ",".join(map(str, PERIOD_CUTS)),
-            "feature_set": feature_set_id,
-            **asdict(config),
-        },
     )
 
 
@@ -357,19 +332,19 @@ def _point_cells(point: SweepPoint) -> str:
     return f"{point.main_fraction:.6f},{point.final_len},{point.f1:.6f}"
 
 
-def ladder_csv(report: LadderReport) -> str:
-    rows = (f"{fsid},{f1:.6f},{acc:.6f}" for fsid, f1, acc in report.rows)
-    return _csv("feature_set,f1,accuracy", rows)
+def ladder_csv(rows) -> str:
+    """``rows`` are :func:`run_feature_ladder`'s ``(feature_set_id, f1, accuracy)``."""
+    return _csv("feature_set,f1,accuracy", (f"{fsid},{f1:.6f},{acc:.6f}" for fsid, f1, acc in rows))
 
 
 def sweep_csv(curve: SweepCurve) -> str:
     return _csv("main_fraction,final_len,f1", map(_point_cells, curve.points))
 
 
-def periods_csv(report: PeriodReport) -> str:
+def periods_csv(groups: tuple[PeriodGroup, ...]) -> str:
     """One row per sweep point; a skipped group is one row of ``skipped`` cells."""
     rows = []
-    for group in report.groups:
+    for group in groups:
         if group.curve is None:
             cells = ["skipped,skipped,skipped"]
         else:

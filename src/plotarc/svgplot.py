@@ -7,7 +7,7 @@ diff cleanly.
 
 from __future__ import annotations
 
-from plotarc.experiments import PeriodReport, SweepCurve
+from plotarc.experiments import PeriodGroup, SweepCurve
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_LEFT, MARGIN_RIGHT = 70, 170
@@ -152,15 +152,15 @@ def render_sweep(curve: SweepCurve, title: str = "Partition sweep") -> str:
     return _chart(title, [(curve, PALETTE[0])], [("F1", PALETTE[0]), ("baseline", "gray")])
 
 
-def render_periods(report: PeriodReport) -> str:
+def render_periods(groups: tuple[PeriodGroup, ...]) -> str:
     """One curve per swept period group; skipped groups appear in the legend only."""
-    populated = [g for g in report.groups if g.curve is not None]
+    populated = [g for g in groups if g.curve is not None]
     series = [(g.curve, PALETTE[i % len(PALETTE)]) for i, g in enumerate(populated)]
     legend = [("baseline", "gray")]
     legend += [(f"{g.label} (n={g.novel_count})", color) for g, (_, color) in zip(populated, series)]
     legend += [
         (f"{g.label} (skipped, n={g.novel_count})", "lightgray")
-        for g in report.groups
+        for g in groups
         if g.curve is None
     ]
     return _chart("Partition sweep by period", series, legend)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -46,6 +47,14 @@ def pipeline_args(corpus_dir, out, extra=()):
 
 def read_dir(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def echo_of(stdout):
+    """The ``(key, value)`` lines of a command's "resolved configuration" echo, in order."""
+    header, *lines = stdout.splitlines()
+    assert header == "resolved configuration:"
+    echo = itertools.takewhile(lambda line: line.startswith("  "), lines)
+    return [tuple(line[2:].split(" = ", 1)) for line in echo]
 
 
 class TestSynth:
@@ -170,6 +179,21 @@ class TestFeaturize:
         good.write_text(f"{surface}\tx\n", encoding="utf-8")
         args = [*pipeline_args(synth_corpus, tmp_path / "out"), "--lemma-map", str(good)]
         assert main(["featurize", *args]) == 0
+
+    def test_dry_run_echoes_only_what_featurize_reads(self, synth_corpus, tmp_path, capsys):
+        # Flags featurize does not read stay accepted (a benchmark passes the
+        # same flags to every command) but are not echoed as if they applied.
+        out = tmp_path / "out"
+        before = read_dir(synth_corpus)
+        args = pipeline_args(synth_corpus, out, ["--folds", "0", "--feature-set", "6", "--dry-run"])
+        assert main(["featurize", *args]) == 0
+        assert echo_of(capsys.readouterr().out) == [
+            ("n_segments", "75"), ("corpus", str(synth_corpus)),
+            ("metadata", str(synth_corpus / "metadata.tsv")), ("lexicon", str(synth_corpus / "lexicon.tsv")),
+            ("lemma_map", "None"), ("out", str(out)),
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
+        assert read_dir(synth_corpus) == before
 
     def test_rerun_byte_identical(self, synth_corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -454,8 +478,9 @@ COMMAND_BYTES = {
 
 
 def run_plotarc(*argv):
-    subprocess.run([sys.executable, "-m", "plotarc.cli", *argv], env=checkout_env(),
-                   capture_output=True, timeout=60, check=True)
+    """Standard output of ``plotarc *argv`` run with this checkout's package."""
+    return subprocess.run([sys.executable, "-m", "plotarc.cli", *argv], env=checkout_env(),
+                          capture_output=True, text=True, timeout=60, check=True).stdout
 
 
 @pytest.fixture(scope="module")
@@ -467,28 +492,41 @@ def pinned_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def command_outputs(pinned_corpus, tmp_path_factory):
-    """The bytes of every file each command in ``COMMAND_BYTES`` writes, by command."""
+    """Each command in ``COMMAND_BYTES``'s standard output and the bytes of every file it writes."""
     outputs = {}
     for command in COMMAND_BYTES:
         out = tmp_path_factory.mktemp("out")
         args = pipeline_args(pinned_corpus, out)
         args[args.index("--epochs") + 1] = "20"
-        run_plotarc(*command.split(), *args)
-        outputs[command] = read_dir(out)
+        outputs[command] = run_plotarc(*command.split(), *args), read_dir(out)
     return outputs
 
 
 @pytest.mark.parametrize("command", COMMAND_BYTES)
 def test_command_output_bytes_are_pinned(command, command_outputs):
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in command_outputs[command].items()}
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in command_outputs[command][1].items()}
     assert digests == COMMAND_BYTES[command]
+
+
+@pytest.mark.parametrize("command", [command for command in COMMAND_BYTES if command.startswith("run ")])
+def test_echoed_settings_are_the_meta_settings(command, command_outputs):
+    # The echo lists the settings the meta file records, key for key and in
+    # order, then the input and output paths.
+    stdout, files = command_outputs[command]
+    meta = [tuple(line.split(" = ", 1)) for line in files[f"{command[4:]}.meta.txt"].decode().splitlines()]
+    keys = [key for key, _ in meta]
+    settings = meta[keys.index("plotarc_version") + 1:keys.index("checksum_algorithm")]
+    assert settings
+    echo = echo_of(stdout)
+    assert echo[:len(settings)] == settings
+    assert [key for key, _ in echo[len(settings):]] == ["corpus", "metadata", "lexicon", "lemma_map", "out"]
 
 
 def test_meta_lines_are_key_value_pairs_with_hex_checksums(command_outputs):
     # Readers of a meta file take each line as one "key = value" pair and
     # expect both checksums as bare 64-digit lowercase hex; the algorithm
     # has its own line.
-    metas = [data for files in command_outputs.values()
+    metas = [data for _, files in command_outputs.values()
              for name, data in files.items() if name.endswith(".meta.txt")]
     assert len(metas) == 4
     for data in metas:

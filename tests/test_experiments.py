@@ -88,9 +88,9 @@ class TestPrepareInputs:
 class TestFeatureLadder:
     def test_planted_corpus_rows(self, planted):
         _, inputs = planted
-        report = run_feature_ladder(inputs, 4, FAST)
-        assert [row[0] for row in report.rows] == [1, 2, 3, 4, 5, 6]
-        set3_f1 = report.rows[2][1]
+        rows = run_feature_ladder(inputs, 4, FAST)
+        assert [row[0] for row in rows] == [1, 2, 3, 4, 5, 6]
+        set3_f1 = rows[2][1]
         assert set3_f1 >= 0.65  # way above the 0.5 random baseline
 
     def test_shared_fold_assignment(self, planted, monkeypatch):
@@ -125,12 +125,6 @@ class TestFeatureLadder:
         X = feature_matrix(inputs.vectors, 4, 3)
         f1, _ = f1_accuracy(cross_validate(X[None], inputs.labels, folds=10, seed=42), inputs.labels)
         assert 0.35 <= f1[0] <= 0.65
-
-    def test_config_recorded(self, planted):
-        _, inputs = planted
-        report = run_feature_ladder(inputs, 4, FAST)
-        assert report.config["final_len"] == 4
-        assert report.config["seed"] == 42
 
 
 class TestPartitionSweep:
@@ -220,10 +214,10 @@ class TestPeriodAnalysis:
         )
         corpus = Corpus(novels)
         inputs = prepare_inputs(corpus, toy_lexicon)
-        report = run_period_analysis(inputs, final_lens=[4], config=FAST)
-        skipped = [g.curve is None for g in report.groups]
+        groups = run_period_analysis(inputs, final_lens=[4], config=FAST)
+        skipped = [g.curve is None for g in groups]
         assert skipped == [True, True, True, False]
-        assert report.groups[3].novel_count == 40
+        assert groups[3].novel_count == 40
 
     def test_two_planted_subcorpora_recover_boundaries(self, toy_lexicon):
         early = generate_synthetic_corpus(1, 50, 1500, 4, toy_lexicon)
@@ -239,8 +233,8 @@ class TestPeriodAnalysis:
             ]
 
         inputs = prepare_inputs(interned(retag(early, 1820, "a-") + retag(late, 1900, "b-")), toy_lexicon)
-        report = run_period_analysis(inputs, feature_set_id=3, final_lens=range(1, 16), config=FAST)
-        populated = [g for g in report.groups if g.curve is not None]
+        groups = run_period_analysis(inputs, feature_set_id=3, final_lens=range(1, 16), config=FAST)
+        populated = [g for g in groups if g.curve is not None]
         assert [g.novel_count for g in populated] == [50, 50]
         early_argmax = populated[0].curve.argmax_point.final_len
         late_argmax = populated[1].curve.argmax_point.final_len
@@ -254,10 +248,10 @@ class TestPeriodAnalysis:
         corpus = generate_synthetic_corpus(5, 120, 600, 4, toy_lexicon)
         inputs = prepare_inputs(corpus, toy_lexicon)
         config = ClassifierConfig(epochs=20)
-        report = run_period_analysis(inputs, final_lens=[9, 4, 1], config=config)
-        assert [g.novel_count for g in report.groups] == [41, 18, 22, 39]
-        assert [g.curve is None for g in report.groups] == [False, True, False, False]
-        for group, idx in zip(report.groups, group_indices(inputs.years)):
+        groups = run_period_analysis(inputs, final_lens=[9, 4, 1], config=config)
+        assert [g.novel_count for g in groups] == [41, 18, 22, 39]
+        assert [g.curve is None for g in groups] == [False, True, False, False]
+        for group, idx in zip(groups, group_indices(inputs.years)):
             if group.curve is not None:
                 own = RunInputs(
                     tuple(inputs.profiles[i] for i in idx), inputs.vectors[idx], inputs.labels[idx],
@@ -278,8 +272,8 @@ class TestPeriodAnalysis:
             return original(vectors, final_len, feature_set_id)
 
         monkeypatch.setattr(experiments, "feature_matrix", recording)
-        report = run_period_analysis(inputs, final_lens=[9, 4, 1], config=ClassifierConfig(epochs=2))
-        assert [g.curve is None for g in report.groups] == [False, True, False, False]
+        groups = run_period_analysis(inputs, final_lens=[9, 4, 1], config=ClassifierConfig(epochs=2))
+        assert [g.curve is None for g in groups] == [False, True, False, False]
         swept = [idx for idx in group_indices(inputs.years) if len(idx) != 18]
         assert [len(vectors) for vectors in made] == [41] * 3 + [22] * 3 + [39] * 3
         for g, idx in enumerate(swept):
@@ -314,8 +308,7 @@ class TestBaselines:
 class TestReports:
     def test_ladder_csv_shape(self, planted):
         _, inputs = planted
-        report = run_feature_ladder(inputs, 4, FAST)
-        lines = ladder_csv(report).strip().splitlines()
+        lines = ladder_csv(run_feature_ladder(inputs, 4, FAST)).strip().splitlines()
         assert lines[0] == "feature_set,f1,accuracy"
         assert len(lines) == 7
 
@@ -328,8 +321,8 @@ class TestReports:
 
     def test_periods_csv_marks_skips(self, toy_lexicon, planted):
         _, inputs = planted
-        report = run_period_analysis(inputs, final_lens=[4], config=FAST)
-        text = periods_csv(report)
+        groups = run_period_analysis(inputs, final_lens=[4], config=FAST)
+        text = periods_csv(groups)
         assert "skipped" in text or text.count("\n") > 1
 
     def test_meta_embeds_checksums(self, toy_lexicon, planted):

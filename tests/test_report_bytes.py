@@ -21,9 +21,7 @@ import pytest
 from plotarc.cli import main
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus, load_corpus
 from plotarc.experiments import (
-    LadderReport,
     PeriodGroup,
-    PeriodReport,
     SweepCurve,
     SweepPoint,
     ladder_csv,
@@ -40,14 +38,14 @@ CURVE = SweepCurve(tuple(
 ))
 SINGLE = SweepCurve((SweepPoint(0.8, 15, 2 / 3),))
 EMPTY = SweepCurve(())
-MIXED = PeriodReport((
+MIXED = (
     PeriodGroup("<=1830", 50, CURVE),
     PeriodGroup("1831-1848", 5, None),
     PeriodGroup("1849-1870", 30, EMPTY),
     PeriodGroup(">=1871", 41, SINGLE),
-), {})
-ALL_SKIPPED = PeriodReport((PeriodGroup("<=1830", 3, None), PeriodGroup(">=1831", 0, None)), {})
-LADDER = LadderReport(((1, 0.5, 0.55), (3, 2 / 3, 0.7), (6, 1.0, 1 / 3)), {})
+)
+ALL_SKIPPED = (PeriodGroup("<=1830", 3, None), PeriodGroup(">=1831", 0, None))
+LADDER = ((1, 0.5, 0.55), (3, 2 / 3, 0.7), (6, 1.0, 1 / 3))
 
 OUTPUTS = {
     "sweep_curve": lambda: render_sweep(CURVE),

@@ -1,6 +1,5 @@
 from plotarc.experiments import (
     PeriodGroup,
-    PeriodReport,
     SweepCurve,
     SweepPoint,
 )
@@ -44,8 +43,7 @@ def test_periods_svg_one_polyline_per_group():
         PeriodGroup("1831-1848", 5, None),
         PeriodGroup(">=1871", 50, make_curve()),
     )
-    report = PeriodReport(groups=groups, config={})
-    svg = render_periods(report)
+    svg = render_periods(groups)
     assert svg.count("<polyline") == 2
     assert "skipped" in svg
     assert "&lt;=1830" in svg  # group labels are XML-escaped
