@@ -13,6 +13,7 @@ from pathlib import Path
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus
 from plotarc.experiments import (
     ClassifierConfig,
+    best_points,
     ladder_csv,
     prepare_inputs,
     run_baselines,
@@ -43,10 +44,10 @@ for fsid, f1, acc in rows:
 (out_dir / "ladder.csv").write_text(ladder_csv(rows))
 
 print("\npartition sweep (final section length 1..20):")
-curve = run_partition_sweep(inputs, final_lens=range(20, 0, -1), feature_set_id=3, config=config)
-best = curve.argmax_point
+points = run_partition_sweep(inputs, final_lens=range(20, 0, -1), feature_set_id=3, config=config)
+best = best_points(points)[0]
 print(f"  best F1 {best.f1:.3f} at final section length {best.final_len} "
       f"(planted boundary was 4)")
-(out_dir / "sweep.csv").write_text(sweep_csv(curve))
-(out_dir / "sweep.svg").write_text(render_sweep(curve, "Planted-ending partition sweep"))
+(out_dir / "sweep.csv").write_text(sweep_csv(points))
+(out_dir / "sweep.svg").write_text(render_sweep(points, "Planted-ending partition sweep"))
 print(f"\nreports written to {out_dir}")

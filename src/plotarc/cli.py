@@ -25,6 +25,7 @@ from plotarc.corpus import (
 from plotarc.experiments import (
     PERIOD_CUTS,
     ClassifierConfig,
+    best_points,
     ladder_csv,
     meta_text,
     periods_csv,
@@ -112,10 +113,9 @@ def _load_pipeline(args):
     return load_corpus(args.corpus, args.metadata, lemma_map), lexicon
 
 
-def _ties(curve, best) -> str:
-    """The final lengths of the other points at ``best``'s F1, as a suffix for its stdout line."""
-    tied = sorted(p.final_len for p in curve.points if p.f1 == best.f1 and p is not best)
-    return f"; tied at final lengths {', '.join(map(str, tied))}" if tied else ""
+def _ties(tied) -> str:
+    """The final lengths of ``best_points``' tied points, as a suffix for the best point's stdout line."""
+    return f"; tied at final lengths {', '.join(str(p.final_len) for p in tied)}" if tied else ""
 
 
 def cmd_featurize(args, settings: dict) -> int:
@@ -167,14 +167,13 @@ def cmd_run(args, settings: dict) -> int:
         for fsid, f1, acc in rows:
             print(f"feature set {fsid}: F1 {f1:.3f}, accuracy {acc:.3f}")
     elif args.experiment == "sweep":
-        curve = run_partition_sweep(inputs, feature_set_id=settings["feature_set"], config=config)
+        points = run_partition_sweep(inputs, feature_set_id=settings["feature_set"], config=config)
         _write_report(
-            out_dir, "sweep", sweep_csv(curve), meta_text(settings, corpus, lexicon), render_sweep(curve),
+            out_dir, "sweep", sweep_csv(points), meta_text(settings, corpus, lexicon), render_sweep(points),
         )
-        best = curve.argmax_point
-        if best is not None:
-            print(f"best F1 {best.f1:.3f} at main fraction {best.main_fraction:.3f} "
-                  f"(final section {best.final_len} segments{_ties(curve, best)})")
+        best, *tied = best_points(points)
+        print(f"best F1 {best.f1:.3f} at main fraction {best.main_fraction:.3f} "
+              f"(final section {best.final_len} segments{_ties(tied)})")
     else:  # periods
         groups = run_period_analysis(inputs, feature_set_id=settings["feature_set"], config=config)
         _write_report(
@@ -182,11 +181,12 @@ def cmd_run(args, settings: dict) -> int:
             render_periods(groups),
         )
         for group in groups:
-            if group.curve is None:
+            if group.points is None:
                 print(f"period {group.label}: skipped ({group.novel_count} novels)")
-            elif (best := group.curve.argmax_point) is not None:
+            else:
+                best, *tied = best_points(group.points)
                 print(f"period {group.label}: best F1 {best.f1:.3f} at final section "
-                      f"{best.final_len}{_ties(group.curve, best)} ({group.novel_count} novels)")
+                      f"{best.final_len}{_ties(tied)} ({group.novel_count} novels)")
     return 0
 
 

@@ -6,10 +6,10 @@ the final section is the last ``f`` segments, the main section everything
 before it, and the late-main section the ``f`` segments just before the
 final one. :func:`feature_matrix` is the only code that knows this geometry.
 
-The drivers return results only; the settings that produced them are the
-caller's, recorded by :func:`meta_text`. Within one ladder or sweep run all
-rows/points share the same fold assignment, making the numbers directly
-comparable.
+The drivers return results only, a sweep its tuple of :class:`SweepPoint`
+values, which :func:`best_points` ranks. The settings that produced them are
+the caller's, recorded by :func:`meta_text`. Within one ladder or sweep run
+all rows/points share the same fold assignment, making the numbers comparable.
 """
 
 from __future__ import annotations
@@ -157,40 +157,32 @@ class SweepPoint:
     f1: float
 
 
-@dataclass(frozen=True)
-class SweepCurve:
-    points: tuple[SweepPoint, ...]
-
-    @property
-    def argmax_point(self) -> SweepPoint | None:
-        """Point with maximal F1; ties resolve to the larger main fraction."""
-        if not self.points:
-            return None
-        return max(self.points, key=lambda p: (p.f1, p.main_fraction))
+def best_points(points: tuple[SweepPoint, ...]) -> tuple[SweepPoint, ...]:
+    """The points of a non-empty sweep at its maximal F1, largest main fraction first:
+    the best point, then the final lengths tied with it in ascending order."""
+    best = max(p.f1 for p in points)
+    return tuple(sorted((p for p in points if p.f1 == best), key=lambda p: p.main_fraction, reverse=True))
 
 
 def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
-                  config: ClassifierConfig) -> list[SweepCurve]:
-    """One curve per group of novel rows (a slice or an index list), each from its own
-    CV call on a stack of its point matrices, made on the group's rows alone: a
-    feature row reads only its own novel."""
+                  config: ClassifierConfig) -> list[tuple[SweepPoint, ...]]:
+    """The sweep points of each group of novel rows (a slice or an index list), each
+    from its own CV call on a stack of its point matrices, made on the group's rows
+    alone: a feature row reads only its own novel."""
     n = inputs.n_segments
-    if final_lens is None and n < 2:
-        raise FeaturizationError(f"a partition sweep needs at least 2 segments, got {n}")
     final_lens = sorted(range(n // 2, 0, -1) if final_lens is None else final_lens, reverse=True)
+    if not final_lens:
+        raise FeaturizationError(f"a partition sweep needs a final length, got none for {n} segments")
     curves = []
     for rows in groups:
-        f1s = []
-        if final_lens:
-            y = inputs.labels[rows]
-            # No name holds the group's vectors or the stack (nor would a ``**`` call's
-            # argument tuple): the vectors are freed once the stack is made, and
-            # cross_validate frees the stack once it has made its rows-first copy.
-            margins = cross_validate(_feature_stack(inputs.vectors[rows], final_lens, feature_set_id), y,
-                                     folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
-            f1s = f1_accuracy(margins, y)[0].tolist()
-        points = (SweepPoint((n - f) / n, f, f1) for f, f1 in zip(final_lens, f1s))
-        curves.append(SweepCurve(tuple(points)))
+        y = inputs.labels[rows]
+        # No name holds the group's vectors or the stack (nor would a ``**`` call's
+        # argument tuple): the vectors are freed once the stack is made, and
+        # cross_validate frees the stack once it has made its rows-first copy.
+        margins = cross_validate(_feature_stack(inputs.vectors[rows], final_lens, feature_set_id), y,
+                                 folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
+        f1s = f1_accuracy(margins, y)[0].tolist()
+        curves.append(tuple(SweepPoint((n - f) / n, f, f1) for f, f1 in zip(final_lens, f1s)))
     return curves
 
 
@@ -199,16 +191,16 @@ def run_partition_sweep(
     final_lens=None,
     feature_set_id: int = 3,
     config: ClassifierConfig = ClassifierConfig(),
-) -> SweepCurve:
+) -> tuple[SweepPoint, ...]:
     """One cross-validated F1 per final-section length; one CV call, shared folds.
 
     The default grid is every whole segment from ``n_segments // 2`` down
     to 1. Points run from the longest final section (smallest main
     fraction) to the shortest, and each main fraction is
-    ``(n_segments - final_len) / n_segments``.
+    ``(n_segments - final_len) / n_segments``. An empty grid is refused.
     """
-    (curve,) = _sweep_curves(inputs, [slice(None)], final_lens, feature_set_id, config)
-    return curve
+    (points,) = _sweep_curves(inputs, [slice(None)], final_lens, feature_set_id, config)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +215,7 @@ PERIOD_LABELS = ("<=1830", "1831-1848", "1849-1870", ">=1871")
 class PeriodGroup:
     label: str
     novel_count: int
-    curve: SweepCurve | None  # None when the group was skipped
+    points: tuple[SweepPoint, ...] | None  # None when the group was skipped
 
 
 def group_indices(years) -> list[list[int]]:
@@ -243,15 +235,15 @@ def run_period_analysis(
     undersized groups are flagged, not fatal.
 
     A group is swept only when each class has at least ``folds`` novels;
-    otherwise its curve is None.
+    otherwise its points are None.
     """
     indices = group_indices(inputs.years)
     happy = [int(np.sum(inputs.labels[idx] == 1)) for idx in indices]
     swept = [g for g, idx in enumerate(indices) if min(happy[g], len(idx) - happy[g]) >= config.folds]
     curves = _sweep_curves(inputs, [indices[g] for g in swept], final_lens, feature_set_id, config)
-    curve_of = dict(zip(swept, curves))
+    points_of = dict(zip(swept, curves))
     return tuple(
-        PeriodGroup(label, len(idx), curve_of.get(g))
+        PeriodGroup(label, len(idx), points_of.get(g))
         for g, (label, idx) in enumerate(zip(PERIOD_LABELS, indices))
     )
 
@@ -337,18 +329,18 @@ def ladder_csv(rows) -> str:
     return _csv("feature_set,f1,accuracy", (f"{fsid},{f1:.6f},{acc:.6f}" for fsid, f1, acc in rows))
 
 
-def sweep_csv(curve: SweepCurve) -> str:
-    return _csv("main_fraction,final_len,f1", map(_point_cells, curve.points))
+def sweep_csv(points: tuple[SweepPoint, ...]) -> str:
+    return _csv("main_fraction,final_len,f1", map(_point_cells, points))
 
 
 def periods_csv(groups: tuple[PeriodGroup, ...]) -> str:
     """One row per sweep point; a skipped group is one row of ``skipped`` cells."""
     rows = []
     for group in groups:
-        if group.curve is None:
+        if group.points is None:
             cells = ["skipped,skipped,skipped"]
         else:
-            cells = map(_point_cells, group.curve.points)
+            cells = map(_point_cells, group.points)
         rows.extend(f"{group.label},{c},{group.novel_count}" for c in cells)
     return _csv("period,main_fraction,final_len,f1,n_novels", rows)
 

@@ -1,4 +1,4 @@
-"""Dependency-free SVG line charts for sweep and period curves.
+"""Dependency-free SVG line charts of sweep points, one curve per sweep.
 
 Output is plain deterministic text (fixed 800x500 viewbox, no timestamps,
 no generated ids), so identical runs produce byte-identical files that
@@ -7,7 +7,7 @@ diff cleanly.
 
 from __future__ import annotations
 
-from plotarc.experiments import PeriodGroup, SweepCurve
+from plotarc.experiments import PeriodGroup, SweepPoint, best_points
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_LEFT, MARGIN_RIGHT = 70, 170
@@ -85,15 +85,13 @@ def _axes(x_min: float, x_max: float) -> list[str]:
     return parts
 
 
-def _polyline(curve: SweepCurve, x_min: float, x_max: float, color: str) -> str:
-    pts = " ".join(
-        f"{_fx(_x_pos(p.main_fraction, x_min, x_max))},{_fx(_y_pos(p.f1))}" for p in curve.points
-    )
+def _polyline(points: tuple[SweepPoint, ...], x_min: float, x_max: float, color: str) -> str:
+    pts = " ".join(f"{_fx(_x_pos(p.main_fraction, x_min, x_max))},{_fx(_y_pos(p.f1))}" for p in points)
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
 
 
-def _argmax_marker(curve: SweepCurve, x_min: float, x_max: float, color: str) -> str:
-    x = _fx(_x_pos(curve.argmax_point.main_fraction, x_min, x_max))
+def _argmax_marker(points: tuple[SweepPoint, ...], x_min: float, x_max: float, color: str) -> str:
+    x = _fx(_x_pos(best_points(points)[0].main_fraction, x_min, x_max))
     return (
         f'<line x1="{x}" y1="{MARGIN_TOP}" x2="{x}" y2="{MARGIN_TOP + PLOT_H}" '
         f'stroke="{color}" stroke-dasharray="2,4"/>'
@@ -111,20 +109,18 @@ def _legend(labels_colors) -> list[str]:
 
 
 def _x_range(curves) -> tuple[float, float]:
-    fractions = [p.main_fraction for c in curves for p in c.points]
-    if not fractions:
-        return 0.0, 1.0
-    lo, hi = min(fractions), max(fractions)
+    fractions = [p.main_fraction for points in curves for p in points]
+    lo, hi = min(fractions, default=0.0), max(fractions, default=1.0)
     if lo == hi:
         lo, hi = lo - 0.05, hi + 0.05
     return lo, hi
 
 
 def _chart(title: str, series, legend) -> str:
-    """The one chart body: axes, title, and for ``series`` of (curve, color)
-    a dashed chance baseline plus each curve's polyline and dotted argmax
-    line; curves without points draw nothing."""
-    x_min, x_max = _x_range([curve for curve, _ in series])
+    """The one chart body: axes, title, and for ``series`` of (points, color)
+    a dashed chance baseline plus each curve's polyline and dotted line at its
+    best point; an empty tuple of points draws nothing."""
+    x_min, x_max = _x_range([points for points, _ in series])
     body = _axes(x_min, x_max)
     body.append(f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{escape(title)}</text>')
     if series:
@@ -133,10 +129,10 @@ def _chart(title: str, series, legend) -> str:
             f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{MARGIN_LEFT + PLOT_W}" y2="{y}" '
             f'stroke="gray" stroke-dasharray="8,4"/>'
         )
-    for curve, color in series:
-        if curve.points:
-            body.append(_polyline(curve, x_min, x_max, color))
-            body.append(_argmax_marker(curve, x_min, x_max, color))
+    for points, color in series:
+        if points:
+            body.append(_polyline(points, x_min, x_max, color))
+            body.append(_argmax_marker(points, x_min, x_max, color))
     body.extend(_legend(legend))
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -147,20 +143,20 @@ def _chart(title: str, series, legend) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def render_sweep(curve: SweepCurve, title: str = "Partition sweep") -> str:
-    """One curve with its argmax line over the chance baseline."""
-    return _chart(title, [(curve, PALETTE[0])], [("F1", PALETTE[0]), ("baseline", "gray")])
+def render_sweep(points: tuple[SweepPoint, ...], title: str = "Partition sweep") -> str:
+    """One sweep's curve with its best-point line over the chance baseline."""
+    return _chart(title, [(points, PALETTE[0])], [("F1", PALETTE[0]), ("baseline", "gray")])
 
 
 def render_periods(groups: tuple[PeriodGroup, ...]) -> str:
     """One curve per swept period group; skipped groups appear in the legend only."""
-    populated = [g for g in groups if g.curve is not None]
-    series = [(g.curve, PALETTE[i % len(PALETTE)]) for i, g in enumerate(populated)]
+    populated = [g for g in groups if g.points is not None]
+    series = [(g.points, PALETTE[i % len(PALETTE)]) for i, g in enumerate(populated)]
     legend = [("baseline", "gray")]
     legend += [(f"{g.label} (n={g.novel_count})", color) for g, (_, color) in zip(populated, series)]
     legend += [
         (f"{g.label} (skipped, n={g.novel_count})", "lightgray")
         for g in groups
-        if g.curve is None
+        if g.points is None
     ]
     return _chart("Partition sweep by period", series, legend)

@@ -21,6 +21,7 @@ from plotarc.corpus import (
 )
 from plotarc.experiments import (
     ClassifierConfig,
+    best_points,
     feature_matrix,
     group_indices,
     prepare_inputs,
@@ -222,8 +223,7 @@ def test_planted_ending_classification(planted_inputs):
 
 
 def test_sweep_peak_recovery(planted_inputs):
-    curve = run_partition_sweep(planted_inputs, feature_set_id=3)
-    best = curve.argmax_point
+    best = best_points(run_partition_sweep(planted_inputs, feature_set_id=3))[0]
     check("sweep argmax final_len in [2, 6] (planted boundary 4)",
           2 <= best.final_len <= 6,
           f"argmax final_len = {best.final_len}, F1 = {best.f1:.3f}")
@@ -318,10 +318,10 @@ def test_standardization_no_leakage(planted_inputs):
 
 def test_batched_sweep_matches_per_point_cv(planted_inputs):
     config = ClassifierConfig(folds=10, seed=42, C=1.0, epochs=20)
-    curve = run_partition_sweep(planted_inputs, feature_set_id=3, config=config)
+    points = run_partition_sweep(planted_inputs, feature_set_id=3, config=config)
     X = np.stack([
         feature_matrix(planted_inputs.vectors, p.final_len, 3)
-        for p in curve.points
+        for p in points
     ])
     batched = cross_validate(X, planted_inputs.labels, folds=10, seed=42, epochs=20)
     alone = np.concatenate([
@@ -330,5 +330,5 @@ def test_batched_sweep_matches_per_point_cv(planted_inputs):
     f1, _ = f1_accuracy(alone, planted_inputs.labels)
     check("batched sweep out-of-fold labels and F1s equal per-point CV (exact)",
           batched.tobytes() == alone.tobytes()
-          and [p.f1 for p in curve.points] == f1.tolist(),
+          and [p.f1 for p in points] == f1.tolist(),
           f"{len(alone)} points")

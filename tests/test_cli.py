@@ -345,7 +345,7 @@ class TestRun:
         # The default grid, every final length from n // 2 down to 1, is empty for one segment.
         out = tmp_path / "out"
         assert main(["run", experiment, *pipeline_args(synth_corpus, out, ["--segments", "1"])]) == 2
-        assert "error: a partition sweep needs at least 2 segments, got 1\n" in capsys.readouterr().err
+        assert "error: a partition sweep needs a final length, got none for 1 segments\n" in capsys.readouterr().err
         assert not (out / f"{experiment}.csv").exists()
 
     def test_dry_run_prints_config_only(self, synth_corpus, tmp_path, capsys):

@@ -23,8 +23,8 @@ from plotarc.experiments import (
     PERIOD_LABELS,
     ClassifierConfig,
     RunInputs,
-    SweepCurve,
     SweepPoint,
+    best_points,
     corpus_checksum,
     feature_matrix,
     group_indices,
@@ -130,15 +130,15 @@ class TestFeatureLadder:
 class TestPartitionSweep:
     def test_single_fraction_final_len_4(self, planted):
         _, inputs = planted
-        curve = run_partition_sweep(inputs, [4], 3, FAST)
-        assert len(curve.points) == 1
-        assert curve.points[0].final_len == 4
+        points = run_partition_sweep(inputs, [4], 3, FAST)
+        assert len(points) == 1
+        assert points[0].final_len == 4
 
     def test_empty_fractions(self, planted):
         _, inputs = planted
-        curve = run_partition_sweep(inputs, [], 3, FAST)
-        assert curve.points == ()
-        assert curve.argmax_point is None
+        message = "^a partition sweep needs a final length, got none for 75 segments$"
+        with pytest.raises(FeaturizationError, match=message):
+            run_partition_sweep(inputs, [], 3, FAST)
 
     def test_fraction_too_large_rejected(self, planted):
         _, inputs = planted
@@ -147,20 +147,24 @@ class TestPartitionSweep:
 
     def test_default_fraction_grid(self, planted):
         _, inputs = planted
-        curve = run_partition_sweep(inputs, config=ClassifierConfig(epochs=1))
-        final_lens = [p.final_len for p in curve.points]
+        points = run_partition_sweep(inputs, config=ClassifierConfig(epochs=1))
+        final_lens = [p.final_len for p in points]
         assert final_lens == list(range(37, 0, -1))
-        assert curve.points[0].main_fraction == pytest.approx(38 / 75)
+        assert points[0].main_fraction == pytest.approx(38 / 75)
 
     def test_argmax_tiebreak_prefers_larger_fraction(self):
-        curve = SweepCurve(
-            points=(
-                SweepPoint(0.9, 8, 0.8),
-                SweepPoint(0.95, 4, 0.8),
-                SweepPoint(0.8, 15, 0.7),
-            ),
+        points = (
+            SweepPoint(0.6, 30, 0.8),
+            SweepPoint(0.9, 8, 0.8),
+            SweepPoint(0.95, 4, 0.8),
+            SweepPoint(0.8, 15, 0.7),
         )
-        assert curve.argmax_point.main_fraction == 0.95
+        best = best_points(points)
+        assert best[0].main_fraction == 0.95
+        # The whole tied set: the best point, then the tied lengths in ascending order.
+        assert best == (points[2], points[1], points[0])
+        # A point with lower F1 is never in it, even where it has the largest main fraction.
+        assert best_points((points[3], SweepPoint(0.99, 1, 0.75))) == (SweepPoint(0.99, 1, 0.75),)
 
 
 class TestPeriodGrouping:
@@ -215,7 +219,7 @@ class TestPeriodAnalysis:
         corpus = Corpus(novels)
         inputs = prepare_inputs(corpus, toy_lexicon)
         groups = run_period_analysis(inputs, final_lens=[4], config=FAST)
-        skipped = [g.curve is None for g in groups]
+        skipped = [g.points is None for g in groups]
         assert skipped == [True, True, True, False]
         assert groups[3].novel_count == 40
 
@@ -234,10 +238,10 @@ class TestPeriodAnalysis:
 
         inputs = prepare_inputs(interned(retag(early, 1820, "a-") + retag(late, 1900, "b-")), toy_lexicon)
         groups = run_period_analysis(inputs, feature_set_id=3, final_lens=range(1, 16), config=FAST)
-        populated = [g for g in groups if g.curve is not None]
+        populated = [g for g in groups if g.points is not None]
         assert [g.novel_count for g in populated] == [50, 50]
-        early_argmax = populated[0].curve.argmax_point.final_len
-        late_argmax = populated[1].curve.argmax_point.final_len
+        early_argmax = best_points(populated[0].points)[0].final_len
+        late_argmax = best_points(populated[1].points)[0].final_len
         assert abs(early_argmax - 4) <= 2
         assert abs(late_argmax - 8) <= 2
 
@@ -250,14 +254,14 @@ class TestPeriodAnalysis:
         config = ClassifierConfig(epochs=20)
         groups = run_period_analysis(inputs, final_lens=[9, 4, 1], config=config)
         assert [g.novel_count for g in groups] == [41, 18, 22, 39]
-        assert [g.curve is None for g in groups] == [False, True, False, False]
+        assert [g.points is None for g in groups] == [False, True, False, False]
         for group, idx in zip(groups, group_indices(inputs.years)):
-            if group.curve is not None:
+            if group.points is not None:
                 own = RunInputs(
                     tuple(inputs.profiles[i] for i in idx), inputs.vectors[idx], inputs.labels[idx],
                     inputs.years[idx],
                 )
-                assert group.curve == run_partition_sweep(own, [9, 4, 1], 3, config)
+                assert group.points == run_partition_sweep(own, [9, 4, 1], 3, config)
 
 
     def test_feature_matrices_are_made_only_for_swept_groups(self, toy_lexicon, monkeypatch):
@@ -273,7 +277,7 @@ class TestPeriodAnalysis:
 
         monkeypatch.setattr(experiments, "feature_matrix", recording)
         groups = run_period_analysis(inputs, final_lens=[9, 4, 1], config=ClassifierConfig(epochs=2))
-        assert [g.curve is None for g in groups] == [False, True, False, False]
+        assert [g.points is None for g in groups] == [False, True, False, False]
         swept = [idx for idx in group_indices(inputs.years) if len(idx) != 18]
         assert [len(vectors) for vectors in made] == [41] * 3 + [22] * 3 + [39] * 3
         for g, idx in enumerate(swept):
@@ -314,8 +318,8 @@ class TestReports:
 
     def test_sweep_csv_shape(self, planted):
         _, inputs = planted
-        curve = run_partition_sweep(inputs, [4], 3, FAST)
-        lines = sweep_csv(curve).strip().splitlines()
+        points = run_partition_sweep(inputs, [4], 3, FAST)
+        lines = sweep_csv(points).strip().splitlines()
         assert lines[0] == "main_fraction,final_len,f1"
         assert lines[1].split(",")[1] == "4"
 

@@ -1,8 +1,9 @@
 """Pinned SHA-256 digests of the report writers' output for fixed reports.
 
 The digests cover the cases the benchmark corpora never reach: an empty
-sweep, a title that needs escaping, a period group whose curve has no
-points and a period report whose groups are all skipped. The profile cache
+sweep, a title that needs escaping, a period group with no points and a
+period report whose groups are all skipped. No sweep driver returns an
+empty sweep, which it refuses; only the writers still accept one. The profile cache
 is pinned for a synthetic corpus and for a loaded one, so that no change of
 id or score width can move one bit of ``profiles.csv``, and for a small
 corpus built like the benchmark's ``ingest`` inputs (NRC-sized lexicon,
@@ -22,7 +23,6 @@ from plotarc.cli import main
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus, load_corpus
 from plotarc.experiments import (
     PeriodGroup,
-    SweepCurve,
     SweepPoint,
     ladder_csv,
     periods_csv,
@@ -32,12 +32,12 @@ from plotarc.experiments import (
 from plotarc.features import write_profile_cache
 from plotarc.svgplot import render_periods, render_sweep
 
-CURVE = SweepCurve(tuple(
+CURVE = tuple(
     SweepPoint((75 - fl) / 75, fl, 0.5 + 0.01 * (10 - abs(fl - 4)) + fl / 3000)
     for fl in range(10, 0, -1)
-))
-SINGLE = SweepCurve((SweepPoint(0.8, 15, 2 / 3),))
-EMPTY = SweepCurve(())
+)
+SINGLE = (SweepPoint(0.8, 15, 2 / 3),)
+EMPTY = ()
 MIXED = (
     PeriodGroup("<=1830", 50, CURVE),
     PeriodGroup("1831-1848", 5, None),

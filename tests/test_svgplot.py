@@ -1,6 +1,5 @@
 from plotarc.experiments import (
     PeriodGroup,
-    SweepCurve,
     SweepPoint,
 )
 from xml.sax.saxutils import escape as sax_escape
@@ -11,10 +10,9 @@ from plotarc.svgplot import escape, render_periods, render_sweep
 
 
 def make_curve():
-    points = tuple(
+    return tuple(
         SweepPoint((75 - fl) / 75, fl, 0.5 + 0.01 * (10 - abs(fl - 4))) for fl in range(1, 11)
     )
-    return SweepCurve(points=points)
 
 
 def test_sweep_svg_structure():
@@ -32,7 +30,7 @@ def test_sweep_svg_deterministic():
 
 
 def test_empty_curve_renders():
-    svg = render_sweep(SweepCurve(points=()))
+    svg = render_sweep(())
     assert "<polyline" not in svg
     assert "</svg>" in svg
 
