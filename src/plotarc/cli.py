@@ -136,7 +136,9 @@ def cmd_featurize(args, settings: dict) -> int:
 
 
 def _write_report(out_dir: Path, stem: str, csv_text: str, meta: str, svg: str | None = None) -> None:
-    """``<stem>.csv``, ``<stem>.meta.txt`` and, when given, ``<stem>.svg``."""
+    """``<stem>.csv``, ``<stem>.meta.txt`` and, when given, ``<stem>.svg``, in ``out_dir``: made
+    here, after the inputs are checked, so a failed run leaves no directory behind."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{stem}.csv").write_text(csv_text, encoding="utf-8")
     (out_dir / f"{stem}.meta.txt").write_text(meta, encoding="utf-8")
     if svg is not None:
@@ -146,7 +148,6 @@ def _write_report(out_dir: Path, stem: str, csv_text: str, meta: str, svg: str |
 def cmd_run(args, settings: dict) -> int:
     corpus, lexicon = _load_pipeline(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.experiment == "baselines":
         random_exp, majority = run_baselines(corpus)

@@ -51,19 +51,16 @@ class _ShuffleStream:
         return np.array(order, dtype=np.intp)
 
 
-def standardize_fit(X: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column ``(means, scales)`` over the rows (axis -2) of each stacked matrix, or over ``rows``.
+def _standardize_fit(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column ``(means, scales)`` over ``rows`` (axis -2) of each stacked matrix.
 
     A scale is the population std, with 1.0 for a constant column; a row
-    is standardized as ``(x - means) / scales``. The rows are copied once
+    is standardized as ``(x - means) / scales``. The rows are gathered once
     and their deviations squared in place: the bits of ``np.mean`` and
     ``np.std`` (sum, divide, subtract, square, sum, divide, sqrt) without
     ``np.std``'s second copy.
     """
-    X = np.asarray(X, dtype=float)
-    dev = X.copy() if rows is None else X[..., rows, :]
-    if dev.ndim < 2 or dev.shape[-2] < 2:
-        raise TrainingError("standardization needs a matrix with at least 2 rows")
+    dev = X[..., rows, :]
     n = dev.shape[-2]
     means = dev.sum(axis=-2, keepdims=True)
     means /= n
@@ -77,43 +74,32 @@ def standardize_fit(X: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.n
 
 # A huge C overflows the step size; the finiteness check reports that, not warnings.
 @np.errstate(all="ignore")
-def train_linear_svm(
+def _train(
     X: np.ndarray, y: np.ndarray, rows: Sequence[np.ndarray], means: np.ndarray, scales: np.ndarray,
-    C: float = 1.0, epochs: int = 200, seed: int = 42,
+    C: float, epochs: int, seed: int,
 ) -> np.ndarray:
     """Train each matrix of a rows-first ``(n, P, dim)`` stack on each of F row sets, in lockstep.
 
     ``X[i, p]`` is row i of matrix p, ``y`` labels the n rows {+1, -1},
     ``rows[f]`` indexes set f's rows and ``means`` and ``scales`` are
-    ``(F, P, dim)``. Returns read-only ``(F, P, dim)`` weights. ``C`` must be
-    positive and finite; non-finite weights raise :class:`TrainingError`.
+    ``(F, P, dim)``; ``cross_validate`` has checked the arguments, and each
+    set holds both classes. Returns read-only ``(F, P, dim)`` weights;
+    non-finite weights raise :class:`TrainingError`.
 
     Model (f, p) takes exactly the steps of a lone run on its standardized
     rows: each epoch visits them in the order of the next shuffle of
     ``range(n_f)`` by ``random.Random(seed)``, one generator per distinct
-    size (a negative seed raises :class:`TrainingError`); its step counter reaches
-    ``epochs * n_f``, and steps past ``n_f`` are no-ops. Each step gathers
-    every set's next row into one ``(F, P, dim)`` buffer, standardizes it in
-    place as ``(x - means) / scales``, and the stacked ``matmul`` computes
-    each margin exactly as ``x @ w``, so a model's bits do not depend on the
+    size; its step counter reaches ``epochs * n_f``, and steps past ``n_f``
+    are no-ops. Each step gathers every set's next row into one
+    ``(F, P, dim)`` buffer, standardizes it in place as
+    ``(x - means) / scales``, and the stacked ``matmul`` computes each
+    margin exactly as ``x @ w``, so a model's bits do not depend on the
     others. A step adds every model's scaled row, times 0.0 where its margin
     is not violated, so no operand is masked. The steps write into five
     buffers made once per call (weights, rows, margins, violations, update
     factors).
     """
-    if epochs < 1:
-        raise TrainingError(f"epochs must be >= 1, got {epochs}")
-    if not 0.0 < C < np.inf:
-        raise TrainingError(f"C must be positive and finite, got {C}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     shape = (len(rows),) + X.shape[1:]
-    if X.ndim != 3 or X.shape[0] != y.shape[0] or not means.shape == scales.shape == shape:
-        raise TrainingError("X must be (n, P, dim) with n labels, means and scales (F, P, dim)")
-    for r in rows:
-        if not (np.any(y[r] > 0) and np.any(y[r] < 0)):
-            raise TrainingError("training needs at least one example of each class")
-
     n = np.array([r.size for r in rows])[:, None, None]  # (F, 1, 1): per set, broadcast over (P, dim)
     n_max = int(n.max())
     lam = 1.0 / (C * n)
@@ -180,13 +166,12 @@ def f1_accuracy(margins, gold) -> tuple[np.ndarray, np.ndarray]:
     return f1, np.mean(called == actual, axis=-1)
 
 
-def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
+def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Fold index per example: per-class seeded shuffle, then round-robin.
 
     The +1 class is shuffled by the first shuffle of ``random.Random(seed)``
     and the -1 class by the second.
     """
-    y = np.asarray(y)
     if folds < 2:
         raise TrainingError("folds must be >= 2")
     assignment = np.empty(y.shape[0], dtype=int)
@@ -207,7 +192,10 @@ def cross_validate(
     The P matrices share the n rows labelled by ``y`` and one stratified
     fold assignment; row p of the float64 ``(P, n)`` result holds matrix p's
     held-out margins, each with the bits of a lone ``x @ w`` on the fold's
-    standardized row. Any other shape raises :class:`TrainingError`.
+    standardized row. Any other shape raises :class:`TrainingError`, as do
+    ``folds < 2``, a negative seed, a class of fewer than ``folds`` rows,
+    ``epochs < 1`` and a ``C`` that is not positive and finite, all before
+    the first fit, so every fold's training split holds both classes.
     Standardization is fitted on each fold's training split only, so
     held-out rows never leak into it; the bias column of ones appended
     after it gets mean 0 and scale 1. The fits read ``X`` itself; then ``X``
@@ -218,21 +206,25 @@ def cross_validate(
     batched product.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
+    y = np.asarray(y, dtype=float)
     if X.ndim != 3 or X.shape[1] != len(y):
         raise TrainingError(f"X must be a (P, n, dim) stack with n = {len(y)} labels, got shape {X.shape}")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be >= 1, got {epochs}")
+    if not 0.0 < C < np.inf:
+        raise TrainingError(f"C must be positive and finite, got {C}")
     P, n, dim = X.shape
-    assignment = stratified_folds(y, folds, seed)
+    assignment = _stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]
     rows = [np.flatnonzero(~mask) for mask in held]
     # Fitted before the copy, so a fit's gather of X's training rows never sits beside it.
     means, scales = np.zeros((folds, P, dim + 1)), np.ones((folds, P, dim + 1))
     for k, r in enumerate(rows):
-        means[k, :, :dim], scales[k, :, :dim] = standardize_fit(X, r)
+        means[k, :, :dim], scales[k, :, :dim] = _standardize_fit(X, r)
     rows_first = np.ones((n, P, dim + 1))  # the last column is the bias's ones
     rows_first[..., :dim] = X.transpose(1, 0, 2)
     del X
-    W = train_linear_svm(rows_first, y, rows, means, scales, C=C, epochs=epochs, seed=seed)
+    W = _train(rows_first, y, rows, means, scales, C, epochs, seed)
     pooled = np.empty((P, n))
     for k, mask in enumerate(held):
         # A C-contiguous (P, m, dim + 1) block, so each margin has the bits of a lone x @ w.

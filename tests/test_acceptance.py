@@ -28,7 +28,7 @@ from plotarc.experiments import (
     run_partition_sweep,
 )
 from plotarc.lexicon import parse_lexicon
-from plotarc.svm import cross_validate, f1_accuracy, standardize_fit, stratified_folds
+from plotarc.svm import _standardize_fit, _stratified_folds, cross_validate, f1_accuracy
 
 
 def check(name, condition, detail=""):
@@ -298,15 +298,16 @@ def test_standardization_no_leakage(planted_inputs):
     X = feature_matrix(planted_inputs.vectors, 4, 3)
     y = planted_inputs.labels
     folds = 10
-    assignment = stratified_folds(y, folds, seed=42)
+    assignment = _stratified_folds(y, folds, seed=42)
     rng = np.random.default_rng(0)
     ok = True
     for k in range(folds):
         train = assignment != k
-        before = standardize_fit(X[train])
+        rows = np.flatnonzero(train)
+        before = _standardize_fit(X, rows)
         X_pert = X.copy()
         X_pert[~train] += rng.normal(scale=1e9, size=X_pert[~train].shape)
-        after = standardize_fit(X_pert[train])
+        after = _standardize_fit(X_pert, rows)
         ok = ok and all(np.array_equal(a, b) for a, b in zip(before, after))
     check("per-fold standardization params ignore held-out rows (exact)", ok)
 

@@ -245,6 +245,17 @@ class TestRun:
         assert "final_len" in capsys.readouterr().err
         assert not (out / "ladder.csv").exists()
 
+    @pytest.mark.parametrize("experiment,flag,value,message", [
+        ("ladder", "--final-len", "75", "final_len must be in 1..74"),
+        ("sweep", "--epochs", "0", "epochs must be >= 1, got 0"),
+    ])
+    def test_failed_run_leaves_no_out_dir(self, experiment, flag, value, message, synth_corpus, tmp_path, capsys):
+        # The output directory is made by the first report written, not before the inputs are checked.
+        out = tmp_path / "out"
+        assert main(["run", experiment, *pipeline_args(synth_corpus, out, [flag, value])]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_final_section_without_room_for_late_main_exits_2(self, synth_corpus, tmp_path, capsys):
         # Sets 5 and 6 read a late-main section as long as the final one: 38 + 38 > 75.
         out = tmp_path / "out"

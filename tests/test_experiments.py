@@ -100,13 +100,13 @@ class TestFeatureLadder:
         narrow, wide = (feature_matrix(inputs.vectors, 4, fsid)[None] for fsid in (1, 6))
         assert (narrow.shape[2], wide.shape[2]) == (11, 44)
         assignments = []
-        stratified_folds = svm.stratified_folds
+        stratified_folds = svm._stratified_folds
 
         def recording(*args):
             assignments.append(stratified_folds(*args))
             return assignments[-1]
 
-        monkeypatch.setattr(svm, "stratified_folds", recording)
+        monkeypatch.setattr(svm, "_stratified_folds", recording)
         for X in (narrow, wide):
             cross_validate(X, inputs.labels, **dataclasses.asdict(FAST))
         a, b = assignments

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import random
 import re
 import tracemalloc
@@ -6,16 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from plotarc import svm
 from plotarc.corpus import demo_lexicon, generate_synthetic_corpus
 from plotarc.experiments import ClassifierConfig, feature_matrix, prepare_inputs, run_partition_sweep
 from plotarc.svm import (
     TrainingError,
     _ShuffleStream,
+    _standardize_fit,
+    _stratified_folds,
+    _train,
     cross_validate,
     f1_accuracy,
-    standardize_fit,
-    stratified_folds,
-    train_linear_svm,
 )
 
 
@@ -54,7 +56,7 @@ def reference_standardize_fit(X):
 
 
 def reference_stratified_folds(y, folds, seed):
-    """``stratified_folds`` shuffling each class with one ``random.Random``: the shuffle-stream oracle."""
+    """``_stratified_folds`` shuffling each class with one ``random.Random``: the shuffle-stream oracle."""
     assignment = np.empty(len(y), dtype=int)
     rng = random.Random(seed)
     for cls in (1, -1):
@@ -100,15 +102,15 @@ def primal_objective(w, X, y, C=1.0):
 
 def reference_cv_margins(X, y, folds, seed, C, epochs):
     """Out-of-fold margins from one product per (fold, matrix) model: the batching oracle."""
-    assignment = stratified_folds(y, folds, seed)
+    assignment = _stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]
     rows = [np.flatnonzero(~mask) for mask in held]
-    fits = [standardize_fit(X[:, r]) for r in rows]
+    fits = [_standardize_fit(X, r) for r in rows]
     # The bias column, appended here by hand: ones, standardized by mean 0 and scale 1.
     ones = np.ones((X.shape[0], 1))
     bias_fits = [(np.hstack([means, 0 * ones]), np.hstack([scales, ones])) for means, scales in fits]
     Xa = np.stack([np.hstack([m, np.ones((len(m), 1))]) for m in X], axis=1)
-    W = train_linear_svm(Xa, y, rows, *stack_fits(bias_fits), C=C, epochs=epochs, seed=seed)
+    W = _train(Xa, y, rows, *stack_fits(bias_fits), C, epochs, seed)
     pooled = np.empty(X.shape[:2])
     for k, ((means, scales), mask) in enumerate(zip(fits, held)):
         for p in range(X.shape[0]):
@@ -160,10 +162,9 @@ def with_ones(X):
     return np.concatenate([X, np.ones(np.shape(X)[:-1] + (1,))], axis=-1)
 
 
-def fit(X, y, **kwargs):
+def fit(X, y, C=1.0, epochs=200, seed=42):
     """Weights of one model (P = F = 1) on all rows of ``X``, unstandardized."""
-    X = np.asarray(X, dtype=float)
-    W = train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, X.shape[1]), **kwargs)
+    W = _train(X[:, None], y, [np.arange(len(y))], *identity(1, 1, X.shape[1]), C, epochs, seed)
     return W[0, 0]
 
 
@@ -192,27 +193,21 @@ def separable_set(seed=0, per_class=20, spread=0.3):
 
 class TestStandardize:
     def test_two_point_statistics(self):
-        means, scales = standardize_fit(np.array([[0.0, 5.0], [2.0, 5.0]]))
+        means, scales = _standardize_fit(np.array([[0.0, 5.0], [2.0, 5.0]]), np.arange(2))
         assert means[0] == 1.0 and scales[0] == 1.0
 
     def test_constant_column_guarded(self):
-        means, scales = standardize_fit(np.full((4, 2), 5.0))
+        means, scales = _standardize_fit(np.full((4, 2), 5.0), np.arange(4))
         np.testing.assert_array_equal(means, [5.0, 5.0])
         np.testing.assert_array_equal(scales, [1.0, 1.0])
 
     def test_transformed_training_matrix_centered(self):
         rng = np.random.default_rng(1)
         X = rng.random((30, 5)) * 10
-        means, scales = standardize_fit(X)
+        means, scales = _standardize_fit(X, np.arange(30))
         Xs = (X - means) / scales
         np.testing.assert_allclose(Xs.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(Xs.std(axis=0), 1.0, atol=1e-9)
-
-    def test_too_few_rows(self):
-        with pytest.raises(TrainingError):
-            standardize_fit(np.zeros((1, 3)))
-        with pytest.raises(TrainingError):
-            standardize_fit(np.zeros((2, 4, 3)), np.array([2]))
 
     @pytest.mark.parametrize("feature_set", [3, 6])
     def test_fold_fits_of_a_sweep_stack_have_mean_and_std_bits(self, feature_set):
@@ -222,17 +217,15 @@ class TestStandardize:
         inputs = prepare_inputs(generate_synthetic_corpus(1, 212, 600, 4, lexicon), lexicon)
         X = np.stack([feature_matrix(inputs.vectors, k, feature_set) for k in range(37, 0, -1)])
         before = X.copy()
-        assignment = stratified_folds(inputs.labels, 10, 42)
+        assignment = _stratified_folds(inputs.labels, 10, 42)
         for k in range(10):
             rows = np.flatnonzero(assignment != k)
             reference = reference_standardize_fit(X[:, rows])
-            expected = [a.tobytes() for a in reference]
-            assert [a.tobytes() for a in standardize_fit(X, rows)] == expected
-            assert [a.tobytes() for a in standardize_fit(X[:, rows])] == expected
+            assert [a.tobytes() for a in _standardize_fit(X, rows)] == [a.tobytes() for a in reference]
             # A matrix's fit does not depend on the others in the stack: a
             # ladder's one-matrix stack gets the bits of its sweep point's.
             for p in range(37):
-                assert [a.tobytes() for a in standardize_fit(X[p : p + 1], rows)] == [
+                assert [a.tobytes() for a in _standardize_fit(X[p : p + 1], rows)] == [
                     a[p : p + 1].tobytes() for a in reference
                 ]
         assert X.tobytes() == before.tobytes()  # the caller's stack is left as it was
@@ -242,7 +235,7 @@ class TestShuffleStream:
     """The stream's draws, pinned: a change to CPython's ``shuffle`` fails here
     instead of moving the CLI's bytes silently."""
 
-    # stratified_folds(y, 10, 42) for the 212 labels of test_stratified_folds_are_pinned, one digit each.
+    # _stratified_folds(y, 10, 42) for the 212 labels of test_stratified_folds_are_pinned, one digit each.
     FOLDS_106_106_10_42 = (
         "36876005683332992109532223376434237565877481822556139482008364597904592"
         "29208482041341108258566078361015600648347746680096137904165145841956776"
@@ -263,14 +256,14 @@ class TestShuffleStream:
 
     def test_stratified_folds_are_pinned(self):
         y = np.random.default_rng(106).permutation(np.r_[np.ones(106, int), -np.ones(106, int)])
-        assert "".join(map(str, stratified_folds(y, 10, 42))) == self.FOLDS_106_106_10_42
+        assert "".join(map(str, _stratified_folds(y, 10, 42))) == self.FOLDS_106_106_10_42
 
     @pytest.mark.parametrize("n_pos,n_neg,folds,seed", [
         (106, 106, 10, 42), (20, 31, 5, 0), (3, 40, 3, 2**40), (50, 7, 7, 2**64 + 1),
     ])
     def test_stratified_folds_match_reference(self, n_pos, n_neg, folds, seed):
         y = np.random.default_rng(n_pos).permutation(np.r_[np.ones(n_pos, int), -np.ones(n_neg, int)])
-        got = stratified_folds(y, folds, seed)
+        got = _stratified_folds(y, folds, seed)
         assert got.tobytes() == reference_stratified_folds(y, folds, seed).tobytes()
 
     @pytest.mark.parametrize("seed", [-1, -(2**64)])
@@ -279,7 +272,7 @@ class TestShuffleStream:
         with pytest.raises(TrainingError, match=f"seed must be a non-negative integer, got {seed}$"):
             cross_validate(X[None], y, folds=5, seed=seed, epochs=1)
         with pytest.raises(TrainingError, match="seed"):
-            train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 2), seed=seed)
+            _ShuffleStream(seed)
 
 
 class TestTrain:
@@ -303,22 +296,31 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         X, _ = separable_set()
-        n = X.shape[0]
-        with pytest.raises(TrainingError):
-            train_linear_svm(X[:, None], np.ones(n), [np.arange(n)], *identity(1, 1, 2))
+        with pytest.raises(TrainingError, match="class -1 has 0 members"):
+            cross_validate(X[None], np.ones(X.shape[0]), folds=5, epochs=1)
 
     @pytest.mark.parametrize("epochs", [0, -2])
     def test_epochs_below_one_rejected(self, epochs):
         X, y = separable_set()
-        with pytest.raises(TrainingError, match="epochs"):
-            train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 2), epochs=epochs)
+        with pytest.raises(TrainingError, match=f"epochs must be >= 1, got {epochs}$"):
+            cross_validate(X[None], y, folds=5, epochs=epochs)
 
     @pytest.mark.parametrize("C", [0.0, -1.0, np.nan, np.inf, 1e308])
     def test_c_not_positive_and_finite_rejected(self, C):
         # 1e308 passes the range check but overflows the step size.
         X, y = separable_set()
         with pytest.raises(TrainingError, match="finite"):
-            train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 2), C=C)
+            cross_validate(X[None], y, folds=5, C=C, epochs=1)
+
+    @pytest.mark.parametrize("setting", [{"epochs": 0}, {"C": float("inf")}], ids=["epochs=0", "C=inf"])
+    def test_settings_refused_before_any_fit(self, setting, monkeypatch):
+        # The fold fits come before the rows-first copy, so no fit means no copy either.
+        calls = []
+        monkeypatch.setattr(svm, "_standardize_fit", lambda *args: calls.append(args))
+        X, y = separable_set()
+        with pytest.raises(TrainingError):
+            cross_validate(X[None], y, folds=5, **setting)
+        assert calls == []
 
     def test_objective_decreases(self):
         X, y = separable_set(seed=5)
@@ -353,11 +355,11 @@ class TestLockstep:
             assert not np.array_equal(rows[0], rows[1])
         # Each matrix carries a ones column, which its fit maps to 1.0.
         X = with_ones(X)
-        fits = [standardize_fit(X[:, r]) for r in rows]
+        fits = [_standardize_fit(X, r) for r in rows]
         for means, scales in fits:
             means[:, -1], scales[:, -1] = 0.0, 1.0
         rows_first = X.transpose(1, 0, 2)
-        W = train_linear_svm(rows_first, y, rows, *stack_fits(fits), C=0.8, epochs=epochs, seed=seed)
+        W = _train(rows_first, y, rows, *stack_fits(fits), 0.8, epochs, seed)
         assert W.shape == (len(sizes), 2, dim + 1)
         for p in range(2):
             for f, (r, (means, scales)) in enumerate(zip(rows, fits)):
@@ -375,22 +377,17 @@ class TestLockstep:
         X = rng.normal(size=(37, 212, 11)) * rng.uniform(0.5, 3.0, size=(37, 1, 11))
         X[:, y == 1] += rng.normal(0.3, 0.2, size=(37, 1, 11))
         X = with_ones(X)
-        rows = [np.flatnonzero(stratified_folds(y, 10, 42) != k) for k in range(10)]
+        rows = [np.flatnonzero(_stratified_folds(y, 10, 42) != k) for k in range(10)]
         assert sorted({r.size for r in rows}) == [190, 191]
-        fits = [standardize_fit(X[:, r]) for r in rows]
+        fits = [_standardize_fit(X, r) for r in rows]
         for means, scales in fits:
             means[:, -1], scales[:, -1] = 0.0, 1.0
-        W = train_linear_svm(X.transpose(1, 0, 2), y, rows, *stack_fits(fits), epochs=2, seed=42)
+        W = _train(X.transpose(1, 0, 2), y, rows, *stack_fits(fits), 1.0, 2, 42)
         assert W.shape == (10, 37, 12)
         for f, p in [(0, 0), (1, 36), (2, 18), (5, 7), (9, 0), (9, 36)]:
             means, scales = fits[f]
             Xs = (X[p, rows[f]] - means[p]) / scales[p]
             assert W[f, p].tobytes() == reference_train(Xs, y[rows[f]], epochs=2, seed=42).tobytes()
-
-    def test_width_mismatch_rejected(self):
-        X, y = separable_set()
-        with pytest.raises(TrainingError):
-            train_linear_svm(X[:, None], y, [np.arange(len(y))], *identity(1, 1, 1))
 
 
 class TestF1:
@@ -462,7 +459,7 @@ class TestF1:
     def test_fold_scores_are_the_same_call_on_fold_columns(self):
         X, y = separable_set(per_class=15, spread=2.0)
         margins = cross_validate(X[None], y, folds=5, seed=1, epochs=20)
-        assignment = stratified_folds(y, 5, 1)
+        assignment = _stratified_folds(y, 5, 1)
         for k in range(5):
             mask = assignment == k
             labels = np.where(margins[0, mask] >= 0.0, 1, -1)
@@ -474,7 +471,7 @@ class TestF1:
 class TestCrossValidate:
     def test_stratified_fold_sizes(self):
         _, y = separable_set(per_class=20)
-        assignment = stratified_folds(y, folds=10, seed=42)
+        assignment = _stratified_folds(y, folds=10, seed=42)
         for k in range(10):
             fold = assignment == k
             assert fold.sum() == 4
@@ -593,12 +590,12 @@ class TestCrossValidate:
         # Perturbing rows held out of fold 0 must not change the params
         # fitted on fold 0's training split.
         X, y = separable_set(per_class=10, seed=4)
-        assignment = stratified_folds(y, folds=5, seed=42)
-        train_mask = assignment != 0
-        means, scales = standardize_fit(X[train_mask])
+        train_mask = _stratified_folds(y, folds=5, seed=42) != 0
+        rows = np.flatnonzero(train_mask)
+        means, scales = _standardize_fit(X, rows)
         X_perturbed = X.copy()
         X_perturbed[~train_mask] += 1e6
-        means_after, scales_after = standardize_fit(X_perturbed[train_mask])
+        means_after, scales_after = _standardize_fit(X_perturbed, rows)
         np.testing.assert_array_equal(means, means_after)
         np.testing.assert_array_equal(scales, scales_after)
 
@@ -616,8 +613,8 @@ def training_fold(name):
     lexicon = demo_lexicon()
     inputs = prepare_inputs(generate_synthetic_corpus(seed, n_novels, tokens, 4, lexicon), lexicon)
     X = feature_matrix(inputs.vectors, final_len, 3)
-    rows = np.flatnonzero(stratified_folds(inputs.labels, 10, 42) != 0)
-    means, scales = standardize_fit(X[rows])
+    rows = np.flatnonzero(_stratified_folds(inputs.labels, 10, 42) != 0)
+    means, scales = _standardize_fit(X, rows)
     return X[rows], inputs.labels[rows], means, scales
 
 
@@ -642,7 +639,17 @@ class TestConvergence:
         # on the separable fold and 1.002 x on the overlapping one.
         X, y, means, scales = training_fold(name)
         padded_fit = np.append(means, 0.0)[None, None], with_ones(scales)[None, None]
-        W = train_linear_svm(with_ones(X)[:, None], y, [np.arange(len(y))], *padded_fit)
+        W = _train(with_ones(X)[:, None], y, [np.arange(len(y))], *padded_fit, 1.0, 200, 42)
         Xs = (X - means) / scales
         bound = primal_objective(np.append(*reference_dcd(Xs, y)[:2]), with_ones(Xs), y)
         assert primal_objective(W[0, 0], with_ones(Xs), y) <= 1.05 * bound
+
+
+def test_public_names_are_the_classifier_api():
+    # The trainer, the standardization fit and the fold assignment are cross_validate's own.
+    public = {
+        name for name, obj in vars(svm).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == svm.__name__
+    }
+    assert public == {"cross_validate", "f1_accuracy", "TrainingError"}
