@@ -2,7 +2,8 @@
 
 Every invocation resolves the settings its command reads into one ordered
 dict before doing any work, and echoes it with the input and output paths;
-``--dry-run`` stops after the echo. Each report's meta file records the same
+a ``run`` command then refuses settings that no input could make valid,
+and ``--dry-run`` stops there. Each report's meta file records the same
 dict and input checksums alongside the results, so a report can be re-run
 bit-identically. Data errors exit with status 2 and the originating module's
 message on stderr.
@@ -26,6 +27,7 @@ from plotarc.experiments import (
     PERIOD_CUTS,
     ClassifierConfig,
     best_points,
+    check_settings,
     ladder_csv,
     meta_text,
     periods_csv,
@@ -212,11 +214,11 @@ def main(argv=None) -> int:
     print("resolved configuration:")
     for key, value in {**settings, **paths}.items():
         print(f"  {key} = {value}")
-    if args.dry_run:
-        return 0
     command = {"featurize": cmd_featurize, "run": cmd_run, "synth": cmd_synth}[args.command]
     try:
-        return command(args, settings)
+        if args.command == "run" and args.experiment != "baselines":
+            check_settings(args.experiment, settings)
+        return 0 if args.dry_run else command(args, settings)
     except (OSError, ValueError) as exc:  # every plotarc error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,8 +8,10 @@ final one. :func:`feature_matrix` is the only code that knows this geometry.
 
 The drivers return results only, a sweep its tuple of :class:`SweepPoint`
 values, which :func:`best_points` ranks. The settings that produced them are
-the caller's, recorded by :func:`meta_text`. Within one ladder or sweep run
-all rows/points share the same fold assignment, making the numbers comparable.
+the caller's, recorded by :func:`meta_text` and checked by
+:func:`check_settings`. A ladder, a sweep and each period group train in one
+``cross_validate`` call, so their rows or points share one fold assignment by
+construction, which makes the numbers comparable.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from plotarc.features import (
     compute_profiles,
 )
 from plotarc.lexicon import SentimentLexicon, lexicon_to_text
-from plotarc.svm import cross_validate, f1_accuracy
+from plotarc.svm import _check_training, cross_validate, f1_accuracy
 
 FEATURE_SET_DIMS = {1: 11, 2: 22, 3: 11, 4: 22, 5: 33, 6: 44}
 
@@ -54,9 +56,13 @@ class RunInputs:
         return self.vectors.shape[1]
 
 
-def prepare_inputs(corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 75) -> RunInputs:
+def _check_segments(n_segments: int) -> None:
     if n_segments < 1:
         raise FeaturizationError(f"the number of segments must be at least 1, got {n_segments}")
+
+
+def prepare_inputs(corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 75) -> RunInputs:
+    _check_segments(n_segments)
     # Checked before the stack is allocated, which a huge count would overflow.
     shortest = min(corpus.novels, key=lambda novel: len(novel.lemmas), default=None)
     if shortest is not None and len(shortest.lemmas) < n_segments:
@@ -69,6 +75,17 @@ def prepare_inputs(corpus: Corpus, lexicon: SentimentLexicon, n_segments: int = 
     years = np.array([n.metadata.year for n in corpus.novels])
     labels.flags.writeable = years.flags.writeable = False
     return RunInputs(profiles, vectors, labels, years)
+
+
+def _check_partition(n: int, final_len: int, feature_set_id: int) -> None:
+    if feature_set_id not in FEATURE_SET_DIMS:
+        raise FeaturizationError(f"feature_set_id must be in 1..6, got {feature_set_id}")
+    if not 1 <= final_len < n:
+        raise FeaturizationError(f"final_len must be in 1..{n - 1} for {n} segments "
+                                 f"(a non-empty main section), got {final_len}")
+    if feature_set_id >= 5 and 2 * final_len > n:
+        raise FeaturizationError(f"feature set {feature_set_id} needs 2 * final_len <= {n} segments (a "
+                                 f"late-main section as long as the final one), got final_len {final_len}")
 
 
 def feature_matrix(vectors: np.ndarray, final_len: int, feature_set_id: int) -> np.ndarray:
@@ -88,15 +105,8 @@ def feature_matrix(vectors: np.ndarray, final_len: int, feature_set_id: int) -> 
     n_segments``, a non-empty main section; sets 5 and 6 also need
     ``2 * final_len <= n_segments``, room for the late-main section.
     """
-    if feature_set_id not in FEATURE_SET_DIMS:
-        raise FeaturizationError(f"feature_set_id must be in 1..6, got {feature_set_id}")
     n = vectors.shape[1]
-    if not 1 <= final_len < n:
-        raise FeaturizationError(f"final_len must be in 1..{n - 1} for {n} segments "
-                                 f"(a non-empty main section), got {final_len}")
-    if feature_set_id >= 5 and 2 * final_len > n:
-        raise FeaturizationError(f"feature set {feature_set_id} needs 2 * final_len <= {n} segments (a "
-                                 f"late-main section as long as the final one), got final_len {final_len}")
+    _check_partition(n, final_len, feature_set_id)
     final_segment = vectors[:, -1]
 
     def mean(start: int, stop: int) -> np.ndarray:  # taken only for the sections the set reads
@@ -134,15 +144,14 @@ def run_feature_ladder(
     final_len: int,
     config: ClassifierConfig = ClassifierConfig(),
 ) -> tuple[tuple[int, float, float], ...]:
-    """One ``(feature_set_id, f1, accuracy)`` row per feature set, cross-validated under shared folds."""
-    # Every matrix is made, and so checked, before any training.
-    matrices = [feature_matrix(inputs.vectors, final_len, fsid) for fsid in FEATURE_SET_DIMS]
-    rows = []
-    for fsid, X in zip(FEATURE_SET_DIMS, matrices):
-        (margins,) = cross_validate(X[None], inputs.labels, **asdict(config))
-        f1, accuracy = f1_accuracy(margins, inputs.labels)
-        rows.append((fsid, float(f1), float(accuracy)))
-    return tuple(rows)
+    """One ``(feature_set_id, f1, accuracy)`` row per feature set, all from one CV call on a
+    zero-padded ``(6, novels, 44)`` stack. A zero column standardizes to 0 and keeps a +0.0
+    weight, so only each ``x @ w``'s length differs from an unpadded call (within 1e-12)."""
+    stack = np.zeros((len(FEATURE_SET_DIMS), len(inputs.labels), max(FEATURE_SET_DIMS.values())))
+    for X, (fsid, dim) in zip(stack, FEATURE_SET_DIMS.items()):  # all made, and so checked, before training
+        X[:, :dim] = feature_matrix(inputs.vectors, final_len, fsid)
+    f1s, accuracies = f1_accuracy(cross_validate(stack, inputs.labels, **asdict(config)), inputs.labels)
+    return tuple(zip(FEATURE_SET_DIMS, f1s.tolist(), accuracies.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +173,21 @@ def best_points(points: tuple[SweepPoint, ...]) -> tuple[SweepPoint, ...]:
     return tuple(sorted((p for p in points if p.f1 == best), key=lambda p: p.main_fraction, reverse=True))
 
 
+def _sweep_grid(n: int, final_lens=None):
+    """A sweep's final lengths, longest first; the default, n // 2 down to 1, is a ``range``."""
+    grid = range(n // 2, 0, -1) if final_lens is None else sorted(final_lens, reverse=True)
+    if not grid:
+        raise FeaturizationError(f"a partition sweep needs a final length, got none for {n} segments")
+    return grid
+
+
 def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
                   config: ClassifierConfig) -> list[tuple[SweepPoint, ...]]:
     """The sweep points of each group of novel rows (a slice or an index list), each
     from its own CV call on a stack of its point matrices, made on the group's rows
     alone: a feature row reads only its own novel."""
     n = inputs.n_segments
-    final_lens = sorted(range(n // 2, 0, -1) if final_lens is None else final_lens, reverse=True)
-    if not final_lens:
-        raise FeaturizationError(f"a partition sweep needs a final length, got none for {n} segments")
+    final_lens = _sweep_grid(n, final_lens)
     curves = []
     for rows in groups:
         y = inputs.labels[rows]
@@ -246,6 +261,19 @@ def run_period_analysis(
         PeriodGroup(label, len(idx), points_of.get(g))
         for g, (label, idx) in enumerate(zip(PERIOD_LABELS, indices))
     )
+
+
+def check_settings(experiment: str, settings: dict) -> None:
+    """Raise, before any input is read, the error a ladder, sweep or periods run under the
+    CLI's ``settings`` would raise for them, from the run's own checks in the run's order."""
+    n = settings["n_segments"]
+    _check_segments(n)
+    if experiment == "ladder":
+        for fsid in FEATURE_SET_DIMS:
+            _check_partition(n, settings["final_len"], fsid)
+    else:
+        _sweep_grid(n)
+    _check_training(settings["folds"], settings["seed"], settings["C"], settings["epochs"])
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,24 @@ def f1_accuracy(margins, gold) -> tuple[np.ndarray, np.ndarray]:
     return f1, np.mean(called == actual, axis=-1)
 
 
+def _check_training(folds: int, seed: int, C: float, epochs: int) -> None:
+    """Refuse, in this order, the ``cross_validate`` settings no data can make valid;
+    ``experiments.check_settings`` calls it too, before any input is read."""
+    if epochs < 1:
+        raise TrainingError(f"epochs must be >= 1, got {epochs}")
+    if not 0.0 < C < np.inf:
+        raise TrainingError(f"C must be positive and finite, got {C}")
+    if folds < 2:
+        raise TrainingError("folds must be >= 2")
+    _ShuffleStream(seed)
+
+
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Fold index per example: per-class seeded shuffle, then round-robin.
 
     The +1 class is shuffled by the first shuffle of ``random.Random(seed)``
     and the -1 class by the second.
     """
-    if folds < 2:
-        raise TrainingError("folds must be >= 2")
     assignment = np.empty(y.shape[0], dtype=int)
     rng = _ShuffleStream(seed)
     for cls in (1, -1):
@@ -209,10 +219,7 @@ def cross_validate(
     y = np.asarray(y, dtype=float)
     if X.ndim != 3 or X.shape[1] != len(y):
         raise TrainingError(f"X must be a (P, n, dim) stack with n = {len(y)} labels, got shape {X.shape}")
-    if epochs < 1:
-        raise TrainingError(f"epochs must be >= 1, got {epochs}")
-    if not 0.0 < C < np.inf:
-        raise TrainingError(f"C must be positive and finite, got {C}")
+    _check_training(folds, seed, C, epochs)
     P, n, dim = X.shape
     assignment = _stratified_folds(y, folds, seed)
     held = [assignment == k for k in range(folds)]

@@ -359,6 +359,47 @@ class TestRun:
         assert "error: a partition sweep needs a final length, got none for 1 segments\n" in capsys.readouterr().err
         assert not (out / f"{experiment}.csv").exists()
 
+    # One setting no input can make valid per case, with the message the run prints for it.
+    @pytest.mark.parametrize("experiment, flags, message", [
+        ("periods", ["--folds", "1"], "folds must be >= 2"),
+        ("sweep", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ("ladder", ["--epochs", "0"], "epochs must be >= 1, got 0"),
+        ("sweep", ["--c", "0"], "C must be positive and finite, got 0.0"),
+        ("periods", ["--segments", "0"], "the number of segments must be at least 1, got 0"),
+        ("sweep", ["--segments", "1"], "a partition sweep needs a final length, got none for 1 segments"),
+        ("ladder", ["--final-len", "75"],
+         "final_len must be in 1..74 for 75 segments (a non-empty main section), got 75"),
+        ("ladder", ["--final-len", "38"], "feature set 5 needs 2 * final_len <= 75 segments "
+                                          "(a late-main section as long as the final one), got final_len 38"),
+    ], ids=["folds", "seed", "epochs", "C", "segments", "sweep-grid", "final-len", "late-main"])
+    def test_dry_run_refuses_what_the_run_refuses(self, experiment, flags, message, synth_corpus, tmp_path, capsys):
+        # The dry run reads no input (its paths do not exist) and still exits as the real run does.
+        assert main(["run", experiment, *pipeline_args(synth_corpus, tmp_path / "out", flags)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        missing = tmp_path / "missing"
+        dry = pipeline_args(missing, tmp_path / "dry", [*flags, "--dry-run"])
+        assert main(["run", experiment, *dry]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stderr == f"error: {message}\n"
+        assert echo_of(stdout)[-1] == ("out", str(tmp_path / "dry"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--c", "inf"]])
+    def test_periods_with_every_group_skipped_still_checks_training_settings(
+        self, flags, synth_corpus, tmp_path, capsys
+    ):
+        # At 5 folds every period group of the 20-novel corpus is too small to sweep.
+        assert main(["run", "periods", *pipeline_args(synth_corpus, tmp_path / "ok")]) == 0
+        assert "best F1" not in capsys.readouterr().out
+        assert main(["run", "periods", *pipeline_args(synth_corpus, tmp_path / "out", flags)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_baselines_dry_run_checks_no_numeric_setting(self, synth_corpus, tmp_path):
+        # Baselines read none of the numeric flags, so none is checked.
+        flags = ["--folds", "0", "--final-len", "75", "--segments", "0", "--dry-run"]
+        assert main(["run", "baselines", *pipeline_args(synth_corpus, tmp_path / "out", flags)]) == 0
+
     def test_dry_run_prints_config_only(self, synth_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "ladder", *pipeline_args(synth_corpus, out, ["--dry-run"])]) == 0

@@ -93,9 +93,38 @@ class TestFeatureLadder:
         set3_f1 = rows[2][1]
         assert set3_f1 >= 0.65  # way above the 0.5 random baseline
 
+    @pytest.mark.parametrize("final_len", [4, 12])
+    def test_one_padded_call_matches_a_call_per_set(self, planted, final_len, monkeypatch):
+        # The six sets train as one zero-padded (6, novels, 44) stack: one
+        # cross_validate call whose margins are the per-set calls' within 1e-12.
+        _, inputs = planted
+        shapes, calls = [], []
+
+        def recording(X, y, **kwargs):
+            shapes.append(X.shape)
+            calls.append(cross_validate(X, y, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(experiments, "cross_validate", recording)
+        rows = run_feature_ladder(inputs, final_len, FAST)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert shapes == [(6, 40, 44)]
+        (margins,) = calls
+        reference = np.stack([
+            cross_validate(feature_matrix(inputs.vectors, final_len, fsid)[None], inputs.labels,
+                           **dataclasses.asdict(FAST))[0]
+            for fsid in range(1, 7)
+        ])
+        np.testing.assert_allclose(margins, reference, rtol=0, atol=1e-12)
+        assert margins[5].tobytes() == reference[5].tobytes()  # set 6 fills the stack: no padding
+        f1, accuracy = f1_accuracy(reference, inputs.labels)
+        assert rows == tuple(zip(range(1, 7), f1.tolist(), accuracy.tolist()))
+
     def test_shared_fold_assignment(self, planted, monkeypatch):
-        # The ladder's rows are comparable because the folds depend on the
-        # labels, fold count and seed only, not on the feature width.
+        # The folds depend on the labels, fold count and seed only, not on the
+        # feature width: the ladder's one call gives its rows one assignment by
+        # construction, and a per-set call of any width gets that same one.
         _, inputs = planted
         narrow, wide = (feature_matrix(inputs.vectors, 4, fsid)[None] for fsid in (1, 6))
         assert (narrow.shape[2], wide.shape[2]) == (11, 44)

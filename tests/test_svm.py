@@ -223,7 +223,7 @@ class TestStandardize:
             reference = reference_standardize_fit(X[:, rows])
             assert [a.tobytes() for a in _standardize_fit(X, rows)] == [a.tobytes() for a in reference]
             # A matrix's fit does not depend on the others in the stack: a
-            # ladder's one-matrix stack gets the bits of its sweep point's.
+            # one-matrix stack gets the bits of its sweep point's.
             for p in range(37):
                 assert [a.tobytes() for a in _standardize_fit(X[p : p + 1], rows)] == [
                     a[p : p + 1].tobytes() for a in reference
