@@ -166,11 +166,9 @@ def load_lemma_map(path) -> dict[str, str]:
                 surface, lemma = cells
                 if not surface or not lemma:
                     raise CorpusError(f"{path}: line {lineno}: empty cell")
-                # Exactly the forms with tokenize(surface) != [surface]. Letters and
-                # digits are neither, so isalnum() passes most forms in one C call.
-                if not surface.isalnum() and (
-                    surface.split() != [surface] or _is_punct(surface[0]) or _is_punct(surface[-1])
-                ):
+                # Letters and digits are neither whitespace nor punctuation, so
+                # isalnum() passes most forms in one C call.
+                if not surface.isalnum() and tokenize(surface) != [surface]:
                     raise CorpusError(
                         f"{path}: line {lineno}: surface form {surface!r} has whitespace or edge "
                         "punctuation, so no token can equal it"

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import plotarc
+from plotarc import cli
 from plotarc.cli import main
 from plotarc.corpus import demo_lexicon
 from plotarc.lexicon import write_lexicon
@@ -499,6 +501,68 @@ def test_negative_seed_exits_2(synth_corpus, tmp_path):
     )
     assert done.returncode == 2
     assert done.stderr.endswith("error: seed must be a non-negative integer, got -1\n")
+
+
+def test_entry_freezes_the_import_heap_before_main_and_returns_its_status():
+    # A stand-in main reports what it sees: the heap the imports made is
+    # frozen, so interpreter teardown does not collect it again.
+    code = (
+        "import gc, sys\n"
+        "import plotarc.cli\n"
+        "plotarc.cli.main = lambda: print(gc.get_freeze_count()) or 3\n"
+        "sys.exit(plotarc.cli.entry())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (3, "")
+    assert int(done.stdout) > 0
+
+
+def test_only_the_entry_freezes_main_leaves_the_collector_alone(synth_corpus, tmp_path, monkeypatch):
+    # main is what in-process callers (these tests, perfbench/traced.py,
+    # library users) run: it leaves collection as it found it. The entry, run
+    # here on the same command only to show the difference, freezes; the
+    # finally block gives the frozen objects back to the collector.
+    argv = ["run", "sweep", *pipeline_args(synth_corpus, tmp_path / "out", ["--dry-run"])]
+    before = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["plotarc", *argv])
+    try:
+        assert cli.entry() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+
+
+@pytest.fixture(scope="module")
+def wide_corpus(tmp_path_factory):
+    """140 novels: ``featurize``'s per-novel lines overflow a pipe's 8 KiB stdout buffer."""
+    out = tmp_path_factory.mktemp("wide") / "corpus"
+    assert main(["synth", "--n-novels", "140", "--tokens-per-novel", "150", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("unbuffered, extra", [
+    ("1", []),  # the echo's first line meets the closed pipe, before main's error handling
+    ("", []),  # a full buffer meets it mid-command: once reported as a data error, status 2
+    ("", ["--dry-run"]),  # the final flush meets it, after main has returned
+], ids=["at-the-echo", "mid-command", "at-the-final-flush"])
+def test_closed_stdout_ends_with_status_1_and_nothing_on_stderr(unbuffered, extra, wide_corpus, tmp_path):
+    # `plotarc featurize ... | head -2`: a reader that stops early is not bad
+    # input. The pipe's read end is closed before the command starts.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "plotarc.cli", "featurize",
+             *pipeline_args(wide_corpus, tmp_path / "out", extra)],
+            stdout=write_end, stderr=subprocess.PIPE, env=checkout_env(PYTHONUNBUFFERED=unbuffered),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 # SHA-256 of every file each command writes for a 60-novel synth corpus
