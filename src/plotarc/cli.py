@@ -2,11 +2,11 @@
 
 Every invocation resolves the settings its command reads into one ordered
 dict before doing any work, and echoes it with the input and output paths;
-a ``run`` command then refuses settings that no input could make valid,
-and ``--dry-run`` stops there. Each report's meta file records the same
-dict and input checksums alongside the results, so a report can be re-run
-bit-identically. Data errors exit with status 2 and the originating module's
-message on stderr.
+every command but ``run baselines`` then refuses settings that no input
+could make valid, and ``--dry-run`` stops there. Each report's meta file
+records the same dict and input checksums alongside the results, so a report
+can be re-run bit-identically. Data errors exit with status 2 and the
+originating module's message on stderr.
 
 ``python -m plotarc.cli`` and the ``plotarc`` script run ``entry``; ``main``
 changes nothing process-wide, so it can also be called in-process.
@@ -22,6 +22,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from plotarc.corpus import (
+    _check_synthetic,
     demo_lexicon,
     generate_synthetic_corpus,
     load_corpus,
@@ -31,6 +32,7 @@ from plotarc.corpus import (
 from plotarc.experiments import (
     PERIOD_CUTS,
     ClassifierConfig,
+    _check_segments,
     best_points,
     check_settings,
     ladder_csv,
@@ -109,6 +111,18 @@ def _settings(args: argparse.Namespace) -> dict:
     }[args.experiment]
     classifier = ClassifierConfig(args.folds, args.seed, args.C, args.epochs)
     return {"n_segments": args.segments, **partition, **asdict(classifier)}
+
+
+def _check_early(args, settings: dict) -> None:
+    """Raise, before any input is read, the error ``args``'s run raises for ``settings``
+    that no input can make valid. ``run baselines`` reads no such setting."""
+    if args.command == "synth":
+        _check_synthetic(settings["seed"], settings["n_novels"], settings["tokens_per_novel"],
+                         settings["ending_len"])
+    elif args.command == "featurize":
+        _check_segments(settings["n_segments"])
+    elif args.experiment != "baselines":
+        check_settings(args.experiment, settings)
 
 
 def _load_pipeline(args):
@@ -221,8 +235,7 @@ def main(argv=None) -> int:
         print(f"  {key} = {value}")
     command = {"featurize": cmd_featurize, "run": cmd_run, "synth": cmd_synth}[args.command]
     try:
-        if args.command == "run" and args.experiment != "baselines":
-            check_settings(args.experiment, settings)
+        _check_early(args, settings)
         return 0 if args.dry_run else command(args, settings)
     except BrokenPipeError:
         raise  # stdout's reader has gone: not a data error (see entry)

@@ -313,6 +313,20 @@ _N_SEGMENTS_PLANTED = 75
 _N_FILLERS = 5000
 
 
+def _check_synthetic(seed: int, n_novels: int, tokens_per_novel: int, ending_len_segments: int) -> None:
+    """Raise the error :func:`generate_synthetic_corpus` raises for these settings under any lexicon."""
+    if seed < 0:
+        raise CorpusError(f"seed must be a non-negative integer, got {seed}")
+    if n_novels < 2 or n_novels % 2 != 0:
+        raise CorpusError(
+            f"n_novels must be a positive even number (classes are balanced by construction), got {n_novels}"
+        )
+    if tokens_per_novel < _N_SEGMENTS_PLANTED:
+        raise CorpusError(f"tokens_per_novel must be >= {_N_SEGMENTS_PLANTED}")
+    if not 1 <= ending_len_segments <= 10:
+        raise CorpusError("ending_len_segments must be in [1, 10]")
+
+
 def generate_synthetic_corpus(
     seed: int,
     n_novels: int,
@@ -345,16 +359,7 @@ def generate_synthetic_corpus(
     An option added to the generator must draw only when enabled, so that
     the default bytes do not move.
     """
-    if seed < 0:
-        raise CorpusError(f"seed must be a non-negative integer, got {seed}")
-    if n_novels < 2 or n_novels % 2 != 0:
-        raise CorpusError(
-            f"n_novels must be a positive even number (classes are balanced by construction), got {n_novels}"
-        )
-    if tokens_per_novel < _N_SEGMENTS_PLANTED:
-        raise CorpusError(f"tokens_per_novel must be >= {_N_SEGMENTS_PLANTED}")
-    if not 1 <= ending_len_segments <= 10:
-        raise CorpusError("ending_len_segments must be in [1, 10]")
+    _check_synthetic(seed, n_novels, tokens_per_novel, ending_len_segments)
 
     positives = sorted(lexicon.lemmas_by_polarity(+1))
     negatives = sorted(lexicon.lemmas_by_polarity(-1))

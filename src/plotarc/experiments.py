@@ -181,24 +181,20 @@ def _sweep_grid(n: int, final_lens=None):
     return grid
 
 
-def _sweep_curves(inputs: RunInputs, groups, final_lens, feature_set_id: int,
-                  config: ClassifierConfig) -> list[tuple[SweepPoint, ...]]:
-    """The sweep points of each group of novel rows (a slice or an index list), each
-    from its own CV call on a stack of its point matrices, made on the group's rows
-    alone: a feature row reads only its own novel."""
+def _sweep(inputs: RunInputs, rows, final_lens, feature_set_id: int,
+           config: ClassifierConfig) -> tuple[SweepPoint, ...]:
+    """The sweep points of one group of novel rows (a slice or an index list), from one
+    CV call on a stack of its point matrices, made on the group's rows alone: a feature
+    row reads only its own novel. ``final_lens`` is a checked :func:`_sweep_grid`."""
     n = inputs.n_segments
-    final_lens = _sweep_grid(n, final_lens)
-    curves = []
-    for rows in groups:
-        y = inputs.labels[rows]
-        # No name holds the group's vectors or the stack (nor would a ``**`` call's
-        # argument tuple): the vectors are freed once the stack is made, and
-        # cross_validate frees the stack once it has made its rows-first copy.
-        margins = cross_validate(_feature_stack(inputs.vectors[rows], final_lens, feature_set_id), y,
-                                 folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
-        f1s = f1_accuracy(margins, y)[0].tolist()
-        curves.append(tuple(SweepPoint((n - f) / n, f, f1) for f, f1 in zip(final_lens, f1s)))
-    return curves
+    y = inputs.labels[rows]
+    # No name holds the group's vectors or the stack (nor would a ``**`` call's
+    # argument tuple): the vectors are freed once the stack is made, and
+    # cross_validate frees the stack once it has made its rows-first copy.
+    margins = cross_validate(_feature_stack(inputs.vectors[rows], final_lens, feature_set_id), y,
+                             folds=config.folds, seed=config.seed, C=config.C, epochs=config.epochs)
+    f1s = f1_accuracy(margins, y)[0].tolist()
+    return tuple(SweepPoint((n - f) / n, f, f1) for f, f1 in zip(final_lens, f1s))
 
 
 def run_partition_sweep(
@@ -214,8 +210,7 @@ def run_partition_sweep(
     fraction) to the shortest, and each main fraction is
     ``(n_segments - final_len) / n_segments``. An empty grid is refused.
     """
-    (points,) = _sweep_curves(inputs, [slice(None)], final_lens, feature_set_id, config)
-    return points
+    return _sweep(inputs, slice(None), _sweep_grid(inputs.n_segments, final_lens), feature_set_id, config)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +247,14 @@ def run_period_analysis(
     A group is swept only when each class has at least ``folds`` novels;
     otherwise its points are None.
     """
-    indices = group_indices(inputs.years)
-    happy = [int(np.sum(inputs.labels[idx] == 1)) for idx in indices]
-    swept = [g for g, idx in enumerate(indices) if min(happy[g], len(idx) - happy[g]) >= config.folds]
-    curves = _sweep_curves(inputs, [indices[g] for g in swept], final_lens, feature_set_id, config)
-    points_of = dict(zip(swept, curves))
-    return tuple(
-        PeriodGroup(label, len(idx), points_of.get(g))
-        for g, (label, idx) in enumerate(zip(PERIOD_LABELS, indices))
-    )
+    final_lens = _sweep_grid(inputs.n_segments, final_lens)  # refused even when every group is skipped
+    groups = []
+    for label, rows in zip(PERIOD_LABELS, group_indices(inputs.years)):
+        happy = int(np.sum(inputs.labels[rows] == 1))
+        swept = min(happy, len(rows) - happy) >= config.folds
+        groups.append(PeriodGroup(label, len(rows),
+                                  _sweep(inputs, rows, final_lens, feature_set_id, config) if swept else None))
+    return tuple(groups)
 
 
 def check_settings(experiment: str, settings: dict) -> None:

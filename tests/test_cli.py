@@ -386,6 +386,29 @@ class TestRun:
         assert echo_of(stdout)[-1] == ("out", str(tmp_path / "dry"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
+    # The same for the other commands: one setting per case, with the message its run prints.
+    @pytest.mark.parametrize("command, flags, message", [
+        ("featurize", ["--segments", "0"], "the number of segments must be at least 1, got 0"),
+        ("synth", ["--n-novels", "3"],
+         "n_novels must be a positive even number (classes are balanced by construction), got 3"),
+        ("synth", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ("synth", ["--tokens-per-novel", "74"], "tokens_per_novel must be >= 75"),
+        ("synth", ["--ending-len", "11"], "ending_len_segments must be in [1, 10]"),
+    ], ids=["featurize-segments", "synth-n-novels", "synth-seed", "synth-tokens", "synth-ending-len"])
+    def test_featurize_and_synth_dry_runs_refuse_what_their_runs_refuse(
+        self, command, flags, message, synth_corpus, tmp_path, capsys
+    ):
+        def argv(corpus_dir, out, extra=()):
+            if command == "synth":
+                return ["synth", "--out", str(out), *flags, *extra]
+            return ["featurize", *pipeline_args(corpus_dir, out, [*flags, *extra])]
+
+        assert main(argv(synth_corpus, tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(argv(tmp_path / "missing", tmp_path / "dry", ["--dry-run"])) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--c", "inf"]])
     def test_periods_with_every_group_skipped_still_checks_training_settings(
         self, flags, synth_corpus, tmp_path, capsys
