@@ -47,6 +47,10 @@ def pipeline_args(corpus_dir, out, extra=()):
     ]
 
 
+# Input paths, relative to the working directory, that a test's run finds missing.
+MISSING_INPUTS = ["--corpus", "missing", "--metadata", "missing/metadata.tsv", "--lexicon", "missing/lexicon.tsv"]
+
+
 def read_dir(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
@@ -361,53 +365,39 @@ class TestRun:
         assert "error: a partition sweep needs a final length, got none for 1 segments\n" in capsys.readouterr().err
         assert not (out / f"{experiment}.csv").exists()
 
-    # One setting no input can make valid per case, with the message the run prints for it.
-    @pytest.mark.parametrize("experiment, flags, message", [
-        ("periods", ["--folds", "1"], "folds must be >= 2"),
-        ("sweep", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-        ("ladder", ["--epochs", "0"], "epochs must be >= 1, got 0"),
-        ("sweep", ["--c", "0"], "C must be positive and finite, got 0.0"),
-        ("periods", ["--segments", "0"], "the number of segments must be at least 1, got 0"),
-        ("sweep", ["--segments", "1"], "a partition sweep needs a final length, got none for 1 segments"),
-        ("ladder", ["--final-len", "75"],
+    # One setting no input can make valid per case, with the message the run prints for it. The
+    # input paths name files that do not exist: the run, like its dry run, refuses before reading.
+    @pytest.mark.parametrize("command, flags, message", [
+        (["run", "periods", *MISSING_INPUTS], ["--folds", "1"], "folds must be >= 2"),
+        (["run", "sweep", *MISSING_INPUTS], ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["run", "ladder", *MISSING_INPUTS], ["--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["run", "sweep", *MISSING_INPUTS], ["--c", "0"], "C must be positive and finite, got 0.0"),
+        (["run", "periods", *MISSING_INPUTS], ["--segments", "0"],
+         "the number of segments must be at least 1, got 0"),
+        (["run", "sweep", *MISSING_INPUTS], ["--segments", "1"],
+         "a partition sweep needs a final length, got none for 1 segments"),
+        (["run", "ladder", *MISSING_INPUTS], ["--final-len", "75"],
          "final_len must be in 1..74 for 75 segments (a non-empty main section), got 75"),
-        ("ladder", ["--final-len", "38"], "feature set 5 needs 2 * final_len <= 75 segments "
-                                          "(a late-main section as long as the final one), got final_len 38"),
-    ], ids=["folds", "seed", "epochs", "C", "segments", "sweep-grid", "final-len", "late-main"])
-    def test_dry_run_refuses_what_the_run_refuses(self, experiment, flags, message, synth_corpus, tmp_path, capsys):
-        # The dry run reads no input (its paths do not exist) and still exits as the real run does.
-        assert main(["run", experiment, *pipeline_args(synth_corpus, tmp_path / "out", flags)]) == 2
+        (["run", "ladder", *MISSING_INPUTS], ["--final-len", "38"],
+         "feature set 5 needs 2 * final_len <= 75 segments "
+         "(a late-main section as long as the final one), got final_len 38"),
+        (["featurize", *MISSING_INPUTS], ["--segments", "0"], "the number of segments must be at least 1, got 0"),
+        (["synth"], ["--n-novels", "3"],
+         "n_novels must be a positive even number (classes are balanced by construction), got 3"),
+        (["synth"], ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["synth"], ["--tokens-per-novel", "74"], "tokens_per_novel must be >= 75"),
+        (["synth"], ["--ending-len", "11"], "ending_len_segments must be in [1, 10]"),
+    ], ids=["folds", "seed", "epochs", "C", "segments", "sweep-grid", "final-len", "late-main",
+            "featurize-segments", "synth-n-novels", "synth-seed", "synth-tokens", "synth-ending-len"])
+    def test_dry_run_refuses_what_the_run_refuses(self, command, flags, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--out", "out", *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        missing = tmp_path / "missing"
-        dry = pipeline_args(missing, tmp_path / "dry", [*flags, "--dry-run"])
-        assert main(["run", experiment, *dry]) == 2
+        assert main([*command, "--out", "dry", *flags, "--dry-run"]) == 2
         stdout, stderr = capsys.readouterr()
         assert stderr == f"error: {message}\n"
-        assert echo_of(stdout)[-1] == ("out", str(tmp_path / "dry"))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
-
-    # The same for the other commands: one setting per case, with the message its run prints.
-    @pytest.mark.parametrize("command, flags, message", [
-        ("featurize", ["--segments", "0"], "the number of segments must be at least 1, got 0"),
-        ("synth", ["--n-novels", "3"],
-         "n_novels must be a positive even number (classes are balanced by construction), got 3"),
-        ("synth", ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-        ("synth", ["--tokens-per-novel", "74"], "tokens_per_novel must be >= 75"),
-        ("synth", ["--ending-len", "11"], "ending_len_segments must be in [1, 10]"),
-    ], ids=["featurize-segments", "synth-n-novels", "synth-seed", "synth-tokens", "synth-ending-len"])
-    def test_featurize_and_synth_dry_runs_refuse_what_their_runs_refuse(
-        self, command, flags, message, synth_corpus, tmp_path, capsys
-    ):
-        def argv(corpus_dir, out, extra=()):
-            if command == "synth":
-                return ["synth", "--out", str(out), *flags, *extra]
-            return ["featurize", *pipeline_args(corpus_dir, out, [*flags, *extra])]
-
-        assert main(argv(synth_corpus, tmp_path / "out")) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert main(argv(tmp_path / "missing", tmp_path / "dry", ["--dry-run"])) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+        assert echo_of(stdout)[-1] == ("out", "dry")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--c", "inf"]])
     def test_periods_with_every_group_skipped_still_checks_training_settings(
